@@ -1,6 +1,6 @@
 """Steering-based certification of states, measurements and randomness.
 
-One trusted measuring party (Bob) and one untrusted (Alice) share a
+One trusted measuring party (Alice) and one untrusted (Bob) share a
 bipartite state. The package builds the steering functional tied to a
 Schmidt vector, computes its quantum maximum and local-hidden-state
 bounds, certifies realizations that reach the maximum, constructs

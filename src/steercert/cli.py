@@ -12,10 +12,9 @@ Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -239,6 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
+    if not 0 <= ns.seed < 2**63:
+        raise UsageError(f"--seed: {ns.seed} is outside [0, 2**63)")
     d = getattr(ns, "d", None)
     alpha = None
     if getattr(ns, "alpha", None) is not None:
@@ -283,7 +284,7 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     sv = _schmidt_vector(config)
     f = functional_coefficients(sv)
     exact = lhs_bound_exact(f)
-    upper = lhs_bound_paper_upper(f, restarts=config.restarts, seed=config.seed)
+    upper = lhs_bound_paper_upper(f)
     report = {
         "d": f.d,
         "alpha": [float(a) for a in sv.alpha],
@@ -437,18 +438,11 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
         raise UsageError("--theta-grid: need at least one point")
     thetas = np.linspace(0.0, np.pi / 2.0, n + 2)[1:-1]
 
-    def point(theta):
+    rows = []
+    for theta in thetas:
         sv = SchmidtVector(np.array([np.cos(theta), np.sin(theta)]))
-        f = functional_coefficients(sv)
-        b = lhs_bound_exact(f).value
-        return {"theta": float(theta), "beta_l": b, "gap": 2.0 - b}
-
-    workers = int(os.environ.get("STEERCERT_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, thetas))
-    else:
-        rows = [point(t) for t in thetas]
+        b = lhs_bound_exact(functional_coefficients(sv)).value
+        rows.append({"theta": float(theta), "beta_l": b, "gap": 2.0 - b})
     report = {"d": 2, "rows": rows, **_meta(config)}
     return 0, report
 
@@ -469,8 +463,20 @@ def _schema_key(config: RunConfig) -> str:
     return config.subcommand
 
 
+@functools.cache
+def _validator(key: str):
+    """The validator of SCHEMAS[key], with the schema itself checked once."""
+    cls = jsonschema.validators.validator_for(SCHEMAS[key])
+    cls.check_schema(SCHEMAS[key])
+    return cls(SCHEMAS[key])
+
+
 def _render(config: RunConfig, report: dict) -> str:
-    jsonschema.validate(report, SCHEMAS[_schema_key(config)])
+    error = jsonschema.exceptions.best_match(
+        _validator(_schema_key(config)).iter_errors(report)
+    )
+    if error is not None:
+        raise error
     if config.subcommand == "sweep" and config.fmt == "csv":
         lines = [
             f"# steercert {report['tool_version']} seed={report['seed']} "
@@ -480,7 +486,13 @@ def _render(config: RunConfig, report: dict) -> str:
         for row in report["rows"]:
             lines.append(f"{row['theta']!r},{row['beta_l']!r},{row['gap']!r}")
         return "\n".join(lines) + "\n"
-    return json.dumps(report, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    try:
+        text = json.dumps(
+            report, sort_keys=True, separators=(",", ": "), indent=2, allow_nan=False
+        )
+    except ValueError as e:
+        raise DomainError(f"report is not strict JSON: {e}") from None
+    return text + "\n"
 
 
 def run(config: RunConfig) -> int:

@@ -168,8 +168,10 @@ class Ket:
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         dims = _validate_factors(a.size, self.factor_dims)
+        if not np.all(np.isfinite(a)):
+            raise DomainError("ket has non-finite amplitudes")
         nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > 1e-6:
+        if not abs(nrm - 1.0) <= 1e-6:
             raise DomainError(f"ket norm {nrm} is not 1 within 1e-6")
         object.__setattr__(self, "amplitudes", a / nrm)
         object.__setattr__(self, "factor_dims", dims)

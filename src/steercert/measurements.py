@@ -45,10 +45,10 @@ def generalized_pauli(d: int, kind: str) -> np.ndarray:
 class Povm:
     """Container for measurement elements, outcome b = positional index.
 
-    The container itself only fixes shapes; library builders return
-    elements that satisfy hermiticity, positivity within -1e-9 and
-    completeness within 1e-9, and untrusted input is meant to go through
-    povm.validate_povm, which reports instead of raising.
+    The container itself only fixes shapes and finite entries; library
+    builders return elements that satisfy hermiticity, positivity within
+    -1e-9 and completeness within 1e-9, and untrusted input is meant to go
+    through povm.validate_povm, which reports instead of raising.
     """
 
     elements: np.ndarray
@@ -62,6 +62,8 @@ class Povm:
             raise SizeError(f"expected (n, dim, dim) elements, got {a.shape}")
         if a.shape[0] < 1:
             raise SizeError("a POVM needs at least one element")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("POVM elements have non-finite entries")
         object.__setattr__(self, "elements", a)
 
     @property
@@ -211,10 +213,12 @@ class CorrelationTable:
         a = np.asarray(self.p, dtype=np.float64)
         if a.ndim != 4 or a.shape[2] != a.shape[3]:
             raise SizeError(f"expected (nx, ny, d, d) probabilities, got {a.shape}")
-        if a.min() < -1e-12:
+        if not np.all(np.isfinite(a)):
+            raise DomainError("probabilities must be finite")
+        if not a.min() >= -1e-12:
             raise DomainError(f"negative probability {a.min():.3e}")
         sums = a.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
+        if not np.max(np.abs(sums - 1.0)) <= 1e-9:
             raise DomainError("some (x, y) block does not sum to 1 within 1e-9")
         object.__setattr__(self, "p", a)
 

@@ -29,10 +29,12 @@ class SchmidtVector:
         a = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
         if a.size < 2:
             raise DomainError("need at least two Schmidt coefficients")
-        if a.min() <= 0.0:
+        if not np.all(np.isfinite(a)):
+            raise DomainError("Schmidt coefficients must be finite")
+        if not a.min() > 0.0:
             raise DomainError(f"Schmidt coefficients must be positive, min {a.min()}")
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > 1e-6:
+        if not abs(nrm - 1.0) <= 1e-6:
             raise DomainError(f"||alpha|| = {nrm} is off by more than 1e-6")
         object.__setattr__(self, "alpha", a / nrm)
 

@@ -5,14 +5,16 @@ For Schmidt coefficients alpha the functional
     sum_{k=1}^{d-1} <A_0^k B_{k|0}> + gamma <A_1^k B_{k|1}> + delta_k <A_0^k>
 
 with A_0 = Z, A_1 = X reaches d exactly on the ideal realization and is
-bounded away from d for every LHS assemblage. Two bounds are computed
-independently: an exact one by enumerating Bob's deterministic responses
-and maximizing over Alice's hidden state, and the closed-form upper bound
+bounded away from d for every LHS assemblage. The exact LHS bound is the
+max over Bob's deterministic responses of the best hidden-state value; the
+paper's closed-form upper bound is
 
     max_eta  d max_a eta_a^2 + gamma ((sum eta)^2 - sum_i alpha_i sum_a eta_a^2/alpha_a)
 
-over nonnegative unit vectors eta. They are reported side by side and no
-code path assumes the second is tight.
+over nonnegative unit vectors eta. With Alice's ideal observables both
+equal max_a lambda_max(Q_a) for d explicit d x d matrices, attained at
+a = argmax alpha (proof in _branch_perron); lhs_bound_paper_upper adds
+the eigensolver's roundoff margin so that it is a certified bound.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .linalg import DEFAULT_TOL, expectation
-from .measurements import generalized_pauli, omega, unitary_observable_povm
+from .linalg import expectation
+from .measurements import omega, unitary_observable_povm
 from .states import Realization, SchmidtVector
 
 
@@ -126,19 +128,8 @@ class LhsOptimum:
 
 
 def _alice_projector_families(f: SteeringFunctional, alice_observables):
-    """Eigenprojector families {P_x[a]} for Alice's two observables."""
-    d = f.d
-    if alice_observables is None:
-        w = omega(d)
-        fz = np.zeros((d, d, d), dtype=np.complex128)
-        for a in range(d):
-            fz[a, a, a] = 1.0
-        fcols = w ** (-np.outer(np.arange(d), np.arange(d))) / np.sqrt(d)  # [j, a]
-        fx = np.stack([np.outer(fcols[:, a], np.conj(fcols[:, a])) for a in range(d)])
-        return fz, fx
-    fams = []
-    for obs in alice_observables:
-        fams.append(unitary_observable_povm(obs, d).elements)
+    """Eigenprojector families {P_x[a]} for Alice's two explicit observables."""
+    fams = [unitary_observable_povm(obs, f.d).elements for obs in alice_observables]
     return fams[0], fams[1]
 
 
@@ -151,15 +142,87 @@ def _strategy_matrix(f, p0, p1, b0, b1) -> np.ndarray:
     return m
 
 
+# Roundoff margin of a computed top eigenvalue of Q_a, in units of
+# d * eps * scale with scale = gamma d + gamma S ||1/alpha||_2 + d, which bounds
+# ||Q_a||_F >= ||Q_a||_2 and the unsummed terms of every entry. Forming the
+# entries costs at most (d + 3) eps * scale in Frobenius norm (a d-term sum, a
+# quotient, a difference, a product, the + d). LAPACK's symmetric eigensolver
+# is backward stable, so by Weyl's inequality it adds at most
+# p(d) eps ||Q_a||_2, taking p(d) <= d for LAPACK's "modestly growing" p(n).
+# (2d + 3) eps * scale <= 4 d eps * scale for d >= 2.
+_EIG_MARGIN_C = 4.0
+
+
+def _branch_perron(f: SteeringFunctional):
+    """Best branch of the LHS bound with its top eigenpair, in closed form.
+
+    With Alice's ideal Z, X (eigenprojectors e_a e_a^T and the Fourier
+    projectors F_a), Bob's deterministic responses (b0, b1) give the
+    strategy matrix
+
+        M(b0, b1) = d e_a e_a^T + gamma d F_{-b1} - gamma S diag(1/alpha),
+
+    a = -b0 mod d, S = sum(alpha). Its top eigenvalue is the best
+    hidden-state value for that strategy. Three facts reduce the d^2
+    strategies to one eigenproblem.
+
+    Bob's second response b1 does not change the bound: conjugating by
+    Z^k fixes every diagonal matrix (so diag(1/alpha) and Alice's Z
+    projectors) and maps F_c to F_{c-k}, so M(b0, b1) is unitarily
+    equivalent to M(b0, 0) =: Q_a, with
+
+        Q_a = gamma (11^T - S diag(1/alpha)) + d e_a e_a^T.
+
+    The constraint eta >= 0 of the paper's bound is never active: its
+    objective on branch a, d eta_a^2 + gamma((sum eta)^2 - S sum eta^2/alpha),
+    is the quadratic form eta^T Q_a eta. Every off-diagonal entry of Q_a is
+    gamma > 0, so Q_a + c 1 is entrywise positive for large c and, by
+    Perron-Frobenius, the top eigenvector of Q_a is entrywise positive
+    (up to sign). Maximizing over a, the paper's upper bound over
+    nonnegative unit eta (where max_a eta_a^2 picks the branch) and the
+    exact bound over all (b0, b1) are both max_a lambda_max(Q_a).
+
+    The largest alpha_a gives the largest branch. Q_a = diag(D) + gamma 11^T
+    with D = c + d e_a, c_i = -gamma S / alpha_i, so lambda_max(Q_a) is the
+    unique root above max(D) of phi_a(l) = gamma sum_i 1/(l - D_i) = 1, and
+    phi_a decreases there. Take c_a >= c_b. If lambda_b <= c_a + d then
+    lambda_a > c_a + d >= lambda_b. Otherwise lambda_b lies above max(D) for
+    both branches and phi_a(lambda_b) - phi_b(lambda_b) =
+    gamma (h(c_a) - h(c_b)) >= 0 with h(c) = d / ((l - c - d)(l - c)) at
+    l = lambda_b, which increases in c < l - d; so phi_a(lambda_b) >= 1 and
+    lambda_a >= lambda_b.
+
+    Returns (b0, value, perron vector, margin) for a = argmax alpha, ties
+    kept at the smallest b0, where margin bounds |computed - exact| of the
+    top eigenvalue (see _EIG_MARGIN_C).
+    """
+    d = f.d
+    alpha = f.sv.alpha
+    s = float(alpha.sum())
+    b0 = int(np.argmax(alpha[(-np.arange(d)) % d]))
+    a = (-b0) % d
+    q = f.gamma * (np.ones((d, d)) - np.diag(s / alpha))
+    q[a, a] += d
+    vals, vecs = np.linalg.eigh(q)
+    scale = f.gamma * d + f.gamma * s * float(np.linalg.norm(1.0 / alpha)) + d
+    margin = _EIG_MARGIN_C * d * np.finfo(float).eps * scale
+    return b0, float(vals[-1]), vecs[:, -1], margin
+
+
 def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum:
-    """Exact LHS bound by enumerating Bob's deterministic responses.
+    """Exact LHS bound over Bob's deterministic responses.
 
     For responses (b0, b1) the best hidden state is the top eigenvector
-    of a d x d matrix built from Alice's eigenprojectors, so the bound is
-    a max over d^2 eigenvalue problems. Ties keep the lexicographically
-    first strategy. Passing explicit Alice observables (unitary, with
-    omega^a spectra) reuses the same enumeration for dressed scenarios.
+    of a d x d matrix built from Alice's eigenprojectors. With the ideal
+    Alice (the default) the bound is max_a lambda_max(Q_a), one eigenvalue
+    problem (_branch_perron), reported with the canonical strategy (b0, 0)
+    since b1 does not matter. Passing explicit Alice observables (unitary,
+    with omega^a spectra) enumerates all d^2 strategies for dressed
+    scenarios; ties keep the lexicographically first strategy.
     """
+    if alice_observables is None:
+        b0, value, _, _ = _branch_perron(f)
+        return LhsOptimum(value, "exact", strategy=(b0, 0))
     d = f.d
     p0, p1 = _alice_projector_families(f, alice_observables)
     best = -np.inf
@@ -174,82 +237,20 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     return LhsOptimum(best, "exact", strategy=best_strategy)
 
 
-def _upper_objective(eta: np.ndarray, f: SteeringFunctional) -> np.ndarray:
-    """g(eta) rows for a batch of nonnegative unit vectors."""
-    a = f.sv.alpha
-    s = eta.sum(axis=1)
-    quad = (eta**2) @ (1.0 / a)
-    return f.d * np.max(eta**2, axis=1) + f.gamma * (s**2 - float(a.sum()) * quad)
-
-
 def lhs_bound_paper_upper(
     f: SteeringFunctional, restarts: int = 32, seed: int = 0
 ) -> LhsOptimum:
-    """Closed-form upper bound, optimized over nonnegative unit eta.
+    """The paper's bound max over nonnegative unit eta, certified.
 
-    The max_a term is handled by splitting into d sub-problems (one per
-    fixed argmax index) and running projected gradient ascent on each,
-    batched over seeded multi-starts. The top-eigenvector moduli of every
-    deterministic-strategy matrix from the exact bound are added as
-    deterministic starts; at those points the bound objective already
-    dominates the exact value, so the returned value can only sit above
-    the exact bound up to roundoff.
+    The bound is max_a lambda_max(Q_a) (proof in _branch_perron), so the
+    value is the computed top eigenvalue plus the eigensolver's roundoff
+    margin: an upper bound on the exact maximum, not an optimizer's best
+    point. eta is the entrywise absolute value of the Perron vector of
+    the best branch. restarts and seed are accepted for compatibility
+    and have no effect.
     """
-    d = f.d
-    a = f.sv.alpha
-    rng = np.random.default_rng(seed)
-    starts = []
-    branch = []
-    for astar in range(d):
-        block = np.sqrt(rng.dirichlet(np.ones(d), size=restarts))
-        # Bias the branch: swap the largest component into slot astar.
-        arg = np.argmax(block, axis=1)
-        for r_ in range(restarts):
-            block[r_, [astar, arg[r_]]] = block[r_, [arg[r_], astar]]
-        starts.append(block)
-        branch.extend([astar] * restarts)
-    p0, p1 = _alice_projector_families(f, None)
-    for b0 in range(d):
-        for b1 in range(d):
-            m = _strategy_matrix(f, p0, p1, b0, b1)
-            vecs = np.linalg.eigh((m + np.conj(m).T) / 2)[1]
-            eta0 = np.abs(vecs[:, -1])
-            nrm = np.linalg.norm(eta0)
-            eta0 = eta0 / nrm if nrm > 0 else np.full(d, 1.0 / np.sqrt(d))
-            starts.append(eta0[None, :])
-            branch.append(int(np.argmax(eta0)))
-    starts.append(np.full((1, d), 1.0 / np.sqrt(d)))
-    branch.append(0)
-    eta = np.concatenate(starts, axis=0)
-    branch = np.asarray(branch)
-    rows = np.arange(eta.shape[0])
-    step = np.full(eta.shape[0], 0.05)
-    gsum = float(a.sum())
-
-    def branch_value(e):
-        s = e.sum(axis=1)
-        quad = (e**2) @ (1.0 / a)
-        return f.d * e[rows, branch] ** 2 + f.gamma * (s**2 - gsum * quad)
-
-    val = branch_value(eta)
-    for _ in range(400):
-        grad = 2.0 * f.gamma * (eta.sum(axis=1)[:, None] - gsum * eta / a[None, :])
-        grad[rows, branch] += 2.0 * f.d * eta[rows, branch]
-        cand = np.maximum(eta + step[:, None] * grad, 0.0)
-        nrm = np.linalg.norm(cand, axis=1)
-        bad = nrm < 1e-12
-        cand[bad] = eta[bad]
-        nrm[bad] = 1.0
-        cand /= nrm[:, None]
-        cval = branch_value(cand)
-        improved = cval >= val
-        eta = np.where(improved[:, None], cand, eta)
-        val = np.where(improved, cval, val)
-        step = np.where(improved, step * 1.2, step * 0.5)
-        np.clip(step, 1e-8, 10.0, out=step)
-    true_val = _upper_objective(eta, f)
-    best = int(np.argmax(true_val))
-    return LhsOptimum(float(true_val[best]), "paper-upper", eta=eta[best])
+    _, value, vec, margin = _branch_perron(f)
+    return LhsOptimum(value + margin, "paper-upper", eta=np.abs(vec))
 
 
 def violation_gap(f: SteeringFunctional) -> tuple[float, float, float]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import steercert as sc
+import steercert.cli as cli
 from steercert.serialize import realization_to_json
 
 
@@ -101,6 +102,56 @@ def test_certify_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("certify", "--realization", str(bad)).returncode == 2
+
+
+def test_certify_nan_amplitude_is_usage_error(tmp_path):
+    ideal = sc.ideal_realization(sc.maximally_entangled(2))
+    dressed = sc.dress_realization(
+        sc.ideal_realization(sc.maximally_entangled(3)), 2, 2, seed=4
+    )
+    for name, r0, d in (("undressed", ideal, 2), ("dressed", dressed, 3)):
+        blob = realization_to_json(r0)
+        blob["alpha"] = [1.0 / np.sqrt(d)] * d
+        blob["state"]["amplitudes"][0] = [float("nan"), 0.0]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        r = run_cli("certify", "--realization", str(path))
+        assert r.returncode == 2, (name, r.stderr)
+        assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def test_povm_file_with_nan_is_usage_error(tmp_path):
+    out = tmp_path / "povm.json"
+    run_cli("povm", "build", "--kind", "covariant", "--d", "3", "--output", str(out))
+    rep = json.loads(out.read_text())
+    rep["elements"][2][1][0] = [float("nan"), 0.0]
+    out.write_text(json.dumps(rep))
+    for args in (("povm", "check", "--povm", str(out)),
+                 ("randomness", "--d", "3", "--povm", str(out))):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def test_non_finite_report_is_not_written(monkeypatch, capsys):
+    def nan_bounds(config):
+        code, report = cli._run_bounds(config)
+        return code, {**report, "beta_l_upper": float("nan")}
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", nan_bounds)
+    assert cli.main(["bounds", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "strict JSON" in captured.err
+
+
+def test_seed_out_of_range_is_usage_error():
+    for args in (("bounds", "--d", "3", "--seed", "-1"),
+                 ("bell3", "--restarts", "2", "--seed", "-1"),
+                 ("bounds", "--d", "2", "--seed", str(2**63))):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "--seed" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_povm_build_partial():

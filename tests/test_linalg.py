@@ -163,3 +163,10 @@ def test_haar_unitary_seeded_and_unitary():
     assert np.allclose(sc.dagger(u) @ u, np.eye(5), atol=1e-12)
     again = sc.haar_unitary(5, np.random.default_rng(23))
     assert np.array_equal(u, again)
+
+
+def test_ket_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        amps = np.array([1.0, 0.0, 0.0, bad])
+        with pytest.raises(sc.DomainError):
+            sc.Ket(amps, (2, 2))

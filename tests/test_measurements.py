@@ -205,3 +205,14 @@ def test_povm_container_checks():
         sc.Povm([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
     p = comp_basis_povm(3)
     assert p.dim == 3 and p.n_outcomes == 3
+
+
+def test_povm_and_table_reject_non_finite():
+    els = comp_basis_povm(2).elements.copy()
+    els[1, 0, 1] = np.nan
+    with pytest.raises(sc.DomainError):
+        sc.Povm(els)
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 1, 0, 0] = np.nan
+    with pytest.raises(sc.DomainError):
+        sc.CorrelationTable(p)

@@ -131,3 +131,9 @@ def test_random_schmidt_vector_respects_floor():
         sv = sc.random_schmidt_vector(d, rng)
         assert sv.alpha.min() >= 0.05
         assert abs(np.sum(sv.alpha**2) - 1.0) < 1e-12
+
+
+def test_schmidt_vector_rejects_non_finite():
+    for bad in ([np.nan, 1.0], [0.6, np.nan, 0.8], [np.inf, 0.5]):
+        with pytest.raises(sc.DomainError):
+            sc.SchmidtVector(np.array(bad))

@@ -199,6 +199,52 @@ def test_lhs_upper_dominates_exact():
             assert up.value < d
 
 
+def test_closed_form_matches_enumeration():
+    # The default-Alice bound is max_a lambda_max(Q_a); the explicit-Alice
+    # path still enumerates all d^2 strategies from Z and X's projectors.
+    rng = np.random.default_rng(23)
+    margin_c = sc.steering._EIG_MARGIN_C
+    for d in (2, 3, 4, 5, 8, 12, 16):
+        z = sc.generalized_pauli(d, "Z")
+        x = sc.generalized_pauli(d, "X")
+        w = np.exp(2j * np.pi / d)
+        fourier = np.array([w ** (-j * np.arange(d)) for j in range(d)]) / np.sqrt(d)
+        cols = fourier[:, (-np.arange(d)) % d].T  # [b1] -> F_{-b1} column
+        proj = np.einsum("bi,bj->bij", cols, cols.conj())
+        b0s = np.arange(d)
+        for _ in range(30):
+            sv = sc.random_schmidt_vector(d, rng)
+            a = sv.alpha
+            f = sc.functional_coefficients(sv)
+            lo = sc.lhs_bound_exact(f)
+            enum = sc.lhs_bound_exact(f, alice_observables=[z, x])
+            assert abs(lo.value - enum.value) < 1e-12
+            assert lo.strategy[1] == 0
+
+            # for each b0 the top eigenvalue does not depend on b1
+            m = np.broadcast_to(f.gamma * d * proj - f.gamma * a.sum() * np.diag(1.0 / a),
+                                (d, d, d, d)).copy()  # [b0, b1]
+            m[b0s, :, (-b0s) % d, (-b0s) % d] += d
+            tops = np.linalg.eigvalsh(m)[..., -1]
+            assert np.max(np.ptp(tops, axis=1)) < 1e-12
+            assert abs(tops[lo.strategy[0], 0] - lo.value) < 1e-12
+
+            up = sc.lhs_bound_paper_upper(f)
+            scale = f.gamma * d + f.gamma * a.sum() * np.linalg.norm(1.0 / a) + d
+            margin = margin_c * d * np.finfo(float).eps * scale
+            assert lo.value <= up.value <= lo.value + margin
+            assert np.all(up.eta > 0) and abs(np.linalg.norm(up.eta) - 1.0) < 1e-12
+
+
+def test_lhs_upper_ignores_restarts_and_seed():
+    f = sc.functional_coefficients(sc.random_schmidt_vector(5, np.random.default_rng(24)))
+    ref = sc.lhs_bound_paper_upper(f)
+    for restarts, seed in ((1, 0), (8, 3), (64, 12345)):
+        up = sc.lhs_bound_paper_upper(f, restarts=restarts, seed=seed)
+        assert up.value == ref.value
+        assert np.array_equal(up.eta, ref.eta)
+
+
 def test_violation_gap_examples():
     bq, bl, gap = sc.violation_gap(sc.functional_coefficients(sc.maximally_entangled(2)))
     assert (bq, bl) == (2.0, pytest.approx(np.sqrt(2), abs=1e-12))
