@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     DIM_CAP,
     Ket,
+    apply_local,
     check_density_matrix,
     dagger,
     expectation,
@@ -113,7 +114,8 @@ __all__ = [
     "SteercertError", "SizeError", "DomainError", "ContractError",
     "InvalidObservableError", "NotExtremalError",
     "DIM_CAP", "DEFAULT_TOL", "Ket", "dagger", "tensor", "partial_trace",
-    "hermitian_eig", "haar_unitary", "expectation", "check_density_matrix",
+    "hermitian_eig", "haar_unitary", "expectation", "apply_local",
+    "check_density_matrix",
     "omega", "generalized_pauli", "Povm", "GeneralizedObservable",
     "povm_to_observable", "observable_to_povm", "is_projective",
     "unitary_observable_povm", "CorrelationTable", "correlator",

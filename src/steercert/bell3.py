@@ -11,12 +11,9 @@ such dressed observables.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, DomainError, SizeError
 from .linalg import Ket, dagger, expectation
@@ -82,6 +79,8 @@ def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
 
 def _project_order3(u: np.ndarray) -> np.ndarray:
     """Nearest unitary whose spectrum sits on the cube roots of unity."""
+    import scipy.linalg  # only the see-saw needs it; kept off the CLI import
+
     t, q = scipy.linalg.schur(u, output="complex")
     ks = np.round(np.angle(np.diag(t)) * 3.0 / (2.0 * np.pi)).astype(int) % 3
     return (q * omega(3) ** ks) @ dagger(q)
@@ -150,9 +149,9 @@ def _seesaw_single(ss, iters: int, lam1):
 def seesaw_optimize(seed: int = 42, restarts: int = 32, iters: int = 150):
     """Best (value, realization) over seeded random restarts.
 
-    Restarts are independent (parallel over STEERCERT_THREADS) and merged
-    by value, ties broken by the lowest restart index, so the result does
-    not depend on the thread count.
+    Restarts are independent and run one after another in the calling
+    thread; no thread-count setting is read. The best value wins, ties
+    broken by the lowest restart index.
     """
     value, r, _ = seesaw_details(seed, restarts, iters)
     return value, r
@@ -169,13 +168,7 @@ def seesaw_details(seed: int = 42, restarts: int = 32, iters: int = 150):
         val, psi, alice, bobs, history = _seesaw_single(seeds[idx], iters, lam1)
         return val, idx, psi, alice, bobs, len(history)
 
-    workers = int(os.environ.get("STEERCERT_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(restarts)))
-    else:
-        outcomes = [run(i) for i in range(restarts)]
-    best = max(outcomes, key=lambda o: (o[0], -o[1]))
+    best = max((run(i) for i in range(restarts)), key=lambda o: (o[0], -o[1]))
     val, _, psi, alice, bobs, used = best
     r = Realization(
         state=Ket(psi, (3, 3)),

@@ -240,6 +240,8 @@ def parse_args(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     if not 0 <= ns.seed < 2**63:
         raise UsageError(f"--seed: {ns.seed} is outside [0, 2**63)")
+    if not 0.0 < ns.tolerance < 1.0:
+        raise UsageError(f"--tolerance: {ns.tolerance} is outside (0, 1)")
     d = getattr(ns, "d", None)
     alpha = None
     if getattr(ns, "alpha", None) is not None:

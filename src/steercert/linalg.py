@@ -111,30 +111,28 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
         while j < len(w) and abs(w[j] - w[i]) <= tol * scale:
             j += 1
         if j - i > 1:
-            v[:, i:j] = _canonical_subspace_basis(v[:, i:j])
+            cluster = v[:, i:j]
+            v[:, i:j] = range_basis(cluster @ dagger(cluster), j - i)
         i = j
     return w, _fix_phases(v)
 
 
-def _canonical_subspace_basis(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(vecs), vecs orthonormal."""
-    dim, r = vecs.shape
-    proj = vecs @ dagger(vecs)
+def range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of a projector's range, Gram-Schmidt over its
+    columns in index order, so the basis depends only on the subspace."""
     basis: list[np.ndarray] = []
-    for j in range(dim):
+    for j in range(proj.shape[0]):
         cand = proj[:, j].copy()
         for b in basis:
             cand -= b * (np.conj(b) @ cand)
         nrm = np.linalg.norm(cand)
         if nrm > 1e-8:
             basis.append(cand / nrm)
-        if len(basis) == r:
-            break
-    if len(basis) != r:
-        # Projector columns always span the subspace; reaching here means
-        # the inputs were not orthonormal to working precision.
-        raise ContractError("could not canonicalize degenerate eigenspace")
-    return np.column_stack(basis)
+        if len(basis) == rank:
+            return np.column_stack(basis)
+    # Projector columns always span the range; reaching here means the
+    # projector has lower rank than expected to working precision.
+    raise ContractError("projector rank below expected multiplicity")
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -209,6 +207,18 @@ def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
     if wmin < -max(tol, 1e-9) * 10:
         raise DomainError(f"density matrix has eigenvalue {wmin}")
     return a
+
+
+def apply_local(a: np.ndarray, b: np.ndarray, psi: Ket) -> np.ndarray:
+    """(A (x) B (x) 1_E)|psi> as a (dim_A, dim_B, dim_E) array.
+
+    A acts on factor 0 and B on factor 1; all further factors (dim_E = 1
+    when there are none) are left alone. The local matrices are applied
+    to the reshaped amplitudes, so no (dim_A dim_B)^2 operator is formed.
+    """
+    da, db = psi.factor_dims[0], psi.factor_dims[1]
+    m = (a @ psi.amplitudes.reshape(da, -1)).reshape(da, db, -1)
+    return b @ m
 
 
 def expectation(op: np.ndarray, psi: Ket, with_identity_on: int | None = None) -> complex:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, DomainError, InvalidObservableError, SizeError
 from .linalg import DEFAULT_TOL, Ket, as_complex_matrix, dagger
@@ -184,23 +183,24 @@ def is_projective(g: GeneralizedObservable, tol: float = DEFAULT_TOL):
 def unitary_observable_povm(u: np.ndarray, d: int, tol: float = 1e-8) -> Povm:
     """Projective POVM of a unitary observable with omega^a spectrum.
 
-    Outcome a collects the eigenspace of eigenvalue omega^a. Eigenvalues
-    further than tol from every d-th root of unity are a contract
-    violation. Empty outcomes yield zero elements.
+    Outcome a collects the eigenspace of eigenvalue omega^a, built as the
+    Fourier projector N_a = (1/d) sum_k omega^{-ak} U^k, which is exact
+    for a unitary with U^d = 1. Frobenius residuals of U^dag U = 1 or
+    U^d = 1 above tol are a contract violation. Empty outcomes yield zero
+    elements.
     """
     u = as_complex_matrix(u)
-    t, z = scipy.linalg.schur(u, output="complex")
-    eigs = np.diag(t)
-    if np.max(np.abs(np.abs(eigs) - 1.0)) > tol:
+    eye = np.eye(u.shape[0])
+    if not np.linalg.norm(dagger(u) @ u - eye) <= tol:
         raise ContractError("observable is not unitary")
-    labels = np.mod(np.rint(np.angle(eigs) * d / (2 * np.pi)).astype(int), d)
-    if np.max(np.abs(eigs - omega(d) ** labels)) > tol:
+    powers = np.empty((d,) + u.shape, dtype=np.complex128)
+    powers[0] = eye
+    for k in range(1, d):
+        powers[k] = powers[k - 1] @ u
+    if not np.linalg.norm(powers[-1] @ u - eye) <= tol:
         raise ContractError("spectrum is not d-th roots of unity")
-    els = np.zeros((d, u.shape[0], u.shape[0]), dtype=np.complex128)
-    for a in range(d):
-        cols = z[:, labels == a]
-        els[a] = cols @ dagger(cols)
-    return Povm(els)
+    phases = omega(d) ** (-np.outer(np.arange(d), np.arange(d)))  # [a, k]
+    return Povm(np.einsum("ak,kij->aij", phases, powers) / d)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ no sampled Eve measurement may ever beat the analytic value.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +41,6 @@ def min_entropy(p: Povm, rho: np.ndarray) -> float:
     return float(-np.log2(guessing_probability(p, rho)))
 
 
-def _best_over_chunk(probs: np.ndarray, eve_dim: int, seeds) -> float:
-    best = 0.0
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        eve = random_povm(eve_dim, probs.size, rng)
-        score_op = np.tensordot(probs, eve.elements, axes=(0, 0))
-        best = max(best, float(np.linalg.eigvalsh(score_op)[-1]))
-    return best
-
-
 def eve_bruteforce_oracle(p: Povm, rho: np.ndarray, samples: int, seed: int) -> float:
     """Best guessing value over sampled Eve strategies.
 
@@ -67,17 +55,10 @@ def eve_bruteforce_oracle(p: Povm, rho: np.ndarray, samples: int, seed: int) -> 
         raise ValueError("samples must be >= 1")
     probs = outcome_distribution(p, rho)
     best = float(np.max(probs))
-    seeds = np.random.SeedSequence(seed).spawn(samples)
-    workers = int(os.environ.get("STEERCERT_THREADS", "1"))
-    if workers > 1:
-        chunks = [seeds[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda c: _best_over_chunk(probs, p.n_outcomes, c), chunks
-            )
-        best = max(best, *results)
-    else:
-        best = max(best, _best_over_chunk(probs, p.n_outcomes, seeds))
+    for ss in np.random.SeedSequence(seed).spawn(samples):
+        eve = random_povm(p.n_outcomes, probs.size, np.random.default_rng(ss))
+        score_op = np.tensordot(probs, eve.elements, axes=(0, 0))
+        best = max(best, float(np.linalg.eigvalsh(score_op)[-1]))
     return best
 
 

@@ -6,7 +6,9 @@ that pin the state, the twisted commutation relation between Bob's two
 observables on the state support, and positivity of the diagonal
 operator whose spectrum gamma * sum_i alpha_i / alpha_l certifies the
 Schmidt coefficients. certify() checks all of them at one tolerance and
-returns a verdict, never an exception: failures are data.
+returns a verdict: failures are data. Only malformed input raises (a
+tolerance outside (0, 1), fewer than two observables on a side), and
+every check fails closed, so a NaN residual is a failure.
 """
 
 from __future__ import annotations
@@ -15,21 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, SizeError
-from .linalg import dagger
-from .measurements import is_projective, omega, unitary_observable_povm
+from .errors import ContractError, DomainError
+from .linalg import apply_local, dagger, range_basis
+from .measurements import generalized_pauli, is_projective, omega, unitary_observable_povm
 from .states import Realization
-from .steering import SteeringFunctional, evaluate
+from .steering import SteeringFunctional, _terms, evaluate
 
 VERDICT_TOL = 1e-7
-
-
-def _apply_minus_identity(op: np.ndarray, r: Realization) -> float:
-    """|| (op (x) 1_E)|psi> - |psi> || for op on Alice (x) Bob."""
-    dims = r.state.factor_dims
-    head = dims[0] * dims[1]
-    m = r.state.amplitudes.reshape(head, -1)
-    return float(np.linalg.norm(op @ m - m))
 
 
 def stabilizer_residuals(f: SteeringFunctional, r: Realization):
@@ -37,26 +31,18 @@ def stabilizer_residuals(f: SteeringFunctional, r: Realization):
 
     per_k[k-1] measures (A_0^k (x) B_{k|0})|psi> = |psi> for k = 1..d-1;
     s_residual measures the combined relation built from the second
-    setting and the delta coefficients.
+    setting and the delta coefficients. Both come from the functional's
+    own terms, applied to the state.
     """
-    if r.d != f.d:
-        raise SizeError(f"realization has {r.d} outcomes, functional {f.d}")
-    d = f.d
-    a0, a1 = r.alice_observables[0], r.alice_observables[1]
-    b0, b1 = r.bob_observables[0].operators, r.bob_observables[1].operators
-    da, db = a0.shape[0], b0.shape[1]
-    per_k = np.empty(d - 1)
-    s_op = np.zeros((da * db, da * db), dtype=np.complex128)
-    eye_b = np.eye(db)
-    a0k = np.eye(da, dtype=np.complex128)
-    a1k = np.eye(da, dtype=np.complex128)
-    for k in range(1, d):
-        a0k = a0k @ a0
-        a1k = a1k @ a1
-        per_k[k - 1] = _apply_minus_identity(np.kron(a0k, b0[k]), r)
-        s_op += f.gamma * np.kron(a1k, b1[k])
-        s_op += f.delta[k] * np.kron(a0k, eye_b)
-    return per_k, _apply_minus_identity(s_op, r)
+    psi = r.state
+    ket = psi.amplitudes.reshape(psi.factor_dims[0], psi.factor_dims[1], -1)
+    per_k = []
+    s_vec = -ket
+    for (coef, a, b), *s_terms in _terms(f, r):
+        per_k.append(np.linalg.norm(coef * apply_local(a, b, psi) - ket))
+        for coef, a, b in s_terms:
+            s_vec += coef * apply_local(a, b, psi)
+    return np.array(per_k), float(np.linalg.norm(s_vec))
 
 
 def commutation_residual(r: Realization, tol: float = VERDICT_TOL) -> float:
@@ -145,10 +131,12 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
     pass projectivity (its precondition); the verdict is already failed
     in that case and the field is reported as None.
     """
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance {tol} is outside (0, 1)")
     failures: list[str] = []
     value = evaluate(f, r)
     gap = f.d - value
-    if gap > tol:
+    if not gap <= tol:
         failures.append(f"value_gap {gap:.3e} > {tol:.1e}")
     proj = []
     proj_ok = True
@@ -160,14 +148,14 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
             proj_ok = False
             failures.append(f"Bob observable {i} projectivity residual {worst:.3e}")
     per_k, s_res = stabilizer_residuals(f, r)
-    if np.max(per_k) > tol:
+    if not np.max(per_k) <= tol:
         failures.append(f"stabilizer residual {np.max(per_k):.3e} > {tol:.1e}")
-    if s_res > tol:
+    if not s_res <= tol:
         failures.append(f"s_residual {s_res:.3e} > {tol:.1e}")
     comm = None
     if proj_ok:
         comm = commutation_residual(r, tol)
-        if comm > tol:
+        if not comm <= tol:
             failures.append(f"commutation residual {comm:.3e} > {tol:.1e}")
     ztilde_min = float(np.min(ztilde_spectrum(f)))
     if not ztilde_min > tol:
@@ -186,21 +174,6 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
         verdict=verdict,
         failures=failures,
     )
-
-
-def _gram_schmidt_columns(proj: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of a projector's range, GS over columns in order."""
-    basis: list[np.ndarray] = []
-    for j in range(proj.shape[0]):
-        cand = proj[:, j].copy()
-        for b in basis:
-            cand -= b * (np.conj(b) @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            basis.append(cand / nrm)
-        if len(basis) == rank:
-            return np.column_stack(basis)
-    raise ContractError("projector rank below expected multiplicity")
 
 
 def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
@@ -233,7 +206,7 @@ def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
             raise ContractError(
                 f"eigenspace {a} has dimension {rk:.6f}, expected {mult}"
             )
-    q = _gram_schmidt_columns(sectors[0], mult)
+    q = range_basis(sectors[0], mult)
     blocks = [q]
     for a in range(1, d):
         q = b1 @ q
@@ -245,10 +218,8 @@ def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
     for a in range(d):
         for j in range(mult):
             u[a * mult + j, :] = np.conj(blocks[a][:, j])
-    z = np.diag(omega(d) ** np.arange(d)).astype(np.complex128)
-    x = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        x[(i + 1) % d, i] = 1.0
+    z = generalized_pauli(d, "Z")
+    x = generalized_pauli(d, "X")
     eye_m = np.eye(mult)
     if np.linalg.norm(u @ b0 @ dagger(u) - np.kron(np.conj(z), eye_m)) > tol * db:
         raise ContractError("extracted unitary does not canonicalize B_0")

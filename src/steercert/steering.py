@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .linalg import expectation
+from .linalg import apply_local
 from .measurements import omega, unitary_observable_povm
 from .states import Realization, SchmidtVector
 
@@ -82,38 +82,50 @@ def quantum_maximum(f: SteeringFunctional) -> float:
     return float(f.d)
 
 
-def steering_operator(f: SteeringFunctional, r: Realization) -> np.ndarray:
-    """Assemble the functional as an operator on Alice (x) Bob.
+def _terms(f: SteeringFunctional, r: Realization):
+    """The functional's local terms, one group of three for each k = 1..d-1.
 
-    An Eve factor of the realization is not included; evaluate() extends
-    by the identity there.
+    Each group is ((1, A_0^k, B_{k|0}), (gamma, A_1^k, B_{k|1}),
+    (delta_k, A_0^k, 1_B)) as (coefficient, Alice matrix, Bob matrix); the
+    first term alone is a stabilizer of the ideal state, the other two
+    together make the S relation.
     """
     if r.d != f.d:
         raise SizeError(f"realization has {r.d} outcomes, functional {f.d}")
-    d = f.d
+    if len(r.alice_observables) < 2 or len(r.bob_observables) < 2:
+        raise SizeError("the functional needs 2 Alice and 2 Bob observables")
     a0, a1 = r.alice_observables[0], r.alice_observables[1]
     b0, b1 = r.bob_observables[0].operators, r.bob_observables[1].operators
-    da, db = a0.shape[0], b0.shape[1]
-    op = np.zeros((da * db, da * db), dtype=np.complex128)
-    eye_b = np.eye(db)
-    a0k = np.eye(da, dtype=np.complex128)
-    a1k = np.eye(da, dtype=np.complex128)
-    for k in range(1, d):
+    eye_b = np.eye(b0.shape[1])
+    a0k = a1k = np.eye(a0.shape[0], dtype=np.complex128)
+    for k in range(1, f.d):
         a0k = a0k @ a0
         a1k = a1k @ a1
-        op += np.kron(a0k, b0[k])
-        op += f.gamma * np.kron(a1k, b1[k])
-        op += f.delta[k] * np.kron(a0k, eye_b)
+        yield (1.0, a0k, b0[k]), (f.gamma, a1k, b1[k]), (f.delta[k], a0k, eye_b)
+
+
+def steering_operator(f: SteeringFunctional, r: Realization) -> np.ndarray:
+    """Assemble the functional as an operator on Alice (x) Bob.
+
+    An Eve factor of the realization is not included. Only callers that
+    need the matrix use this; evaluate() applies the terms to the state.
+    """
+    da, db = r.state.factor_dims[0], r.state.factor_dims[1]
+    op = np.zeros((da * db, da * db), dtype=np.complex128)
+    for group in _terms(f, r):
+        for coef, a, b in group:
+            op += coef * np.kron(a, b)
     return op
 
 
 def evaluate(f: SteeringFunctional, r: Realization) -> float:
-    """<psi| functional |psi> for the realization, Eve traced out."""
-    op = steering_operator(f, r)
-    if len(r.state.factor_dims) == 3:
-        val = expectation(op, r.state, with_identity_on=2)
-    else:
-        val = expectation(op, r.state)
+    """<psi| functional (x) 1_E |psi> for the realization, Eve traced out."""
+    psi = r.state.amplitudes
+    val = sum(
+        coef * np.vdot(psi, apply_local(a, b, r.state))
+        for group in _terms(f, r)
+        for coef, a, b in group
+    )
     return float(val.real)
 
 
@@ -131,15 +143,6 @@ def _alice_projector_families(f: SteeringFunctional, alice_observables):
     """Eigenprojector families {P_x[a]} for Alice's two explicit observables."""
     fams = [unitary_observable_povm(obs, f.d).elements for obs in alice_observables]
     return fams[0], fams[1]
-
-
-def _strategy_matrix(f, p0, p1, b0, b1) -> np.ndarray:
-    d = f.d
-    a = f.sv.alpha
-    kernel = np.tensordot(1.0 / a, p0, axes=(0, 0))
-    m = d * p0[(-b0) % d] + f.gamma * d * p1[(-b1) % d]
-    m = m - f.gamma * float(a.sum()) * kernel
-    return m
 
 
 # Roundoff margin of a computed top eigenvalue of Q_a, in units of
@@ -224,12 +227,15 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
         b0, value, _, _ = _branch_perron(f)
         return LhsOptimum(value, "exact", strategy=(b0, 0))
     d = f.d
+    alpha = f.sv.alpha
     p0, p1 = _alice_projector_families(f, alice_observables)
+    # -gamma S sum_a P0[a]/alpha_a is the same for every strategy (b0, b1).
+    shift = f.gamma * float(alpha.sum()) * np.tensordot(1.0 / alpha, p0, axes=(0, 0))
     best = -np.inf
     best_strategy = (0, 0)
     for b0 in range(d):
         for b1 in range(d):
-            m = _strategy_matrix(f, p0, p1, b0, b1)
+            m = d * p0[(-b0) % d] + f.gamma * d * p1[(-b1) % d] - shift
             val = float(np.linalg.eigvalsh((m + np.conj(m).T) / 2)[-1])
             if val > best:
                 best = val

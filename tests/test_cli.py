@@ -154,6 +154,37 @@ def test_seed_out_of_range_is_usage_error():
         assert "--seed" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_tolerance_out_of_range_is_usage_error(monkeypatch, capsys):
+    def must_not_run(config):
+        raise AssertionError("computation started")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", must_not_run)
+    for tol in ("nan", "-1", "inf"):
+        assert cli.main(["bounds", "--d", "3", "--tolerance", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tolerance" in captured.err
+
+
+def test_certify_one_bob_observable_is_usage_error(tmp_path):
+    sv = sc.maximally_entangled(3)
+    r0 = sc.ideal_realization(sv)
+    short = sc.Realization(r0.state, r0.alice_observables, r0.bob_observables[:1])
+    blob = realization_to_json(short)
+    blob["alpha"] = [float(a) for a in sv.alpha]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(blob))
+    r = run_cli("certify", "--realization", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, steercert.cli; print('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_povm_build_partial():
     r = run_cli("povm", "build", "--kind", "partial", "--d", "3")
     assert r.returncode == 0, r.stderr

@@ -157,6 +157,21 @@ def test_expectation_with_identity_factor():
     ) < 1e-12
 
 
+def test_apply_local_matches_tensor():
+    rng = np.random.default_rng(29)
+    for dims in ((2, 3), (3, 2, 4)):
+        n = int(np.prod(dims))
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi = sc.Ket(amps / np.linalg.norm(amps), dims)
+        a = rng.normal(size=(dims[0], dims[0])) + 1j * rng.normal(size=(dims[0], dims[0]))
+        b = rng.normal(size=(dims[1], dims[1])) + 1j * rng.normal(size=(dims[1], dims[1]))
+        eye_e = np.eye(n // (dims[0] * dims[1]))
+        out = sc.apply_local(a, b, psi)
+        assert out.shape == (dims[0], dims[1], eye_e.shape[0])
+        dense = sc.tensor(a, b, eye_e) @ psi.amplitudes
+        assert np.allclose(out.reshape(-1), dense, atol=1e-12)
+
+
 def test_haar_unitary_seeded_and_unitary():
     rng = np.random.default_rng(23)
     u = sc.haar_unitary(5, rng)

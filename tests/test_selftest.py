@@ -1,6 +1,7 @@
 """Certification conditions: stabilizers, commutation, verdicts, extraction."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,30 @@ def test_certify_verdict_invariant_under_dressing():
     for seed in (0, 1, 2):
         rep = sc.certify(f, sc.dress_realization(r, 2, 2, seed=seed))
         assert rep.certified
+
+
+def test_certify_rejects_tolerance_out_of_range():
+    f, r = ideal3()
+    for tol in (np.nan, -1.0, 0.0, 1.0, np.inf):
+        with pytest.raises(sc.DomainError):
+            sc.certify(f, r, tol)
+
+
+def test_certify_dim_4096_is_matrix_free():
+    # one dense operator on dim_A * dim_B = 4096 would take 256 MiB
+    rng = np.random.default_rng(8)
+    sv = sc.random_schmidt_vector(8, rng)
+    f = sc.functional_coefficients(sv)
+    r = sc.dress_realization(sc.ideal_realization(sv), 64, 2, seed=8)
+    assert r.state.factor_dims == (8, 512, 2)
+    tracemalloc.start()
+    try:
+        rep = sc.certify(f, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.certified, rep.failures
+    assert peak < 64 * 2**20
 
 
 def test_cert_report_serializes():

@@ -97,6 +97,61 @@ def test_steering_operator_size_mismatch():
         sc.steering_operator(f, r)
 
 
+def tampered_dressed(d, rng):
+    """Honest dressed device and a copy whose B_1 is rotated by ~1e-3."""
+    sv = sc.random_schmidt_vector(d, rng)
+    r = sc.dress_realization(sc.ideal_realization(sv), 2, 2, seed=d)
+    m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    w, v = np.linalg.eigh((m + sc.dagger(m)) / 2)
+    rot = (v * np.exp(1e-3j * w)) @ sc.dagger(v)
+    b1 = rot @ r.bob_observables[1].operators[1] @ sc.dagger(rot)
+    bad = sc.Realization(
+        r.state,
+        r.alice_observables,
+        [r.bob_observables[0], sc.GeneralizedObservable.from_unitary(b1, d)],
+    )
+    return sc.functional_coefficients(sv), r, bad
+
+
+def test_evaluate_and_residuals_match_dense_operators():
+    # reference: the functional and its relations as (dim_A dim_B)^2 matrices
+    rng = np.random.default_rng(31)
+    for d in range(2, 9):
+        f, honest, bad = tampered_dressed(d, rng)
+        for r in (honest, bad):
+            op = sc.steering_operator(f, r)
+            dense = sc.expectation(op, r.state, with_identity_on=2).real
+            assert abs(sc.evaluate(f, r) - dense) < 1e-12
+            a0, a1 = r.alice_observables
+            b0, b1 = (g.operators for g in r.bob_observables)
+            m = r.state.amplitudes.reshape(op.shape[0], -1)
+            eye_b = np.eye(b0.shape[1])
+            s_op = np.zeros_like(op)
+            per_k = []
+            for k in range(1, d):
+                a0k = np.linalg.matrix_power(a0, k)
+                per_k.append(np.linalg.norm(np.kron(a0k, b0[k]) @ m - m))
+                s_op += f.gamma * np.kron(np.linalg.matrix_power(a1, k), b1[k])
+                s_op += f.delta[k] * np.kron(a0k, eye_b)
+            got_k, got_s = sc.stabilizer_residuals(f, r)
+            assert np.max(np.abs(got_k - per_k)) < 1e-12
+            assert abs(got_s - np.linalg.norm(s_op @ m - m)) < 1e-12
+        assert sc.certify(f, honest).certified
+        assert not sc.certify(f, bad).certified
+
+
+def test_functional_needs_two_observables_per_side():
+    sv = sc.maximally_entangled(3)
+    f = sc.functional_coefficients(sv)
+    r = sc.ideal_realization(sv)
+    for alice, bob in ((r.alice_observables[:1], r.bob_observables),
+                       (r.alice_observables, r.bob_observables[:1])):
+        short = sc.Realization(r.state, alice, bob)
+        for fn in (sc.evaluate, sc.steering_operator, sc.stabilizer_residuals):
+            with pytest.raises(sc.SizeError):
+                fn(f, short)
+
+
 def test_evaluate_ideal():
     rng = np.random.default_rng(15)
     for d in (2, 3, 4):
