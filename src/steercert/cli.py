@@ -33,7 +33,7 @@ from .measurements import Povm
 from .povm import covariant_povm, is_extremal_rank_one, partial_povm, validate_povm
 from .randomness import randomness_report
 from .selftest import certify
-from .serialize import matrix_to_json, povm_from_json, realization_from_json
+from .serialize import array_from_json, array_to_json, povm_from_json, realization_from_json
 from .states import SchmidtVector, maximally_entangled, schmidt_state
 from .steering import (
     functional_coefficients,
@@ -154,16 +154,20 @@ class UsageError(Exception):
     pass
 
 
+def _real_array(data, what: str) -> np.ndarray:
+    if not isinstance(data, list) or not all(
+        isinstance(v, (int, float)) for v in data
+    ):
+        raise UsageError(f"{what}: expected a JSON array of numbers")
+    return np.asarray(data, dtype=float)
+
+
 def _parse_real_array(text: str, flag: str) -> np.ndarray:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{flag}: malformed JSON array ({e.msg})") from e
-    if not isinstance(data, list) or not all(
-        isinstance(v, (int, float)) for v in data
-    ):
-        raise UsageError(f"{flag}: expected a JSON array of numbers")
-    return np.asarray(data, dtype=float)
+    return _real_array(data, flag)
 
 
 def _parse_fiducial(text: str, flag: str) -> np.ndarray:
@@ -175,10 +179,7 @@ def _parse_fiducial(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag}: expected a nonempty JSON array")
     if all(isinstance(v, (int, float)) for v in data):
         return np.asarray(data, dtype=complex)
-    try:
-        return np.array([complex(v[0], v[1]) for v in data], dtype=complex)
-    except (TypeError, IndexError) as e:
-        raise UsageError(f"{flag}: entries must be numbers or [re, im] pairs") from e
+    return array_from_json(data, 1, flag)
 
 
 def _add_common(sp, fmt_default="json"):
@@ -295,7 +296,7 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
         "beta_l_upper": upper.value,
         "gap": quantum_maximum(f) - exact.value,
         "gamma": f.gamma,
-        "delta": [[z.real, z.imag] for z in f.delta],
+        "delta": array_to_json(f.delta),
         "strategy": list(map(int, exact.strategy)) if exact.strategy else None,
         **_meta(config),
     }
@@ -308,6 +309,14 @@ def _load_json_file(path: str):
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise UsageError(f"{path}: malformed JSON ({e.msg})") from e
+        except (UnicodeDecodeError, RecursionError) as e:
+            raise UsageError(f"{path}: not a JSON file ({e})") from None
+
+
+def _seeded_fiducial(config: RunConfig) -> np.ndarray:
+    """The covariant POVM's fiducial drawn from --seed: complex Gaussian."""
+    rng = np.random.default_rng(config.seed)
+    return rng.normal(size=config.d) + 1j * rng.normal(size=config.d)
 
 
 def _run_certify(config: RunConfig) -> tuple[int, dict]:
@@ -316,7 +325,7 @@ def _run_certify(config: RunConfig) -> tuple[int, dict]:
     if config.alpha is not None:
         alpha = config.alpha
     elif "alpha" in data:
-        alpha = np.asarray(data["alpha"], dtype=float)
+        alpha = _real_array(data["alpha"], f"{config.extra['realization']}: alpha")
     else:
         raise UsageError("no Schmidt coefficients: pass --alpha or an 'alpha' key")
     sv = SchmidtVector(alpha)
@@ -359,22 +368,20 @@ def _run_povm(config: RunConfig) -> tuple[int, dict]:
             if config.extra.get("fiducial"):
                 nu = _parse_fiducial(config.extra["fiducial"], "--fiducial")
             else:
-                rng = np.random.default_rng(config.seed)
-                nu = rng.normal(size=d) + 1j * rng.normal(size=d)
+                nu = _seeded_fiducial(config)
             p = covariant_povm(d, nu)
         validation, extremality, passed = _povm_reports(p, config.tolerance)
         report = {
             "kind": config.extra["kind"],
             "d": d,
             "n_outcomes": p.n_outcomes,
-            "elements": [matrix_to_json(e) for e in p.elements],
+            "elements": array_to_json(p.elements),
             "validation": validation,
             "extremality": extremality,
             **_meta(config),
         }
         return (0 if passed else 1), report
-    data = _load_json_file(config.extra["povm"])
-    p = povm_from_json(data if "elements" in data else {"elements": data})
+    p = povm_from_json(_load_json_file(config.extra["povm"]))
     validation, extremality, passed = _povm_reports(p, config.tolerance)
     report = {
         "n_outcomes": p.n_outcomes,
@@ -393,14 +400,11 @@ def _run_randomness(config: RunConfig) -> tuple[int, dict]:
     if source == "builtin:partial":
         p = partial_povm(sv)
     elif source == "builtin:covariant":
-        rng = np.random.default_rng(config.seed)
-        nu = rng.normal(size=config.d) + 1j * rng.normal(size=config.d)
-        p = covariant_povm(config.d, nu)
+        p = covariant_povm(config.d, _seeded_fiducial(config))
     elif source.startswith("builtin:"):
         raise UsageError(f"--povm: unknown builtin {source!r}")
     else:
-        data = _load_json_file(source)
-        p = povm_from_json(data if "elements" in data else {"elements": data})
+        p = povm_from_json(_load_json_file(source))
     if p.dim != sv.alpha.size:
         raise UsageError(f"--povm: dimension {p.dim} does not match d={sv.alpha.size}")
     rep = randomness_report(p, rho, tol=config.tolerance)
@@ -498,20 +502,26 @@ def _render(config: RunConfig, report: dict) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a parsed config; returns the process exit code."""
+    """Execute a parsed config and write its report; returns its exit code.
+
+    Input errors propagate as the package's exceptions; main maps them to
+    the documented exit codes.
+    """
+    code, report = _HANDLERS[config.subcommand](config)
+    text = _render(config, report)
+    if config.output:
+        with open(config.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
+
+
+def main(argv=None) -> int:
+    """The command line; returns the process exit code."""
     try:
-        code, report = _HANDLERS[config.subcommand](config)
-        text = _render(config, report)
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return code
-    except UsageError as e:
-        print(f"steercert: error: {e}", file=sys.stderr)
-        return 2
-    except (DomainError, SizeError, InvalidObservableError, ContractError) as e:
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
+    except (UsageError, DomainError, SizeError, InvalidObservableError, ContractError) as e:
         print(f"steercert: error: {e}", file=sys.stderr)
         return 2
     except NotExtremalError as e:
@@ -520,15 +530,6 @@ def run(config: RunConfig) -> int:
     except OSError as e:
         print(f"steercert: i/o error: {e}", file=sys.stderr)
         return 3
-
-
-def main(argv=None) -> int:
-    try:
-        config = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as e:
-        print(f"steercert: error: {e}", file=sys.stderr)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,19 @@ def omega(d: int) -> complex:
     return np.exp(2j * np.pi / d)
 
 
+def _powers(u: np.ndarray, n: int):
+    """Yield u^0, ..., u^(n-1), each the previous one times u on the right.
+
+    One power is held at a time, so a caller that streams them needs no
+    (n, dim, dim) array.
+    """
+    p = np.eye(u.shape[0], dtype=np.complex128)
+    yield p
+    for _ in range(n - 1):
+        p = p @ u
+        yield p
+
+
 def generalized_pauli(d: int, kind: str) -> np.ndarray:
     """Clock (Z) or shift (X) operator on C^d.
 
@@ -114,12 +127,7 @@ class GeneralizedObservable:
     @classmethod
     def from_unitary(cls, u: np.ndarray, d: int) -> "GeneralizedObservable":
         """Observable generated by powers of a unitary with u^d = 1."""
-        u = as_complex_matrix(u)
-        ops = np.empty((d, u.shape[0], u.shape[0]), dtype=np.complex128)
-        ops[0] = np.eye(u.shape[0])
-        for k in range(1, d):
-            ops[k] = ops[k - 1] @ u
-        return cls(ops)
+        return cls(np.stack(list(_powers(as_complex_matrix(u), d))))
 
 
 def povm_to_observable(p: Povm) -> GeneralizedObservable:
@@ -162,15 +170,13 @@ def is_projective(g: GeneralizedObservable, tol: float = DEFAULT_TOL):
     'unitarity', 'power_identity' and 'powers'.
     """
     b1 = g.operators[1]
-    dim = g.dim
-    eye = np.eye(dim)
+    eye = np.eye(g.dim)
     res_unit = float(np.linalg.norm(dagger(b1) @ b1 - eye))
-    acc = b1.copy()
     res_pow = 0.0
-    for k in range(2, g.d):
-        acc = acc @ b1
-        res_pow = max(res_pow, float(np.linalg.norm(g.operators[k] - acc)))
-    res_id = float(np.linalg.norm(acc @ b1 - eye))
+    for k, power in enumerate(_powers(b1, g.d + 1)):
+        if 2 <= k < g.d:
+            res_pow = max(res_pow, float(np.linalg.norm(g.operators[k] - power)))
+    res_id = float(np.linalg.norm(power - eye))
     residuals = {
         "unitarity": res_unit,
         "power_identity": res_id,
@@ -193,10 +199,7 @@ def unitary_observable_povm(u: np.ndarray, d: int, tol: float = 1e-8) -> Povm:
     eye = np.eye(u.shape[0])
     if not np.linalg.norm(dagger(u) @ u - eye) <= tol:
         raise ContractError("observable is not unitary")
-    powers = np.empty((d,) + u.shape, dtype=np.complex128)
-    powers[0] = eye
-    for k in range(1, d):
-        powers[k] = powers[k - 1] @ u
+    powers = np.stack(list(_powers(u, d)))
     if not np.linalg.norm(powers[-1] @ u - eye) <= tol:
         raise ContractError("spectrum is not d-th roots of unity")
     phases = omega(d) ** (-np.outer(np.arange(d), np.arange(d)))  # [a, k]

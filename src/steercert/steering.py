@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .linalg import apply_local
-from .measurements import omega, unitary_observable_povm
+from .measurements import _powers, omega, unitary_observable_povm
 from .states import Realization, SchmidtVector
 
 
@@ -94,13 +94,11 @@ def _terms(f: SteeringFunctional, r: Realization):
         raise SizeError(f"realization has {r.d} outcomes, functional {f.d}")
     if len(r.alice_observables) < 2 or len(r.bob_observables) < 2:
         raise SizeError("the functional needs 2 Alice and 2 Bob observables")
-    a0, a1 = r.alice_observables[0], r.alice_observables[1]
+    alice = zip(*(_powers(a, f.d) for a in r.alice_observables[:2]))
+    next(alice)  # k = 0, the identity, is no term
     b0, b1 = r.bob_observables[0].operators, r.bob_observables[1].operators
     eye_b = np.eye(b0.shape[1])
-    a0k = a1k = np.eye(a0.shape[0], dtype=np.complex128)
-    for k in range(1, f.d):
-        a0k = a0k @ a0
-        a1k = a1k @ a1
+    for k, (a0k, a1k) in enumerate(alice, start=1):
         yield (1.0, a0k, b0[k]), (f.gamma, a1k, b1[k]), (f.delta[k], a0k, eye_b)
 
 

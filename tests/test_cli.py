@@ -1,5 +1,6 @@
-"""End-to-end command line checks via subprocess."""
+"""End-to-end command line checks, via subprocess or cli.main in process."""
 
+import copy
 import json
 import os
 import subprocess
@@ -176,6 +177,81 @@ def test_certify_one_bob_observable_is_usage_error(tmp_path):
     r = run_cli("certify", "--realization", str(path))
     assert r.returncode == 2, r.stderr
     assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def _set(blob, path, value):
+    """A deep copy of blob with the entry at path replaced by value."""
+    out = copy.deepcopy(blob)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _realization_blob():
+    sv = sc.maximally_entangled(2)
+    blob = realization_to_json(sc.ideal_realization(sv))
+    blob["alpha"] = [float(a) for a in sv.alpha]
+    return blob
+
+
+def _povm_blob(tmp_path):
+    path = tmp_path / "built.json"
+    assert cli.main(["povm", "build", "--kind", "partial", "--d", "3",
+                     "--output", str(path)]) == 0
+    return {"elements": json.loads(path.read_text())["elements"]}
+
+
+_BAD_REALIZATIONS = {
+    "null_amplitude": lambda b: _set(b, ("state", "amplitudes", 0), [None, 0.0]),
+    "no_state": lambda b: {k: v for k, v in b.items() if k != "state"},
+    "ragged_bob_operator": lambda b: _set(
+        b, ("bob_observables", 0, "operators", 1),
+        b["bob_observables"][0]["operators"][1][:-1],
+    ),
+    "top_level_list": lambda b: [b],
+    "text_factor_dims": lambda b: _set(b, ("state", "factor_dims"), ["x", 2]),
+    "text_alpha": lambda b: _set(b, ("alpha",), ["x", 1]),
+    "not_utf8": lambda b: b"\xff\xfe{}",
+    "deep_nesting": lambda b: b"[" * 5000 + b"]" * 5000,
+}
+_BAD_POVMS = {
+    "ragged": lambda p: _set(p, ("elements", 1), p["elements"][1][:-1]),
+    "null_entry": lambda p: _set(p, ("elements", 0, 0, 0), [None, 0.0]),
+    "number": lambda p: 5,
+    "no_elements_key": lambda p: {"nope": 1},
+}
+_MALFORMED = (
+    [("certify", name, make) for name, make in _BAD_REALIZATIONS.items()]
+    + [(cmd, name, make) for cmd in ("povm check", "randomness")
+       for name, make in _BAD_POVMS.items()]
+)
+
+
+@pytest.mark.parametrize(
+    "command,name,make", _MALFORMED, ids=[f"{c}-{n}" for c, n, _ in _MALFORMED]
+)
+def test_malformed_file_is_usage_error(tmp_path, capsys, command, name, make):
+    base = _realization_blob() if command == "certify" else _povm_blob(tmp_path)
+    content = make(base)
+    path = tmp_path / f"{name}.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    argv = {
+        "certify": ["certify", "--realization", str(path)],
+        "povm check": ["povm", "check", "--povm", str(path)],
+        "randomness": ["randomness", "--d", "3", "--povm", str(path)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("steercert: error: ")
+    if name == "no_elements_key":
+        assert "missing key 'elements'" in captured.err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -194,6 +194,21 @@ def test_certify_rejects_tolerance_out_of_range():
             sc.certify(f, r, tol)
 
 
+def test_certify_checks_projectivity_once_per_observable(monkeypatch):
+    import steercert.selftest as selftest
+
+    checked = []
+
+    def counting(g, tol):
+        checked.append(g)
+        return sc.is_projective(g, tol)
+
+    monkeypatch.setattr(selftest, "is_projective", counting)
+    f, r = ideal3()
+    assert sc.certify(f, r).certified
+    assert [id(g) for g in checked] == [id(g) for g in r.bob_observables[:2]]
+
+
 def test_certify_dim_4096_is_matrix_free():
     # one dense operator on dim_A * dim_B = 4096 would take 256 MiB
     rng = np.random.default_rng(8)
