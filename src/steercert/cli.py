@@ -3,8 +3,12 @@
 Every subcommand emits a single JSON document (sweeps emit CSV rows
 instead, plot-ready) with the {tool_version, seed, tolerance} triple
 included for reproducibility, and each document is validated against the
-subcommand's own schema before it is written. Output bytes depend only
-on the parsed config, never on wall time or thread count.
+subcommand's own schema before it is written. Each entry of SCHEMAS is
+compiled once into a plain-Python predicate with jsonschema's Draft
+2020-12 meanings; only a report the predicate rejects goes to jsonschema,
+whose best_match error is raised, and then nothing is written. Output
+bytes depend only on the parsed config, never on wall time or thread
+count.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -405,6 +410,13 @@ def _run_randomness(config: RunConfig) -> tuple[int, dict]:
         raise UsageError(f"--povm: unknown builtin {source!r}")
     else:
         p = povm_from_json(_load_json_file(source))
+        validation, extremality, passed = _povm_reports(p, config.tolerance)
+        if not passed:
+            reason = (validation["failures"] or ["not extremal rank-one"])[0]
+            raise NotExtremalError(
+                f"{source}: fails povm check ({reason}); no entropy is certified",
+                rank=extremality["gram_rank"], expected=extremality["expected_rank"],
+            )
     if p.dim != sv.alpha.size:
         raise UsageError(f"--povm: dimension {p.dim} does not match d={sv.alpha.size}")
     rep = randomness_report(p, rho, tol=config.tolerance)
@@ -477,12 +489,86 @@ def _validator(key: str):
     return cls(SCHEMAS[key])
 
 
+# Draft 2020-12 meanings, as jsonschema's type checker defines them: a bool
+# is neither a number nor an integer, and an integral float is an integer.
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: type(v) in (float, int)
+    or (not isinstance(v, bool) and isinstance(v, numbers.Number)),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+_SCALARS = (str, bool, int, float, type(None))
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: True is not 1, "1" is not 1, 1 is 1.0."""
+    return (isinstance(a, bool) == isinstance(b, bool)
+            and isinstance(a, str) == isinstance(b, str) and a == b)
+
+
+def _both(first, second):
+    return lambda v: first(v) and second(v)
+
+
+def _either(first, second):
+    return lambda v: first(v) or second(v)
+
+
+_KEYWORDS = {"type", "enum", "required", "properties", "items", "minItems", "maxItems"}
+
+
+def _compile(schema: dict):
+    """A boolean predicate that accepts exactly what jsonschema accepts.
+
+    Only the keywords SCHEMAS uses are known. Any other keyword, or an enum
+    member that is not a JSON scalar, raises ValueError here, so no part of
+    a schema is skipped unnoticed when a report is checked.
+    """
+    unknown = sorted(schema.keys() - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"schema keywords {unknown} have no compiled check")
+    checks = []
+    if "type" in schema:
+        names = schema["type"]
+        names = [names] if isinstance(names, str) else names
+        checks.append(functools.reduce(_either, [_TYPES[n] for n in names]))
+    if "enum" in schema:
+        members = tuple(schema["enum"])
+        if not all(isinstance(e, _SCALARS) for e in members):
+            raise ValueError(f"enum {members!r}: only JSON scalars have a compiled check")
+        checks.append(lambda v: any(_same(v, e) for e in members))
+    if "required" in schema or "properties" in schema:
+        req = tuple(schema.get("required", ()))
+        props = [(k, _compile(s)) for k, s in schema.get("properties", {}).items()]
+        checks.append(lambda v: not isinstance(v, dict) or (
+            all(k in v for k in req) and all(p(v[k]) for k, p in props if k in v)))
+    if schema.keys() & {"items", "minItems", "maxItems"}:
+        item = _compile(schema.get("items", {}))
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+        checks.append(lambda v: not isinstance(v, list) or (
+            lo <= len(v) <= hi and all(map(item, v))))
+    return functools.reduce(_both, checks) if checks else (lambda v: True)
+
+
+@functools.cache
+def _predicate(key: str):
+    """SCHEMAS[key] compiled once into a predicate that agrees with _validator."""
+    return _compile(SCHEMAS[key])
+
+
 def _render(config: RunConfig, report: dict) -> str:
-    error = jsonschema.exceptions.best_match(
-        _validator(_schema_key(config)).iter_errors(report)
-    )
-    if error is not None:
-        raise error
+    key = _schema_key(config)
+    if not _predicate(key)(report):
+        # The predicate only says whether a report fails; jsonschema names
+        # the error, and stays the judge should the two ever disagree.
+        error = jsonschema.exceptions.best_match(_validator(key).iter_errors(report))
+        if error is not None:
+            raise error
     if config.subcommand == "sweep" and config.fmt == "csv":
         lines = [
             f"# steercert {report['tool_version']} seed={report['seed']} "
@@ -521,7 +607,8 @@ def main(argv=None) -> int:
     """The command line; returns the process exit code."""
     try:
         return run(parse_args(sys.argv[1:] if argv is None else argv))
-    except (UsageError, DomainError, SizeError, InvalidObservableError, ContractError) as e:
+    except (UsageError, DomainError, SizeError, InvalidObservableError, ContractError,
+            np.linalg.LinAlgError) as e:
         print(f"steercert: error: {e}", file=sys.stderr)
         return 2
     except NotExtremalError as e:

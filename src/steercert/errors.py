@@ -22,7 +22,8 @@ class InvalidObservableError(SteercertError, ValueError):
 
 
 class NotExtremalError(SteercertError, ValueError):
-    """POVM fails the extremality rank test; carries the achieved rank."""
+    """POVM fails the extremality rank test, or the validity test a
+    certified figure needs; carries the achieved Gram rank."""
 
     def __init__(self, message: str, rank: int, expected: int):
         super().__init__(message)

@@ -112,8 +112,11 @@ class GeneralizedObservable:
         for k in range(1, d):
             if not np.allclose(a[d - k], dagger(a[k]), atol=1e-9):
                 raise ContractError(f"B_{d - k} != B_{k}^dag")
-            if np.linalg.norm(a[k], ord=2) > 1.0 + 1e-9:
-                raise ContractError(f"||B_{k}||_op > 1")
+            # ||B_{d-k}||_op <= ||B_k||_op + ||B_{d-k} - B_k^dag||_F, so one
+            # SVD per conjugate pair bounds both norms.
+            if 2 * k <= d and (np.linalg.norm(a[k], ord=2)
+                               + np.linalg.norm(a[d - k] - dagger(a[k])) > 1.0 + 1e-9):
+                raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
         object.__setattr__(self, "operators", a)
 
     @property

@@ -28,21 +28,26 @@ def array_to_json(a) -> list:
 def array_from_json(data, ndim: int, what: str = "array") -> np.ndarray:
     """The complex128 array with `ndim` axes written by array_to_json.
 
-    The float pairs are read into one float64 array and viewed as complex,
-    so every entry is bit-exact. Ragged or non-numeric data, a shape other
+    The float pairs are read into one numeric array, cast to float64 and
+    viewed as complex, so every entry is bit-exact. Ragged or non-numeric
+    data (text, null, objects, or an array of booleans only), a shape other
     than (..., 2) with ndim leading axes, and non-finite entries raise
-    DomainError naming `what`.
+    DomainError naming `what`. A boolean mixed in among numbers is still
+    upcast by numpy, to 0.0 or 1.0.
     """
     try:
-        a = np.asarray(data, dtype=np.float64)
+        a = np.asarray(data)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what}: not a rectangular array of [re, im] numbers") from None
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{what}: not an array of [re, im] numbers")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise DomainError(
             f"{what}: expected {ndim} axes of [re, im] pairs, got shape {a.shape}"
         )
     if not np.all(np.isfinite(a)):
-        raise DomainError(f"{what}: non-finite or null entries")
+        raise DomainError(f"{what}: non-finite entries")
     return a.view(np.complex128)[..., 0]
 
 

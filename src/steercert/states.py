@@ -164,14 +164,25 @@ def dress_realization(
     return Realization(state, [a.copy() for a in r.alice_observables], bob)
 
 
+_MAX_DRAWS = 10_000
+
+
 def random_schmidt_vector(
     d: int, rng: np.random.Generator, min_coeff: float = 0.05
 ) -> SchmidtVector:
-    """Rejection-sample alpha with every coefficient >= min_coeff."""
+    """Rejection-sample alpha with every coefficient >= min_coeff.
+
+    Raises DomainError when the floor is infeasible, or when none of
+    _MAX_DRAWS draws meets it: at large d that happens far below the
+    feasibility limit 1/sqrt(d), e.g. d=512 with min_coeff=0.01.
+    """
     if min_coeff * np.sqrt(d) >= 1.0:
         raise DomainError(f"min_coeff {min_coeff} infeasible for d={d}")
-    while True:
+    for _ in range(_MAX_DRAWS):
         sq = rng.dirichlet(np.ones(d))
         a = np.sqrt(sq)
         if a.min() >= min_coeff:
             return SchmidtVector(a)
+    raise DomainError(
+        f"no draw in {_MAX_DRAWS} met min_coeff {min_coeff} at d={d}; lower the floor"
+    )

@@ -5,6 +5,7 @@ need fresh randomness construct their own ``np.random.default_rng(seed)``.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 import steercert as sc
 
@@ -84,3 +85,33 @@ def dressed_pipeline(d, junk, eve, seed, kind="partial"):
         "ideal": ideal,
         "rho": rho,
     }
+
+
+EDITS = ("leaf", "wrap", "unwrap", "shorten", "extend", "drop_key")
+
+
+def _edit(node, data, leaves):
+    """node with one edit applied: a leaf, nesting changed, a list cut."""
+    edit = data.draw(st.sampled_from(EDITS))
+    if edit == "wrap":
+        return [node]
+    if isinstance(node, list) and node and edit in ("unwrap", "shorten", "extend"):
+        return {"unwrap": node[0], "shorten": node[:-1], "extend": node + node[-1:]}[edit]
+    if isinstance(node, dict) and node and edit == "drop_key":
+        key = data.draw(st.sampled_from(sorted(node)))
+        return {k: v for k, v in node.items() if k != key}
+    return data.draw(leaves)
+
+
+def perturb(node, data, depth, leaves):
+    """node with one descendant, at most depth levels down, edited.
+
+    `data` is hypothesis's st.data(); a leaf edit draws from `leaves`.
+    """
+    if depth and isinstance(node, (list, dict)) and node:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        out = dict(node) if isinstance(node, dict) else list(node)
+        out[key] = perturb(node[key], data, depth - 1, leaves)
+        return out
+    return _edit(node, data, leaves)

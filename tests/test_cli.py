@@ -6,12 +6,16 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steercert as sc
 import steercert.cli as cli
-from steercert.serialize import realization_to_json
+from conftest import perturb
+from steercert.serialize import array_to_json, realization_to_json
 
 
 def run_cli(*args, env_extra=None):
@@ -220,6 +224,11 @@ _BAD_POVMS = {
     "ragged": lambda p: _set(p, ("elements", 1), p["elements"][1][:-1]),
     "null_entry": lambda p: _set(p, ("elements", 0, 0, 0), [None, 0.0]),
     "number": lambda p: 5,
+    "text_entry": lambda p: _set(p, ("elements", 0, 0, 0),
+                                 [str(p["elements"][0][0][0][0]), 0.0]),
+    # A lone boolean among numbers is upcast by numpy, so every entry is one.
+    "bool_entry": lambda p: _set(p, ("elements",),
+                                 np.asarray(p["elements"]).astype(bool).tolist()),
     "no_elements_key": lambda p: {"nope": 1},
 }
 _MALFORMED = (
@@ -310,6 +319,20 @@ def test_randomness_builtin_partial():
     assert rep["uniform"] is True
 
 
+def test_randomness_refuses_a_povm_file_that_fails_check(tmp_path, capsys):
+    path = tmp_path / "povm.json"
+    elements = array_to_json(sc.partial_povm(sc.maximally_entangled(3)).elements)
+    elements[0][0][0] = [0.5, 0.0]  # break completeness
+    path.write_text(json.dumps(elements))
+    assert cli.main(["povm", "check", "--povm", str(path)]) == 1
+    capsys.readouterr()
+    assert cli.main(["randomness", "--d", "3", "--povm", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("steercert: failed: ")
+    assert "completeness residual" in captured.err
+
+
 def test_randomness_povm_file_dimension_mismatch(tmp_path):
     out = tmp_path / "povm.json"
     run_cli("povm", "build", "--kind", "partial", "--d", "4", "--output", str(out))
@@ -348,3 +371,117 @@ def test_sweep_rejects_other_dimensions():
 
 def test_unknown_subcommand_usage():
     assert run_cli("frobnicate").returncode == 2
+
+
+def test_linalg_error_is_usage_error(monkeypatch, capsys):
+    def no_convergence(config):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", no_convergence)
+    assert cli.main(["bounds", "--d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "steercert: error: Eigenvalues did not converge\n"
+
+
+def _report_argvs(tmp_path):
+    """Argvs that between them produce a report for every schema key."""
+    realization = tmp_path / "realization.json"
+    realization.write_text(json.dumps(_realization_blob()))
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps(array_to_json(
+        sc.partial_povm(sc.maximally_entangled(3)).elements)))
+    return [
+        ["bounds", "--d", "3"],
+        ["certify", "--realization", str(realization)],
+        ["povm", "build", "--kind", "partial", "--d", "3"],
+        ["povm", "build", "--kind", "covariant", "--d", "2"],
+        ["povm", "check", "--povm", str(povm)],
+        ["randomness", "--d", "3"],
+        ["bell3", "--restarts", "1", "--iters", "5"],
+        ["sweep", "--d", "2", "--theta-grid", "3"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def real_reports(tmp_path_factory):
+    """(schema key, report) of every subcommand, as its handler returns it."""
+    out = []
+    for argv in _report_argvs(tmp_path_factory.mktemp("reports")):
+        config = cli.parse_args(argv)
+        _, report = cli._HANDLERS[config.subcommand](config)
+        out.append((cli._schema_key(config), report))
+    assert {key for key, _ in out} == set(cli.SCHEMAS)
+    return out
+
+
+# Values on both sides of every keyword's meaning: bool against number and
+# integer, integral floats, numpy scalars, enum members and near misses.
+_REPORT_LEAVES = st.sampled_from([
+    None, True, False, 0, 1, -3, 2.0, 0.5, float("nan"), float("inf"),
+    np.float64(2.0), np.float64(0.25), np.int64(3), np.bool_(True),
+    "x", "certified", "failed", "partial", "covariant", "Certified",
+    [], {}, [0.0, 1.0], [0.0, 1.0, 2.0], [[0.0, 0.0]], [1, 2], ["x"],
+    {"theta": 0.1, "beta_l": 1.0, "gap": 1.0}, {"theta": 0.1},
+])
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_compiled_schema_agrees_with_jsonschema(real_reports, data):
+    key, report = data.draw(st.sampled_from(real_reports))
+    assert cli._predicate(key)(report) and cli._validator(key).is_valid(report)
+    for _ in range(data.draw(st.integers(1, 3))):
+        report = perturb(report, data, data.draw(st.integers(0, 6)), _REPORT_LEAVES)
+    assert cli._predicate(key)(report) == cli._validator(key).is_valid(report), report
+
+
+def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
+    schemas = [
+        {"type": "number"},
+        {"type": "integer"},
+        {"type": ["boolean", "null"]},
+        {"enum": [1, "a", None, False]},
+        {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
+        {"type": "object", "required": ["a"], "properties": {"a": {"enum": ["x"]}}},
+    ]
+    values = [True, False, 0, 1, 1.0, 1.5, np.float64(3.0), np.int64(1), np.bool_(True),
+              "a", "1", None, [], [1], [1.0, 2], [1, 2, 3], [True], {"a": "x"},
+              {"a": 1}, {"b": "x"}, float("nan")]
+    for schema in schemas:
+        pred = cli._compile(schema)
+        reference = jsonschema.Draft202012Validator(schema)
+        for v in values:
+            assert pred(v) == reference.is_valid(v), (schema, v)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "number", "minimum": 0},
+    {"type": "array", "items": {"$ref": "#/x"}},
+    {"enum": [[0, 1]]},
+])
+def test_compiler_refuses_what_it_cannot_check(schema):
+    with pytest.raises(ValueError):
+        cli._compile(schema)
+
+
+def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path):
+    seen = []
+
+    def corrupted(config):
+        code, report = cli._run_bounds(config)
+        report = {**report, "gap": "wide"}
+        seen.append(report)
+        return code, report
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", corrupted)
+    out = tmp_path / "bounds.json"
+    for argv in (["bounds", "--d", "3"], ["bounds", "--d", "3", "--output", str(out)]):
+        with pytest.raises(jsonschema.ValidationError) as info:
+            cli.main(argv)
+        want = jsonschema.exceptions.best_match(
+            cli._validator("bounds").iter_errors(seen[-1]))
+        assert type(info.value) is type(want) and info.value.message == want.message
+        assert info.value.message == "'wide' is not of type 'number'"
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

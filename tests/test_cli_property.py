@@ -4,8 +4,9 @@ Each example takes a valid file, perturbs one to three of its nodes (a
 NaN, an infinity, null, text, wrong nesting, a short or ragged list, a
 missing key) and runs it through cli.main in process. Whatever the file,
 nothing may escape cli.main, every exit code must be a documented one,
-a report must be strict JSON, and a `certified` verdict must come with
-finite residuals inside the tolerance. The search is derandomized, so
+a report must be strict JSON, a `certified` verdict must come with
+finite residuals inside the tolerance, and no entropy may be reported
+for a POVM file that fails `povm check`. The search is derandomized, so
 the examples are the same on every run.
 """
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import steercert as sc
 import steercert.cli as cli
+from conftest import perturb
 from steercert.serialize import array_to_json, realization_to_json
 
 TOL = 1e-7
@@ -48,37 +50,12 @@ POVMS = [
 LEAVES = st.sampled_from(
     [float("nan"), float("inf"), -float("inf"), None, "x", 1e300, -1, 0, True, [], {}]
 )
-EDITS = ("leaf", "wrap", "unwrap", "shorten", "extend", "drop_key")
-
-
-def _edit(node, data):
-    """node with one edit applied: a leaf, nesting changed, a list cut."""
-    edit = data.draw(st.sampled_from(EDITS))
-    if edit == "wrap":
-        return [node]
-    if isinstance(node, list) and node and edit in ("unwrap", "shorten", "extend"):
-        return {"unwrap": node[0], "shorten": node[:-1], "extend": node + node[-1:]}[edit]
-    if isinstance(node, dict) and node and edit == "drop_key":
-        key = data.draw(st.sampled_from(sorted(node)))
-        return {k: v for k, v in node.items() if k != key}
-    return data.draw(LEAVES)
-
-
-def _perturb(node, data, depth):
-    """node with one descendant, at most depth levels down, edited."""
-    if depth and isinstance(node, (list, dict)) and node:
-        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
-                                        else range(len(node))))
-        out = dict(node) if isinstance(node, dict) else list(node)
-        out[key] = _perturb(node[key], data, depth - 1)
-        return out
-    return _edit(node, data)
 
 
 def _perturbed(blobs, data):
     blob = data.draw(st.sampled_from(blobs))
     for _ in range(data.draw(st.integers(1, 3))):
-        blob = _perturb(blob, data, data.draw(st.integers(0, 8)))
+        blob = perturb(blob, data, data.draw(st.integers(0, 8)), LEAVES)
     return blob
 
 
@@ -102,6 +79,9 @@ def _check_exit(code, out, err):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("steercert: error: ")
+        return None
+    if code == 1 and not out:
+        assert err.startswith("steercert: failed: ")
         return None
     return _strict_json(out)
 
@@ -129,5 +109,9 @@ def test_perturbed_realization_fails_closed(tmp_path_factory, data):
 def test_perturbed_povm_file_fails_closed(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("povm") / "p.json"
     path.write_text(json.dumps(_perturbed(POVMS, data)))
-    _check_exit(*_run(["povm", "check", "--povm", str(path)]))
-    _check_exit(*_run(["randomness", "--d", "3", "--povm", str(path)]))
+    checked = _run(["povm", "check", "--povm", str(path)])
+    _check_exit(*checked)
+    entropy = _run(["randomness", "--d", "3", "--povm", str(path)])
+    _check_exit(*entropy)
+    if checked[0] != 0:
+        assert "min_entropy_bits" not in entropy[1], entropy

@@ -216,3 +216,16 @@ def test_povm_and_table_reject_non_finite():
     p[0, 1, 0, 0] = np.nan
     with pytest.raises(sc.DomainError):
         sc.CorrelationTable(p)
+
+
+@pytest.mark.parametrize("k,scale", [(1, 2.0), (3, 2.0), (3, 1.0 + 5e-6)])
+def test_generalized_observable_rejects_norm_above_one_at_any_k(k, scale):
+    # d = 4 takes an SVD only at k <= 2; B_3 is bounded through its pairing
+    # with B_1, also when it lies within np.allclose's rtol of B_1^dag.
+    eye = np.eye(2, dtype=complex)
+    ops = np.stack([eye, eye, 0.5 * eye, eye])
+    ops[k] = scale * eye
+    if k == 1:
+        ops[3] = ops[1].conj().T
+    with pytest.raises(sc.ContractError):
+        sc.GeneralizedObservable(ops)

@@ -52,6 +52,8 @@ def test_realization_round_trip_is_bit_exact():
     ([["re", 0.0]], 1),                # text
     ([[{}, 0.0]], 1),                  # object
     (5, 2),                            # scalar
+    ([["0.5", 0.0]], 1),               # a number written as text
+    ([[True, False]], 1),              # booleans only
 ])
 def test_decoder_rejects_malformed_data(data, ndim):
     with pytest.raises(sc.DomainError):

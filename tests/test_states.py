@@ -133,6 +133,12 @@ def test_random_schmidt_vector_respects_floor():
         assert abs(np.sum(sv.alpha**2) - 1.0) < 1e-12
 
 
+def test_random_schmidt_vector_gives_up_on_a_floor_no_draw_meets():
+    # Feasible (0.01 * sqrt(512) < 1), but about 4e-12 of draws meet it.
+    with pytest.raises(sc.DomainError, match="no draw"):
+        sc.random_schmidt_vector(512, np.random.default_rng(0), min_coeff=0.01)
+
+
 def test_schmidt_vector_rejects_non_finite():
     for bad in ([np.nan, 1.0], [0.6, np.nan, 0.8], [np.inf, 0.5]):
         with pytest.raises(sc.DomainError):
