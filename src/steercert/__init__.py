@@ -27,24 +27,17 @@ from .linalg import (
     apply_local,
     check_density_matrix,
     dagger,
-    expectation,
     haar_unitary,
-    hermitian_eig,
-    partial_trace,
-    tensor,
 )
 from .measurements import (
-    CorrelationTable,
     GeneralizedObservable,
     Povm,
-    correlator,
     generalized_pauli,
     is_projective,
     observable_to_povm,
     omega,
     povm_to_observable,
     random_povm,
-    table_from_realization,
     unitary_observable_povm,
 )
 from .states import (
@@ -64,7 +57,6 @@ from .steering import (
     lhs_bound_exact,
     lhs_bound_paper_upper,
     quantum_maximum,
-    steering_operator,
     violation_gap,
 )
 from .selftest import (
@@ -87,7 +79,6 @@ from .povm import (
     sidon_check,
     theorem3_residuals,
     validate_povm,
-    wbasis_coefficients,
 )
 from .randomness import (
     RandomnessReport,
@@ -113,23 +104,21 @@ __all__ = [
     "__version__",
     "SteercertError", "SizeError", "DomainError", "ContractError",
     "InvalidObservableError", "NotExtremalError",
-    "DIM_CAP", "DEFAULT_TOL", "Ket", "dagger", "tensor", "partial_trace",
-    "hermitian_eig", "haar_unitary", "expectation", "apply_local",
+    "DIM_CAP", "DEFAULT_TOL", "Ket", "dagger", "haar_unitary", "apply_local",
     "check_density_matrix",
     "omega", "generalized_pauli", "Povm", "GeneralizedObservable",
     "povm_to_observable", "observable_to_povm", "is_projective",
-    "unitary_observable_povm", "CorrelationTable", "correlator",
-    "table_from_realization", "random_povm",
+    "unitary_observable_povm", "random_povm",
     "SchmidtVector", "maximally_entangled", "schmidt_state", "Realization",
     "ideal_realization", "dress_realization", "random_schmidt_vector",
     "SteeringFunctional", "functional_coefficients", "quantum_maximum",
-    "steering_operator", "evaluate", "LhsOptimum", "lhs_bound_exact",
+    "evaluate", "LhsOptimum", "lhs_bound_exact",
     "lhs_bound_paper_upper", "violation_gap",
     "VERDICT_TOL", "CertReport", "certify", "stabilizer_residuals",
     "commutation_residual", "ztilde_spectrum", "extract_bob_unitary",
     "DEFAULT_PHASE_TABLES", "PhaseTable", "default_phase_table", "sidon_check",
     "covariant_povm", "partial_povm", "PovmValidationReport", "validate_povm",
-    "is_extremal_rank_one", "wbasis_coefficients", "theorem3_residuals",
+    "is_extremal_rank_one", "theorem3_residuals",
     "RandomnessReport", "outcome_distribution", "guessing_probability",
     "min_entropy", "eve_bruteforce_oracle", "randomness_report",
     "BELL3_BOUND", "BellFunctional3", "bell_value", "seesaw_optimize",

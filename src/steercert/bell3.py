@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError, SizeError
-from .linalg import Ket, dagger, expectation
+from .linalg import Ket, dagger
 from .measurements import GeneralizedObservable, generalized_pauli, is_projective, omega
 from .states import Realization, SchmidtVector, schmidt_state
 from .steering import functional_coefficients, lhs_bound_exact, evaluate
@@ -70,8 +70,9 @@ def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
     op = _bell_operator(
         r.alice_observables, [g.operators for g in r.bob_observables], f.lambda1
     )
-    ident_on = 2 if len(r.state.factor_dims) == 3 else None
-    val = expectation(op, r.state, with_identity_on=ident_on)
+    # op acts on A (x) B; an Eve factor, if any, is the trailing axis of m.
+    m = r.state.amplitudes.reshape(op.shape[0], -1)
+    val = complex(np.sum(np.conj(m) * (op @ m)))
     if abs(val.imag) > 1e-9:
         raise ContractError(f"functional value has imaginary part {val.imag:.3e}")
     return float(val.real)

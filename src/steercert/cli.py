@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Every subcommand emits a single JSON document (sweeps emit CSV rows
-instead, plot-ready) with the {tool_version, seed, tolerance} triple
-included for reproducibility, and each document is validated against the
-subcommand's own schema before it is written. Each entry of SCHEMAS is
-compiled once into a plain-Python predicate with jsonschema's Draft
-2020-12 meanings; only a report the predicate rejects goes to jsonschema,
-whose best_match error is raised, and then nothing is written. Output
-bytes depend only on the parsed config, never on wall time or thread
-count.
+Every subcommand emits a single JSON document (a sweep emits plot-ready
+CSV rows unless given --format json) with the {tool_version, seed,
+tolerance} triple included for reproducibility, and each document is
+validated against the subcommand's own schema before it is written.
+Each entry of SCHEMAS is compiled once into a plain-Python predicate with
+jsonschema's Draft 2020-12 meanings; only a report the predicate rejects
+goes to jsonschema, whose best_match error is raised, and then nothing is
+written. Output bytes depend only on the parsed config, never on wall
+time or thread count.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 """
@@ -149,8 +149,6 @@ class RunConfig:
     alpha: np.ndarray | None = None
     tolerance: float = 1e-7
     seed: int = 42
-    restarts: int = 32
-    fmt: str = "json"
     output: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -159,10 +157,13 @@ class UsageError(Exception):
     pass
 
 
+def _is_number(v) -> bool:
+    """A JSON number: Python's bool is an int, but true is not a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _real_array(data, what: str) -> np.ndarray:
-    if not isinstance(data, list) or not all(
-        isinstance(v, (int, float)) for v in data
-    ):
+    if not isinstance(data, list) or not all(map(_is_number, data)):
         raise UsageError(f"{what}: expected a JSON array of numbers")
     return np.asarray(data, dtype=float)
 
@@ -182,16 +183,14 @@ def _parse_fiducial(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag}: malformed JSON array ({e.msg})") from e
     if not isinstance(data, list) or not data:
         raise UsageError(f"{flag}: expected a nonempty JSON array")
-    if all(isinstance(v, (int, float)) for v in data):
+    if all(map(_is_number, data)):
         return np.asarray(data, dtype=complex)
     return array_from_json(data, 1, flag)
 
 
-def _add_common(sp, fmt_default="json"):
+def _add_common(sp):
     sp.add_argument("--tolerance", type=float, default=1e-7)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
     sp.add_argument("--output", default=None)
 
 
@@ -233,12 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bell3", help="see-saw maximum of the qutrit functional")
     p.add_argument("--iters", type=int, default=150)
+    p.add_argument("--restarts", type=int, default=32)
     _add_common(p)
 
     p = subs.add_parser("sweep", help="LHS bound over the d=2 Schmidt angle grid")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--theta-grid", type=int, required=True)
-    _add_common(p, fmt_default="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    _add_common(p)
     return parser
 
 
@@ -258,7 +259,7 @@ def parse_args(argv) -> RunConfig:
             raise UsageError(f"--alpha: length {alpha.size} does not match --d {d}")
     extra = {}
     for key in ("realization", "povm_action", "kind", "fiducial", "povm",
-                "iters", "theta_grid"):
+                "iters", "restarts", "theta_grid", "format"):
         if hasattr(ns, key):
             extra[key] = getattr(ns, key)
     return RunConfig(
@@ -267,8 +268,6 @@ def parse_args(argv) -> RunConfig:
         alpha=alpha,
         tolerance=ns.tolerance,
         seed=ns.seed,
-        restarts=ns.restarts,
-        fmt=ns.format,
         output=ns.output,
         extra=extra,
     )
@@ -433,7 +432,7 @@ def _run_randomness(config: RunConfig) -> tuple[int, dict]:
 
 def _run_bell3(config: RunConfig) -> tuple[int, dict]:
     value, r, used = seesaw_details(
-        seed=config.seed, restarts=config.restarts, iters=config.extra["iters"]
+        seed=config.seed, restarts=config.extra["restarts"], iters=config.extra["iters"]
     )
     schmidt = np.linalg.svd(r.state.amplitudes.reshape(3, 3), compute_uv=False)
     report = {
@@ -442,7 +441,7 @@ def _run_bell3(config: RunConfig) -> tuple[int, dict]:
         "gap": value - BELL3_BOUND,
         "state_schmidt": [float(s) for s in schmidt],
         "iterations": used,
-        "restarts": config.restarts,
+        "restarts": config.extra["restarts"],
         **_meta(config),
     }
     return 0, report
@@ -569,7 +568,7 @@ def _render(config: RunConfig, report: dict) -> str:
         error = jsonschema.exceptions.best_match(_validator(key).iter_errors(report))
         if error is not None:
             raise error
-    if config.subcommand == "sweep" and config.fmt == "csv":
+    if config.subcommand == "sweep" and config.extra["format"] == "csv":
         lines = [
             f"# steercert {report['tool_version']} seed={report['seed']} "
             f"tolerance={report['tolerance']!r}",

@@ -1,4 +1,4 @@
-"""d-outcome measurements: POVMs, generalized observables and correlations.
+"""d-outcome measurements: POVMs and generalized observables.
 
 A d-outcome measurement is handled in two equivalent pictures. The POVM
 picture stores the elements N_a directly; the observable picture stores
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidObservableError, SizeError
-from .linalg import DEFAULT_TOL, Ket, as_complex_matrix, dagger
+from .linalg import DEFAULT_TOL, as_complex_matrix, dagger
 
 
 def omega(d: int) -> complex:
@@ -207,78 +207,6 @@ def unitary_observable_povm(u: np.ndarray, d: int, tol: float = 1e-8) -> Povm:
         raise ContractError("spectrum is not d-th roots of unity")
     phases = omega(d) ** (-np.outer(np.arange(d), np.arange(d)))  # [a, k]
     return Povm(np.einsum("ak,kij->aij", phases, powers) / d)
-
-
-@dataclass(frozen=True)
-class CorrelationTable:
-    """Joint outcome probabilities p[x][y][a][b] for a d-outcome scenario."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.p, dtype=np.float64)
-        if a.ndim != 4 or a.shape[2] != a.shape[3]:
-            raise SizeError(f"expected (nx, ny, d, d) probabilities, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("probabilities must be finite")
-        if not a.min() >= -1e-12:
-            raise DomainError(f"negative probability {a.min():.3e}")
-        sums = a.sum(axis=(2, 3))
-        if not np.max(np.abs(sums - 1.0)) <= 1e-9:
-            raise DomainError("some (x, y) block does not sum to 1 within 1e-9")
-        object.__setattr__(self, "p", a)
-
-    @property
-    def nx(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.p.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.p.shape[2]
-
-
-def correlator(table: CorrelationTable, k: int, l: int, x: int, y: int) -> complex:
-    """<A_x^k B_y^l> = sum_{a,b} omega^{ak+bl} p(a,b|x,y)."""
-    d = table.d
-    if not (0 <= x < table.nx and 0 <= y < table.ny):
-        raise IndexError(f"setting ({x}, {y}) out of range")
-    w = omega(d)
-    pa = w ** (np.arange(d) * (k % d))
-    pb = w ** (np.arange(d) * (l % d))
-    return complex(pa @ table.p[x, y] @ pb)
-
-
-def table_from_realization(state: Ket, alice_povms, bob_povms) -> CorrelationTable:
-    """Born-rule table from POVM lists acting on factors 0 and 1.
-
-    Any further factors of the state (junk registers, an eavesdropper)
-    are traced out.
-    """
-    if len(state.factor_dims) < 2:
-        raise SizeError("state needs at least two factors")
-    da, db = state.factor_dims[0], state.factor_dims[1]
-    douts = {p.n_outcomes for p in alice_povms} | {p.n_outcomes for p in bob_povms}
-    if len(douts) != 1:
-        raise SizeError(f"mixed outcome counts {sorted(douts)}")
-    d = douts.pop()
-    for p in alice_povms:
-        if p.dim != da:
-            raise SizeError(f"Alice POVM dim {p.dim} != {da}")
-    for p in bob_povms:
-        if p.dim != db:
-            raise SizeError(f"Bob POVM dim {p.dim} != {db}")
-    rho = state.reduced((0, 1)).reshape(da, db, da, db)
-    out = np.empty((len(alice_povms), len(bob_povms), d, d))
-    for x, pa in enumerate(alice_povms):
-        for y, pb in enumerate(bob_povms):
-            # Tr[(M_a (x) N_b) rho] with rho indexed (j, l; i, k).
-            vals = np.einsum("aij,bkl,jlik->ab", pa.elements, pb.elements, rho)
-            out[x, y] = vals.real
-    return CorrelationTable(out)
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, NotExtremalError, SizeError
+from .errors import DomainError, NotExtremalError, SizeError
 from .linalg import DEFAULT_TOL, Ket, dagger
 from .measurements import Povm, generalized_pauli
 from .states import SchmidtVector
@@ -223,25 +223,6 @@ def _weyl_basis(d: int) -> np.ndarray:
             zj = zj @ z
         xi = xi @ x
     return out
-
-
-def wbasis_coefficients(op: np.ndarray, sv: SchmidtVector) -> np.ndarray:
-    """Expansion coefficients of op in W_{i,j} = P^-1 (X^i Z^j)* P^-1.
-
-    Returned as an (i, j) matrix. The basis is congruent to the Weyl
-    basis by the invertible P = diag(alpha), so the linear system is
-    always solvable. On |psi(alpha)> the correlator <X^i Z^j (x) op>
-    equals d times the (i, j) coefficient.
-    """
-    d = sv.d
-    if op.shape != (d, d):
-        raise SizeError(f"operator shape {op.shape} != {(d, d)}")
-    pinv = np.diag(1.0 / sv.alpha).astype(np.complex128)
-    weyl = _weyl_basis(d)
-    wmats = np.einsum("ij,bjk,kl->bil", pinv, np.conj(weyl), pinv)
-    a = wmats.reshape(d * d, d * d).T
-    coeff = np.linalg.solve(a, op.reshape(-1))
-    return coeff.reshape(d, d)
 
 
 def _povm_correlators(povm_elements: np.ndarray, psi3: np.ndarray, weyl: np.ndarray) -> np.ndarray:

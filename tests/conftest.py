@@ -29,6 +29,24 @@ def admissible_schmidt(d, rng):
             return sc.SchmidtVector(alpha)
 
 
+def steering_operator(f, r):
+    """The steering functional as one dense matrix on Alice (x) Bob.
+
+    The reference that the matrix-free sc.evaluate and sc.stabilizer_residuals
+    are compared against, written out term by term from the realization's
+    first two observables per side. An Eve factor is not included.
+    """
+    da, db = r.state.factor_dims[0], r.state.factor_dims[1]
+    a0, a1 = r.alice_observables[:2]
+    b0, b1 = (g.operators for g in r.bob_observables[:2])
+    op = np.zeros((da * db, da * db), dtype=complex)
+    for k in range(1, f.d):
+        a0k = np.linalg.matrix_power(a0, k)
+        op += np.kron(a0k, b0[k] + f.delta[k] * np.eye(db))
+        op += f.gamma * np.kron(np.linalg.matrix_power(a1, k), b1[k])
+    return op
+
+
 def random_junk_state(junk_dim, eve_dim, rng):
     """Normalized pseudo-random vector on the junk x Eve factor."""
     xi = rng.normal(size=(junk_dim * eve_dim, 2)) @ np.array([1.0, 1.0j])

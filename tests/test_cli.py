@@ -219,6 +219,7 @@ _BAD_REALIZATIONS = {
     "text_alpha": lambda b: _set(b, ("alpha",), ["x", 1]),
     "not_utf8": lambda b: b"\xff\xfe{}",
     "deep_nesting": lambda b: b"[" * 5000 + b"]" * 5000,
+    "bool_alpha": lambda b: _set(b, ("alpha",), [True, 1e-300]),
 }
 _BAD_POVMS = {
     "ragged": lambda p: _set(p, ("elements", 1), p["elements"][1][:-1]),
@@ -261,6 +262,32 @@ def test_malformed_file_is_usage_error(tmp_path, capsys, command, name, make):
     assert captured.err.startswith("steercert: error: ")
     if name == "no_elements_key":
         assert "missing key 'elements'" in captured.err
+
+
+def test_boolean_is_not_a_number(capsys):
+    for argv in (["randomness", "--d", "2", "--alpha", "[true, 1e-300]",
+                  "--povm", "builtin:covariant"],
+                 ["povm", "build", "--kind", "covariant", "--d", "2",
+                  "--fiducial", "[true, 0.5]"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("steercert: error: ")
+
+
+def test_options_a_subcommand_does_not_take_are_usage_errors():
+    for args in (("bounds", "--d", "2", "--restarts", "3"),
+                 ("certify", "--realization", "r.json", "--format", "csv")):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "unrecognized arguments" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("d", [512, 1024])
+def test_bounds_at_large_d(capsys, d):
+    # delta_{d-k} = conj(delta_k) must hold to 1e-12 however large k(d-k) is
+    assert cli.main(["bounds", "--d", str(d)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["d"] == d and rep["gap"] > 0
 
 
 def test_cli_import_leaves_scipy_out():

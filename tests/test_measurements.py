@@ -1,4 +1,4 @@
-"""Generalized Pauli operators, the POVM/observable Fourier pair, correlators."""
+"""Generalized Pauli operators and the POVM/observable Fourier pair."""
 
 import numpy as np
 import pytest
@@ -138,68 +138,6 @@ def test_unitary_observable_povm_recovers_projectors():
         assert np.allclose(p.elements[a], e, atol=1e-12)
 
 
-def test_correlation_table_validation():
-    good = np.full((1, 1, 3, 3), 1.0 / 9)
-    sc.CorrelationTable(good)
-    bad = good.copy()
-    bad[0, 0, 0, 0] = 0.5  # slice no longer sums to one
-    with pytest.raises(sc.DomainError):
-        sc.CorrelationTable(bad)
-
-
-def test_correlator_examples():
-    bell = sc.schmidt_state(sc.maximally_entangled(2))
-    comp = comp_basis_povm(2)
-    t = sc.table_from_realization(bell, [comp], [comp])
-    assert abs(sc.correlator(t, 0, 0, 0, 0) - 1.0) < 1e-12
-    assert abs(sc.correlator(t, 1, 1, 0, 0) - 1.0) < 1e-12
-
-    flat = sc.CorrelationTable(np.full((1, 1, 3, 3), 1.0 / 9))
-    assert abs(sc.correlator(flat, 1, 0, 0, 0)) < 1e-12
-
-
-def test_correlator_conjugate_symmetry_and_bound():
-    rng = np.random.default_rng(31)
-    d = 3
-    amps = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-    psi = sc.Ket(amps / np.linalg.norm(amps), (d, d))
-    t = sc.table_from_realization(
-        psi, [sc.random_povm(d, d, rng)], [sc.random_povm(d, d, rng)]
-    )
-    for k in range(d):
-        for l in range(d):
-            v = sc.correlator(t, k, l, 0, 0)
-            assert abs(v) <= 1 + 1e-9
-            partner = sc.correlator(t, (d - k) % d, (d - l) % d, 0, 0)
-            assert abs(partner - np.conj(v)) < 1e-12
-
-
-def test_correlator_index_errors():
-    t = sc.CorrelationTable(np.full((1, 1, 2, 2), 0.25))
-    with pytest.raises(IndexError):
-        sc.correlator(t, 0, 0, 1, 0)
-    with pytest.raises(IndexError):
-        sc.correlator(t, 0, 0, 0, -1)
-    # exponents wrap modulo d so the (d-k, d-l) symmetry holds at k=l=0 too
-    assert abs(sc.correlator(t, 2, 0, 0, 0) - sc.correlator(t, 0, 0, 0, 0)) < 1e-12
-
-
-def test_table_from_realization_examples():
-    bell = sc.schmidt_state(sc.maximally_entangled(2))
-    comp = comp_basis_povm(2)
-    t = sc.table_from_realization(bell, [comp], [comp])
-    assert np.allclose(t.p[0, 0], np.eye(2) / 2, atol=1e-12)
-
-    prod = sc.Ket(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
-    t = sc.table_from_realization(prod, [comp], [comp])
-    assert abs(t.p[0, 0, 0, 0] - 1.0) < 1e-12
-
-    skew = sc.schmidt_state(sc.SchmidtVector(np.array([np.sqrt(3) / 2, 0.5])))
-    t = sc.table_from_realization(skew, [comp], [comp])
-    assert abs(t.p[0, 0, 0, 0] - 0.75) < 1e-12
-    assert abs(t.p[0, 0, 1, 1] - 0.25) < 1e-12
-
-
 def test_povm_container_checks():
     with pytest.raises(sc.SizeError):
         sc.Povm([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
@@ -212,10 +150,6 @@ def test_povm_and_table_reject_non_finite():
     els[1, 0, 1] = np.nan
     with pytest.raises(sc.DomainError):
         sc.Povm(els)
-    p = np.full((2, 2, 2, 2), 0.25)
-    p[0, 1, 0, 0] = np.nan
-    with pytest.raises(sc.DomainError):
-        sc.CorrelationTable(p)
 
 
 @pytest.mark.parametrize("k,scale", [(1, 2.0), (3, 2.0), (3, 1.0 + 5e-6)])

@@ -124,29 +124,6 @@ def test_is_extremal_rank_one_rejects_higher_rank():
     assert info["rank_one_violations"] == [0, 1]
 
 
-def test_wbasis_coefficients_reproduce_correlators():
-    rng = np.random.default_rng(12)
-    for d in (2, 3, 4):
-        sv = sc.random_schmidt_vector(d, rng)
-        psi = sc.schmidt_state(sv)
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        coeff = sc.wbasis_coefficients(m, sv)
-        z = sc.generalized_pauli(d, "Z")
-        x = sc.generalized_pauli(d, "X")
-        for i in range(d):
-            for j in range(d):
-                op = sc.tensor(
-                    np.linalg.matrix_power(x, i) @ np.linalg.matrix_power(z, j), m
-                )
-                corr = np.vdot(psi.amplitudes, op @ psi.amplitudes)
-                assert abs(corr - d * coeff[i, j]) < 1e-9
-
-
-def test_wbasis_coefficients_shape_check():
-    with pytest.raises(sc.SizeError):
-        sc.wbasis_coefficients(np.eye(3), sc.maximally_entangled(2))
-
-
 def test_theorem3_residuals_vanish_on_shared_dressing():
     for d, kind in [(2, "covariant"), (3, "partial"), (4, "partial")]:
         pl = dressed_pipeline(d, 2, 2, seed=5, kind=kind)
