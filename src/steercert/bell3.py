@@ -36,24 +36,33 @@ class BellFunctional3:
     def __post_init__(self):
         if self.lambda2 != np.conj(self.lambda1):
             raise DomainError("lambda2 must equal conj(lambda1) exactly")
-        if abs(self.bound - BELL3_BOUND) > 1e-12:
+        if not abs(self.bound - BELL3_BOUND) <= 1e-12:
             raise DomainError("bound must equal 6*sqrt(3)*cos(pi/9)")
 
 
-def _bell_operator(alice, bob_ops, lam1) -> np.ndarray:
-    """sum_k sum_xy lambda_k omega^{kxy} A_x^k (x) B_y^k as one matrix."""
+def _bell_operator(alice, bob_pairs, lam1) -> np.ndarray:
+    """sum_xy sum_k lambda_k omega^{kxy} A_x^k (x) B_y^k as one matrix.
+
+    alice holds A_0, A_1, A_2 and bob_pairs the pairs (B_y, B_y^2); k runs
+    over 1, 2 with lambda_2 = conj(lambda_1). The 18 terms are added into a
+    zero matrix one at a time in (x, y, k) order, each the scalar
+    lambda_k omega^{kxy} times the broadcast outer product that np.kron
+    forms, so the result equals the np.kron sum bit for bit while holding
+    no more than three operators at once.
+    """
     w = omega(3)
     da = alice[0].shape[0]
-    db = bob_ops[0][1].shape[0]
-    op = np.zeros((da * db, da * db), dtype=np.complex128)
+    db = bob_pairs[0][0].shape[0]
+    op = np.zeros((da, db, da, db), dtype=np.complex128)
+    bobs = [(b1[None, :, None, :], b2[None, :, None, :]) for b1, b2 in bob_pairs]
     for x in range(3):
-        a1 = alice[x]
-        a2 = a1 @ a1
+        a1 = alice[x][:, None, :, None]
+        a2 = (alice[x] @ alice[x])[:, None, :, None]
         for y in range(3):
-            b1, b2 = bob_ops[y][1], bob_ops[y][2]
-            op += lam1 * w ** (x * y) * np.kron(a1, b1)
-            op += np.conj(lam1) * w ** (2 * x * y) * np.kron(a2, b2)
-    return op
+            b1, b2 = bobs[y]
+            op += lam1 * w ** (x * y) * (a1 * b1)
+            op += np.conj(lam1) * w ** (2 * x * y) * (a2 * b2)
+    return op.reshape(da * db, da * db)
 
 
 def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
@@ -68,12 +77,12 @@ def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
         if not ok:
             raise ContractError(f"Bob observable {i} not projective: {res}")
     op = _bell_operator(
-        r.alice_observables, [g.operators for g in r.bob_observables], f.lambda1
+        r.alice_observables, [g.operators[1:] for g in r.bob_observables], f.lambda1
     )
     # op acts on A (x) B; an Eve factor, if any, is the trailing axis of m.
     m = r.state.amplitudes.reshape(op.shape[0], -1)
     val = complex(np.sum(np.conj(m) * (op @ m)))
-    if abs(val.imag) > 1e-9:
+    if not abs(val.imag) <= 1e-9:
         raise ContractError(f"functional value has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -100,9 +109,8 @@ def _polar_rounded(m: np.ndarray) -> np.ndarray:
     return _project_order3(dagger(vh) @ dagger(u))
 
 
-def _plain_value(psi, alice, bob_units, lam1) -> float:
-    bob_ops = [[np.eye(3), b, b @ b] for b in bob_units]
-    op = _bell_operator(alice, bob_ops, lam1)
+def _plain_value(psi, alice, bob_pairs, lam1) -> float:
+    op = _bell_operator(alice, bob_pairs, lam1)
     return float(np.real(np.conj(psi) @ op @ psi))
 
 
@@ -117,33 +125,37 @@ def _seesaw_single(ss, iters: int, lam1):
     w = omega(3)
     alice = [_random_order3(rng) for _ in range(3)]
     bobs = [_random_order3(rng) for _ in range(3)]
+    bob_pairs = [(b, b @ b) for b in bobs]
     cur = -np.inf
     history: list[float] = []
     for _ in range(iters):
-        bob_ops = [[np.eye(3), b, b @ b] for b in bobs]
-        vals, vecs = np.linalg.eigh(_bell_operator(alice, bob_ops, lam1))
+        vals, vecs = np.linalg.eigh(_bell_operator(alice, bob_pairs, lam1))
         psi = vecs[:, -1]
         cur = float(vals[-1])
         p = psi.reshape(3, 3)
+        # Alice's updates leave Bob fixed and Bob's leave Alice fixed, so
+        # each side's coefficient matrices are formed once per sweep.
+        ks = [p @ b.T @ np.conj(p).T for b, _ in bob_pairs]
         for x in range(3):
-            ks = [p @ b.T @ np.conj(p).T for b in bobs]
             m = lam1 * sum(w ** (x * y) * ks[y] for y in range(3))
             trial = alice.copy()
             trial[x] = _polar_rounded(m)
-            v = _plain_value(psi, trial, bobs, lam1)
+            v = _plain_value(psi, trial, bob_pairs, lam1)
             if v >= cur:
                 alice, cur = trial, v
+        ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a in alice]
         for y in range(3):
-            ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a in alice]
             n = lam1 * sum(w ** (x * y) * ls[x] for x in range(3))
-            trial = bobs.copy()
-            trial[y] = _polar_rounded(n)
+            b = _polar_rounded(n)
+            trial = bob_pairs.copy()
+            trial[y] = (b, b @ b)
             v = _plain_value(psi, alice, trial, lam1)
             if v >= cur:
-                bobs, cur = trial, v
+                bob_pairs, cur = trial, v
         history.append(cur)
         if len(history) > 5 and history[-1] - history[-6] < 1e-15:
             break
+    bobs = [b for b, _ in bob_pairs]
     return cur, psi, alice, bobs, history
 
 
@@ -193,16 +205,16 @@ class DressedAlice:
         q = np.asarray(self.q_projector, dtype=np.complex128)
         if q.shape != (self.aux_dim, self.aux_dim):
             raise SizeError("q_projector must act on the aux factor")
-        if np.linalg.norm(q @ q - q) > 1e-9 or np.linalg.norm(q - dagger(q)) > 1e-9:
+        if not (np.linalg.norm(q @ q - q) <= 1e-9 and np.linalg.norm(q - dagger(q)) <= 1e-9):
             raise DomainError("q_projector is not an orthogonal projector")
         for name, a in (("a0", self.a0), ("a1", self.a1)):
             a = np.asarray(a, dtype=np.complex128)
             n = 3 * self.aux_dim
             if a.shape != (n, n):
                 raise SizeError(f"{name} must have dimension {n}")
-            if np.linalg.norm(a @ dagger(a) - np.eye(n)) > 1e-9:
+            if not np.linalg.norm(a @ dagger(a) - np.eye(n)) <= 1e-9:
                 raise DomainError(f"{name} is not unitary")
-            if np.linalg.norm(np.linalg.matrix_power(a, 3) - np.eye(n)) > 1e-9:
+            if not np.linalg.norm(np.linalg.matrix_power(a, 3) - np.eye(n)) <= 1e-9:
                 raise DomainError(f"{name} cubed is not the identity")
         object.__setattr__(self, "q_projector", q)
 
@@ -310,7 +322,7 @@ def extended_certification_check(
     residual = abs(value - 3.0)
     lhs = lhs_bound_exact(f, alice_observables=r.alice_observables).value
     failures = []
-    if residual > 1e-9:
+    if not residual <= 1e-9:
         failures.append(f"functional value {value:.12f} differs from 3")
     if not lhs < 3.0 - 1e-9:
         failures.append(f"dressed LHS bound {lhs:.12f} does not stay below 3")

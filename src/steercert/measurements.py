@@ -23,6 +23,18 @@ def omega(d: int) -> complex:
     return np.exp(2j * np.pi / d)
 
 
+def root_powers(d: int, rows, cols) -> np.ndarray:
+    """The table omega^(r c) for r in rows and c in cols.
+
+    Each exponent is reduced mod d and picks one of the d roots
+    exp(2 pi i j / d), each computed from its own angle, so every entry is
+    within a few ulps whatever the size of r c. Powers of omega(d) carry
+    its roundoff times the exponent: omega ** outer(rows, cols) is off by
+    2e-11 at d = 512.
+    """
+    return np.exp(2j * np.pi * np.arange(d) / d)[np.outer(rows, cols) % d]
+
+
 def _powers(u: np.ndarray, n: int):
     """Yield u^0, ..., u^(n-1), each the previous one times u on the right.
 
@@ -136,8 +148,7 @@ class GeneralizedObservable:
 def povm_to_observable(p: Povm) -> GeneralizedObservable:
     """B_k = sum_a omega^{ka} N_a for a d-outcome POVM."""
     d = p.n_outcomes
-    w = omega(d)
-    phases = w ** (np.arange(d)[:, None] * np.arange(d)[None, :])  # [k, a]
+    phases = root_powers(d, np.arange(d), np.arange(d))  # [k, a]
     ops = np.einsum("ka,aij->kij", phases, p.elements)
     return GeneralizedObservable(ops)
 
@@ -150,8 +161,7 @@ def observable_to_povm(g: GeneralizedObservable) -> Povm:
     coefficients never came from a POVM and raises.
     """
     d = g.d
-    w = omega(d)
-    phases = w ** (-np.arange(d)[:, None] * np.arange(d)[None, :])  # [a, k]
+    phases = root_powers(d, -np.arange(d), np.arange(d))  # [a, k]
     els = np.einsum("ak,kij->aij", phases, g.operators) / d
     out = np.empty_like(els)
     for a in range(d):
@@ -205,7 +215,7 @@ def unitary_observable_povm(u: np.ndarray, d: int, tol: float = 1e-8) -> Povm:
     powers = np.stack(list(_powers(u, d)))
     if not np.linalg.norm(powers[-1] @ u - eye) <= tol:
         raise ContractError("spectrum is not d-th roots of unity")
-    phases = omega(d) ** (-np.outer(np.arange(d), np.arange(d)))  # [a, k]
+    phases = root_powers(d, -np.arange(d), np.arange(d))  # [a, k]
     return Povm(np.einsum("ak,kij->aij", phases, powers) / d)
 
 

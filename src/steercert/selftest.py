@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .linalg import apply_local, dagger, range_basis
-from .measurements import generalized_pauli, is_projective, omega, unitary_observable_povm
+from .measurements import (
+    generalized_pauli, is_projective, omega, root_powers, unitary_observable_povm,
+)
 from .states import Realization
 from .steering import SteeringFunctional, _terms, evaluate
 
@@ -83,10 +85,7 @@ def ztilde_spectrum(f: SteeringFunctional) -> np.ndarray:
     which is what makes the stabilizer relations actually pin the state.
     """
     d = f.d
-    w = omega(d)
-    ks = np.arange(1, d)
-    ls = np.arange(d)
-    vals = (1.0 + f.gamma) - (w ** np.outer(ls, ks)) @ f.delta[1:]
+    vals = (1.0 + f.gamma) - root_powers(d, np.arange(d), np.arange(1, d)) @ f.delta[1:]
     return vals.real
 
 

@@ -47,6 +47,27 @@ def steering_operator(f, r):
     return op
 
 
+def bell_operator_reference(alice, bob_pairs, lam1):
+    """The qutrit Bell operator as a sum of np.kron terms.
+
+    sum_xy sum_k lambda_k omega^{kxy} A_x^k (x) B_y^k with lambda_2 =
+    conj(lambda_1) and bob_pairs holding (B_y, B_y^2), added into a zero
+    matrix in (x, y, k) order with each scalar formed as in the see-saw.
+    bell3._bell_operator must reproduce it bit for bit.
+    """
+    w = sc.omega(3)
+    da, db = alice[0].shape[0], bob_pairs[0][0].shape[0]
+    op = np.zeros((da * db, da * db), dtype=complex)
+    for x in range(3):
+        a1 = alice[x]
+        a2 = a1 @ a1
+        for y in range(3):
+            b1, b2 = bob_pairs[y]
+            op += lam1 * w ** (x * y) * np.kron(a1, b1)
+            op += np.conj(lam1) * w ** (2 * x * y) * np.kron(a2, b2)
+    return op
+
+
 def random_junk_state(junk_dim, eve_dim, rng):
     """Normalized pseudo-random vector on the junk x Eve factor."""
     xi = rng.normal(size=(junk_dim * eve_dim, 2)) @ np.array([1.0, 1.0j])

@@ -1,12 +1,17 @@
 """Three-setting qutrit Bell functional: bound, see-saw, extended check."""
 
+import contextlib
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import steercert as sc
 import steercert.bell3 as b3
+import steercert.cli as cli
+from conftest import bell_operator_reference
 
 
 def brute_force_classical_bound():
@@ -37,6 +42,73 @@ def test_functional_invariants():
         sc.BellFunctional3(lambda1=1.0, lambda2=1.0j)
     with pytest.raises(sc.DomainError):
         sc.BellFunctional3(bound=9.7)
+
+
+def test_functional_rejects_nan_bound():
+    with pytest.raises(sc.DomainError):
+        sc.BellFunctional3(bound=float("nan"))
+
+
+def same_bits(a, b):
+    """Equal shapes and identical bits, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_order3(dim, rng):
+    """Unitary with a Haar-random eigenbasis and spectrum omega^(i mod 3)."""
+    q = sc.haar_unitary(dim, rng)
+    return (q * sc.omega(3) ** (np.arange(dim) % 3)) @ sc.dagger(q)
+
+
+def test_bell_operator_is_the_kron_sum_bit_for_bit():
+    rng = np.random.default_rng(808)
+    default = sc.BellFunctional3().lambda1
+    for trial in range(240):
+        alice = [random_order3(3, rng) for _ in range(3)]
+        pairs = [(b, b @ b) for b in (random_order3(3, rng) for _ in range(3))]
+        lam1 = np.exp(1j * rng.uniform(-np.pi, np.pi)) if trial % 2 else default
+        assert same_bits(
+            b3._bell_operator(alice, pairs, lam1),
+            bell_operator_reference(alice, pairs, lam1),
+        ), trial
+
+
+def test_bell_operator_dressed_bit_for_bit():
+    # dim 6 per side: the dressed observables and their products, then
+    # Haar-random order-3 unitaries
+    lam1 = sc.BellFunctional3().lambda1
+    dressed = sc.dressed_alice(2, 1)
+    r = b3._dressed_pair_realization(sc.maximally_entangled(3), dressed, 0.3)
+    a0, a1 = r.alice_observables
+    b0, b1 = (g.operators[1] for g in r.bob_observables)
+    rng = np.random.default_rng(909)
+    cases = [([a0, a1, a0 @ a1], [b0, b1, b0 @ b1])]
+    cases += [([random_order3(6, rng) for _ in range(3)],
+               [random_order3(6, rng) for _ in range(3)]) for _ in range(20)]
+    for alice, bobs in cases:
+        real = sc.Realization(
+            r.state, alice, [sc.GeneralizedObservable.from_unitary(b, 3) for b in bobs]
+        )
+        pairs = [g.operators[1:] for g in real.bob_observables]
+        ref = bell_operator_reference(alice, pairs, lam1)
+        assert same_bits(b3._bell_operator(alice, pairs, lam1), ref)
+        m = r.state.amplitudes.reshape(36, 1)
+        assert b3.bell_value(real) == float(np.sum(np.conj(m) * (ref @ m)).real)
+
+
+@pytest.mark.parametrize("args, value, iterations", [
+    (["--restarts", "3", "--seed", "1"], 10.392304845413276, 24),
+    (["--restarts", "4", "--seed", "3"], 10.392304845413285, 28),
+    (["--restarts", "6", "--iters", "120"], 10.392304845413282, 27),
+])
+def test_bell3_reports_are_pinned(args, value, iterations):
+    # the see-saw's accept test, early stop and tie-break see every bit
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["bell3", *args]) == 0
+    rep = json.loads(out.getvalue())
+    assert rep["value"] == value
+    assert rep["iterations"] == iterations
 
 
 def ideal_bell_realization():
@@ -114,6 +186,18 @@ def test_dressed_alice_shapes():
         sc.dressed_alice(2, 3)
     with pytest.raises(sc.DomainError):
         sc.dressed_alice(0, 0)
+
+
+def test_dressed_alice_rejects_non_finite_entries():
+    good = sc.dressed_alice(2, 1)
+    for field in ("q_projector", "a0", "a1"):
+        for bad in (float("nan"), float("inf")):
+            m = np.array(getattr(good, field))
+            m[0, 0] = bad
+            kwargs = {"aux_dim": 2, "q_projector": good.q_projector,
+                      "a0": good.a0, "a1": good.a1, field: m}
+            with pytest.raises(sc.DomainError), np.errstate(invalid="ignore"):
+                sc.DressedAlice(**kwargs)
 
 
 def test_extended_check_passes_across_q_ranks():

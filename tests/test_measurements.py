@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import steercert as sc
+from steercert.measurements import root_powers
 
 
 def comp_basis_povm(d):
@@ -39,6 +40,19 @@ def test_generalized_pauli_domain():
         sc.generalized_pauli(1, "Z")
     with pytest.raises(sc.DomainError):
         sc.generalized_pauli(3, "Y")
+
+
+def test_root_powers_reduce_exponents_mod_d():
+    for d in (2, 3, 7, 101, 512):
+        rows, cols = np.arange(-d, 2 * d), np.arange(d)
+        table = root_powers(d, rows, cols)
+        # the same exponent mod d gives the same number, to the bit
+        assert np.array_equal(table[:d], table[d:2 * d])
+        assert np.array_equal(table[:d], table[2 * d:])
+        # against roots computed in extended precision
+        angles = 2 * np.arccos(np.longdouble(-1)) * (np.outer(rows, cols) % d) / d
+        exact = np.cos(angles) + 1j * np.sin(angles)
+        assert np.max(np.abs(table - exact)) < 2e-15
 
 
 def test_povm_to_observable_computational():
