@@ -7,10 +7,17 @@ validated against the subcommand's own schema before it is written.
 Each entry of SCHEMAS is compiled once into a plain-Python predicate with
 jsonschema's Draft 2020-12 meanings; only a report the predicate rejects
 goes to jsonschema, whose best_match error is raised, and then nothing is
-written. Output bytes depend only on the parsed config, never on wall
+written. Output bytes depend only on the parsed arguments, never on wall
 time or thread count.
 
+The argparse parser is built once per process. parse_args checks --seed,
+--tolerance and --alpha and returns the argparse namespace itself, with
+--alpha decoded into an array; the handlers read its attributes.
+
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
+In process, main returns those codes; argparse usage errors and --version
+raise SystemExit, and a report that fails its own schema raises
+jsonschema.ValidationError, since that is a fault of the program.
 """
 
 from __future__ import annotations
@@ -20,20 +27,13 @@ import functools
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
 
 import jsonschema
 import numpy as np
 
 from . import __version__
 from .bell3 import BELL3_BOUND, seesaw_details
-from .errors import (
-    ContractError,
-    DomainError,
-    InvalidObservableError,
-    NotExtremalError,
-    SizeError,
-)
+from .errors import DomainError, NotExtremalError, SteercertError
 from .measurements import Povm
 from .povm import covariant_povm, is_extremal_rank_one, partial_povm, validate_povm
 from .randomness import randomness_report
@@ -142,17 +142,6 @@ SCHEMAS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    d: int | None = None
-    alpha: np.ndarray | None = None
-    tolerance: float = 1e-7
-    seed: int = 42
-    output: str | None = None
-    extra: dict = field(default_factory=dict)
-
-
 class UsageError(Exception):
     pass
 
@@ -168,19 +157,16 @@ def _real_array(data, what: str) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
-def _parse_real_array(text: str, flag: str) -> np.ndarray:
+def _loads(text: str, flag: str):
+    """The JSON value of a flag's text."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{flag}: malformed JSON array ({e.msg})") from e
-    return _real_array(data, flag)
 
 
 def _parse_fiducial(text: str, flag: str) -> np.ndarray:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{flag}: malformed JSON array ({e.msg})") from e
+    data = _loads(text, flag)
     if not isinstance(data, list) or not data:
         raise UsageError(f"{flag}: expected a nonempty JSON array")
     if all(map(_is_number, data)):
@@ -194,6 +180,7 @@ def _add_common(sp):
     sp.add_argument("--output", default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steercert",
@@ -243,43 +230,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The checked namespace of argv; --alpha, when given, is an array."""
     ns = _build_parser().parse_args(argv)
     if not 0 <= ns.seed < 2**63:
         raise UsageError(f"--seed: {ns.seed} is outside [0, 2**63)")
     if not 0.0 < ns.tolerance < 1.0:
         raise UsageError(f"--tolerance: {ns.tolerance} is outside (0, 1)")
-    d = getattr(ns, "d", None)
-    alpha = None
     if getattr(ns, "alpha", None) is not None:
-        alpha = _parse_real_array(ns.alpha, "--alpha")
-        if np.any(alpha <= 0):
+        ns.alpha = _real_array(_loads(ns.alpha, "--alpha"), "--alpha")
+        if np.any(ns.alpha <= 0):
             raise UsageError("--alpha: every entry must be positive")
-        if d is not None and alpha.size != d:
-            raise UsageError(f"--alpha: length {alpha.size} does not match --d {d}")
-    extra = {}
-    for key in ("realization", "povm_action", "kind", "fiducial", "povm",
-                "iters", "restarts", "theta_grid", "format"):
-        if hasattr(ns, key):
-            extra[key] = getattr(ns, key)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        d=d,
-        alpha=alpha,
-        tolerance=ns.tolerance,
-        seed=ns.seed,
-        output=ns.output,
-        extra=extra,
-    )
+        d = getattr(ns, "d", None)
+        if d is not None and ns.alpha.size != d:
+            raise UsageError(f"--alpha: length {ns.alpha.size} does not match --d {d}")
+    return ns
 
 
-def _schmidt_vector(config: RunConfig) -> SchmidtVector:
+def _schmidt_vector(config: argparse.Namespace) -> SchmidtVector:
     if config.alpha is not None:
         return SchmidtVector(config.alpha)
     return maximally_entangled(config.d)
 
 
-def _meta(config: RunConfig) -> dict:
+def _meta(config: argparse.Namespace) -> dict:
     return {
         "tool_version": __version__,
         "seed": config.seed,
@@ -287,7 +261,7 @@ def _meta(config: RunConfig) -> dict:
     }
 
 
-def _run_bounds(config: RunConfig) -> tuple[int, dict]:
+def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
     sv = _schmidt_vector(config)
     f = functional_coefficients(sv)
     exact = lhs_bound_exact(f)
@@ -317,19 +291,19 @@ def _load_json_file(path: str):
             raise UsageError(f"{path}: not a JSON file ({e})") from None
 
 
-def _seeded_fiducial(config: RunConfig) -> np.ndarray:
+def _seeded_fiducial(config: argparse.Namespace) -> np.ndarray:
     """The covariant POVM's fiducial drawn from --seed: complex Gaussian."""
     rng = np.random.default_rng(config.seed)
     return rng.normal(size=config.d) + 1j * rng.normal(size=config.d)
 
 
-def _run_certify(config: RunConfig) -> tuple[int, dict]:
-    data = _load_json_file(config.extra["realization"])
+def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
+    data = _load_json_file(config.realization)
     r = realization_from_json(data)
     if config.alpha is not None:
         alpha = config.alpha
     elif "alpha" in data:
-        alpha = _real_array(data["alpha"], f"{config.extra['realization']}: alpha")
+        alpha = _real_array(data["alpha"], f"{config.realization}: alpha")
     else:
         raise UsageError("no Schmidt coefficients: pass --alpha or an 'alpha' key")
     sv = SchmidtVector(alpha)
@@ -362,21 +336,21 @@ def _povm_reports(p: Povm, tol: float) -> tuple[dict, dict, bool]:
     return validation, extremality, bool(v.passed and ok)
 
 
-def _run_povm(config: RunConfig) -> tuple[int, dict]:
-    if config.extra["povm_action"] == "build":
+def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
+    if config.povm_action == "build":
         d = config.d
-        if config.extra["kind"] == "partial":
+        if config.kind == "partial":
             sv = _schmidt_vector(config)
             p = partial_povm(sv)
         else:
-            if config.extra.get("fiducial"):
-                nu = _parse_fiducial(config.extra["fiducial"], "--fiducial")
+            if config.fiducial:
+                nu = _parse_fiducial(config.fiducial, "--fiducial")
             else:
                 nu = _seeded_fiducial(config)
             p = covariant_povm(d, nu)
         validation, extremality, passed = _povm_reports(p, config.tolerance)
         report = {
-            "kind": config.extra["kind"],
+            "kind": config.kind,
             "d": d,
             "n_outcomes": p.n_outcomes,
             "elements": array_to_json(p.elements),
@@ -385,7 +359,7 @@ def _run_povm(config: RunConfig) -> tuple[int, dict]:
             **_meta(config),
         }
         return (0 if passed else 1), report
-    p = povm_from_json(_load_json_file(config.extra["povm"]))
+    p = povm_from_json(_load_json_file(config.povm))
     validation, extremality, passed = _povm_reports(p, config.tolerance)
     report = {
         "n_outcomes": p.n_outcomes,
@@ -397,10 +371,10 @@ def _run_povm(config: RunConfig) -> tuple[int, dict]:
     return (0 if passed else 1), report
 
 
-def _run_randomness(config: RunConfig) -> tuple[int, dict]:
+def _run_randomness(config: argparse.Namespace) -> tuple[int, dict]:
     sv = _schmidt_vector(config)
     rho = schmidt_state(sv).reduced((1,))
-    source = config.extra["povm"]
+    source = config.povm
     if source == "builtin:partial":
         p = partial_povm(sv)
     elif source == "builtin:covariant":
@@ -430,9 +404,9 @@ def _run_randomness(config: RunConfig) -> tuple[int, dict]:
     return 0, report
 
 
-def _run_bell3(config: RunConfig) -> tuple[int, dict]:
+def _run_bell3(config: argparse.Namespace) -> tuple[int, dict]:
     value, r, used = seesaw_details(
-        seed=config.seed, restarts=config.extra["restarts"], iters=config.extra["iters"]
+        seed=config.seed, restarts=config.restarts, iters=config.iters
     )
     schmidt = np.linalg.svd(r.state.amplitudes.reshape(3, 3), compute_uv=False)
     report = {
@@ -441,16 +415,16 @@ def _run_bell3(config: RunConfig) -> tuple[int, dict]:
         "gap": value - BELL3_BOUND,
         "state_schmidt": [float(s) for s in schmidt],
         "iterations": used,
-        "restarts": config.extra["restarts"],
+        "restarts": config.restarts,
         **_meta(config),
     }
     return 0, report
 
 
-def _run_sweep(config: RunConfig) -> tuple[int, dict]:
+def _run_sweep(config: argparse.Namespace) -> tuple[int, dict]:
     if config.d != 2:
         raise UsageError("--d: the sweep grid is the d=2 Schmidt-angle family")
-    n = config.extra["theta_grid"]
+    n = config.theta_grid
     if n < 1:
         raise UsageError("--theta-grid: need at least one point")
     thetas = np.linspace(0.0, np.pi / 2.0, n + 2)[1:-1]
@@ -474,9 +448,9 @@ _HANDLERS = {
 }
 
 
-def _schema_key(config: RunConfig) -> str:
+def _schema_key(config: argparse.Namespace) -> str:
     if config.subcommand == "povm":
-        return f"povm-{config.extra['povm_action']}"
+        return f"povm-{config.povm_action}"
     return config.subcommand
 
 
@@ -560,7 +534,7 @@ def _predicate(key: str):
     return _compile(SCHEMAS[key])
 
 
-def _render(config: RunConfig, report: dict) -> str:
+def _render(config: argparse.Namespace, report: dict) -> str:
     key = _schema_key(config)
     if not _predicate(key)(report):
         # The predicate only says whether a report fails; jsonschema names
@@ -568,7 +542,7 @@ def _render(config: RunConfig, report: dict) -> str:
         error = jsonschema.exceptions.best_match(_validator(key).iter_errors(report))
         if error is not None:
             raise error
-    if config.subcommand == "sweep" and config.extra["format"] == "csv":
+    if config.subcommand == "sweep" and config.format == "csv":
         lines = [
             f"# steercert {report['tool_version']} seed={report['seed']} "
             f"tolerance={report['tolerance']!r}",
@@ -586,8 +560,8 @@ def _render(config: RunConfig, report: dict) -> str:
     return text + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed config and write its report; returns its exit code.
+def run(config: argparse.Namespace) -> int:
+    """Run a parse_args namespace and write its report; returns its exit code.
 
     Input errors propagate as the package's exceptions; main maps them to
     the documented exit codes.
@@ -606,13 +580,12 @@ def main(argv=None) -> int:
     """The command line; returns the process exit code."""
     try:
         return run(parse_args(sys.argv[1:] if argv is None else argv))
-    except (UsageError, DomainError, SizeError, InvalidObservableError, ContractError,
-            np.linalg.LinAlgError) as e:
-        print(f"steercert: error: {e}", file=sys.stderr)
-        return 2
     except NotExtremalError as e:
         print(f"steercert: failed: {e}", file=sys.stderr)
         return 1
+    except (UsageError, SteercertError, np.linalg.LinAlgError) as e:
+        print(f"steercert: error: {e}", file=sys.stderr)
+        return 2
     except OSError as e:
         print(f"steercert: i/o error: {e}", file=sys.stderr)
         return 3

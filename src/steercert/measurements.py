@@ -56,13 +56,21 @@ def generalized_pauli(d: int, kind: str) -> np.ndarray:
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
     if kind == "Z":
-        return np.diag(omega(d) ** np.arange(d)).astype(np.complex128)
+        return np.diag(root_powers(d, 1, np.arange(d))[0])
     if kind == "X":
-        x = np.zeros((d, d), dtype=np.complex128)
-        for i in range(d):
-            x[(i + 1) % d, i] = 1.0
-        return x
+        return np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
     raise DomainError(f"kind must be 'Z' or 'X', got {kind!r}")
+
+
+def _weyl_operators(d: int) -> np.ndarray:
+    """All X^k Z^l stacked as [d*k + l], with phases from root_powers.
+
+    X^k Z^l maps |j> to omega^(l j) |j + k mod d>.
+    """
+    k, l, j = np.ogrid[:d, :d, :d]
+    out = np.zeros((d, d, d, d), dtype=np.complex128)
+    out[k, l, (j + k) % d, j] = root_powers(d, np.arange(d), np.arange(d))
+    return out.reshape(d * d, d, d)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NotExtremalError, SizeError
 from .linalg import DEFAULT_TOL, Ket, dagger
-from .measurements import Povm, generalized_pauli
+from .measurements import Povm, _weyl_operators
 from .states import SchmidtVector
 
 # Phase exponent tables with the Sidon property mod d^2-d+1.
@@ -87,19 +87,8 @@ def covariant_povm(d: int, nu) -> Povm:
     nrm = np.linalg.norm(v)
     if nrm < 1e-12:
         raise DomainError("fiducial vector is zero")
-    v = v / nrm
-    x = generalized_pauli(d, "X")
-    z = generalized_pauli(d, "Z")
-    els = np.empty((d * d, d, d), dtype=np.complex128)
-    xk = np.eye(d, dtype=np.complex128)
-    for k in range(d):
-        zl_v = v.copy()
-        for l in range(d):
-            u = xk @ zl_v
-            els[d * k + l] = np.outer(u, np.conj(u)) / d
-            zl_v = z @ zl_v
-        xk = x @ xk
-    p = Povm(els)
+    u = _weyl_operators(d) @ (v / nrm)  # [d*k + l] -> X^k Z^l v
+    p = Povm(u[:, :, None] * np.conj(u)[:, None, :] / d)
     ok, diag = is_extremal_rank_one(p)
     if not ok:
         raise NotExtremalError(
@@ -210,21 +199,6 @@ def is_extremal_rank_one(p: Povm, tol: float = 1e-8):
     return ok, diagnostics
 
 
-def _weyl_basis(d: int) -> np.ndarray:
-    """All X^i Z^j stacked as [i*d + j, :, :]."""
-    x = generalized_pauli(d, "X")
-    z = generalized_pauli(d, "Z")
-    out = np.empty((d * d, d, d), dtype=np.complex128)
-    xi = np.eye(d, dtype=np.complex128)
-    for i in range(d):
-        zj = np.eye(d, dtype=np.complex128)
-        for j in range(d):
-            out[i * d + j] = xi @ zj
-            zj = zj @ z
-        xi = xi @ x
-    return out
-
-
 def _povm_correlators(povm_elements: np.ndarray, psi3: np.ndarray, weyl: np.ndarray) -> np.ndarray:
     """<X^i Z^j (x) R_b (x) 1_E> for all (i, j, b); psi3 is (dA, dB, dE)."""
     # C_b = Tr_{B,E}[(1 (x) R_b (x) 1)|psi><psi|] as an operator on A.
@@ -259,7 +233,7 @@ def theorem3_residuals(
         raise SizeError(f"ideal POVM dim {ideal.dim} != {d}")
     if r_povm.dim != db1 * db2:
         raise SizeError(f"candidate POVM dim {r_povm.dim} != {db1 * db2}")
-    weyl = _weyl_basis(d)
+    weyl = _weyl_operators(d)
     psi3 = psi.amplitudes.reshape(da, db1 * db2, de)
     measured = _povm_correlators(r_povm.elements, psi3, weyl)
     alpha_amps = np.zeros(d * d, dtype=np.complex128)

@@ -220,17 +220,14 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     return LhsOptimum(best, "exact", strategy=best_strategy)
 
 
-def lhs_bound_paper_upper(
-    f: SteeringFunctional, restarts: int = 32, seed: int = 0
-) -> LhsOptimum:
+def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:
     """The paper's bound max over nonnegative unit eta, certified.
 
     The bound is max_a lambda_max(Q_a) (proof in _branch_perron), so the
     value is the computed top eigenvalue plus the eigensolver's roundoff
     margin: an upper bound on the exact maximum, not an optimizer's best
     point. eta is the entrywise absolute value of the Perron vector of
-    the best branch. restarts and seed are accepted for compatibility
-    and have no effect.
+    the best branch.
     """
     _, value, vec, margin = _branch_perron(f)
     return LhsOptimum(value + margin, "paper-upper", eta=np.abs(vec))

@@ -61,15 +61,15 @@ def kernel_3():
     out = {"worst_order": {}, "d2_exact": 0.0, "d2_upper": 0.0}
     for d in range(2, 7):
         margins = []
-        for i, sv in enumerate(alpha_set(d, 100, seed=200 + d)):
+        for sv in alpha_set(d, 100, seed=200 + d):
             f = sc.functional_coefficients(sv)
             lo = sc.lhs_bound_exact(f).value
-            up = sc.lhs_bound_paper_upper(f, restarts=4, seed=1000 * d + i).value
+            up = sc.lhs_bound_paper_upper(f).value
             margins.append(up - lo)
         out["worst_order"][str(d)] = float(min(margins))
     f = sc.functional_coefficients(sc.maximally_entangled(2))
     out["d2_exact"] = float(sc.lhs_bound_exact(f).value)
-    out["d2_upper"] = float(sc.lhs_bound_paper_upper(f, restarts=4, seed=0).value)
+    out["d2_upper"] = float(sc.lhs_bound_paper_upper(f).value)
     return out
 
 

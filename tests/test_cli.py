@@ -1,5 +1,6 @@
 """End-to-end command line checks, via subprocess or cli.main in process."""
 
+import argparse
 import copy
 import json
 import os
@@ -400,15 +401,73 @@ def test_unknown_subcommand_usage():
     assert run_cli("frobnicate").returncode == 2
 
 
-def test_linalg_error_is_usage_error(monkeypatch, capsys):
-    def no_convergence(config):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+_EXIT_CODES = [
+    (cli.UsageError("no such builtin"), 2, "error"),
+    (sc.SizeError("shapes differ"), 2, "error"),
+    (sc.DomainError("alpha is not finite"), 2, "error"),
+    (sc.ContractError("B_0 must be the identity"), 2, "error"),
+    (sc.InvalidObservableError("element 0 is negative"), 2, "error"),
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 2, "error"),
+    (sc.NotExtremalError("Gram rank 3 < 4", rank=3, expected=4), 1, "failed"),
+    (OSError("device full"), 3, "i/o error"),
+]
 
-    monkeypatch.setitem(cli._HANDLERS, "bounds", no_convergence)
-    assert cli.main(["bounds", "--d", "3"]) == 2
+
+@pytest.mark.parametrize("exc,code,label", _EXIT_CODES,
+                         ids=[type(exc).__name__ for exc, _, _ in _EXIT_CODES])
+def test_exit_code_of_each_error_class(monkeypatch, capsys, exc, code, label):
+    def raises(config):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", raises)
+    assert cli.main(["bounds", "--d", "3"]) == code
     captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err == "steercert: error: Eigenvalues did not converge\n"
+    assert captured.out == ""
+    assert captured.err == f"steercert: {label}: {exc}\n"
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    cli.main(["bounds", "--d", "2"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["bounds", "--d", "3"], ["sweep", "--d", "2", "--theta-grid", "2"],
+                 ["povm", "build", "--kind", "partial", "--d", "3"]):
+        assert cli.main(argv) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["frobnicate"])
+    capsys.readouterr()
+    assert built == []
+
+
+# Each pair runs an option, then the same subcommand without it: the second
+# call must see the option's default, not the first call's value.
+_REUSE_PAIRS = {
+    "sweep-format": (["sweep", "--d", "2", "--theta-grid", "3", "--format", "json"],
+                     ["sweep", "--d", "2", "--theta-grid", "3"]),
+    "bounds-alpha": (["bounds", "--d", "2", "--alpha", "[0.8660254037844386, 0.5]"],
+                     ["bounds", "--d", "2"]),
+    "povm-fiducial": (["povm", "build", "--kind", "covariant", "--d", "2",
+                       "--fiducial", "[[0.6, 0.1], [0.2, 0.7]]"],
+                      ["povm", "build", "--kind", "covariant", "--d", "2"]),
+}
+
+
+@pytest.mark.parametrize("first,second", _REUSE_PAIRS.values(), ids=_REUSE_PAIRS.keys())
+def test_consecutive_main_calls_match_fresh_processes(capsys, first, second):
+    in_process = []
+    for argv in (first, second):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = [run_cli(*argv) for argv in (first, second)]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert in_process[0][0] == 0 and in_process[0][1] != in_process[1][1]
 
 
 def _report_argvs(tmp_path):
