@@ -11,8 +11,14 @@ written. Output bytes depend only on the parsed arguments, never on wall
 time or thread count.
 
 The argparse parser is built once per process. parse_args checks --seed,
---tolerance and --alpha and returns the argparse namespace itself, with
---alpha decoded into an array; the handlers read its attributes.
+--tolerance, --d and --alpha and returns the argparse namespace itself,
+with --alpha decoded into an array; the handlers read its attributes.
+
+Realization and POVM files are parsed by orjson, imported only by the
+subcommands that read a file. They must be strict JSON: a NaN or Infinity
+literal is malformed, and so is nesting deeper than _MAX_DEPTH, which is
+refused before orjson sees it. The --alpha and --fiducial flags are parsed
+by the standard json module, and reports are written by it.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 In process, main returns those codes; argparse usage errors and --version
@@ -24,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import numbers
+import re
 import sys
 
 import jsonschema
@@ -163,6 +171,8 @@ def _loads(text: str, flag: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{flag}: malformed JSON array ({e.msg})") from e
+    except RecursionError:
+        raise UsageError(f"{flag}: malformed JSON array (nested too deep)") from None
 
 
 def _parse_fiducial(text: str, flag: str) -> np.ndarray:
@@ -237,6 +247,8 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError(f"--seed: {ns.seed} is outside [0, 2**63)")
     if not 0.0 < ns.tolerance < 1.0:
         raise UsageError(f"--tolerance: {ns.tolerance} is outside (0, 1)")
+    if getattr(ns, "d", 2) < 2:
+        raise UsageError(f"--d: need d >= 2, got {ns.d}")
     if getattr(ns, "alpha", None) is not None:
         ns.alpha = _real_array(_loads(ns.alpha, "--alpha"), "--alpha")
         if np.any(ns.alpha <= 0):
@@ -281,14 +293,55 @@ def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
     return 0, report
 
 
+# A realization file nests 7 deep. orjson 3.8 overflows the C stack on
+# deep nesting instead of raising, so deeper files never reach it.
+_MAX_DEPTH = 64
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+
+
+def _json_depth(raw: bytes) -> int:
+    """The deepest nesting of brackets outside the JSON strings of raw.
+
+    Escape pairs go first, so every remaining quote opens or closes a
+    string; nothing backtracks, so the time is linear in len(raw) whatever
+    the bytes are. Up to the first byte where a JSON parser stops, the
+    strings found here are the parser's, so on malformed input the figure
+    is never below the depth the parser reaches.
+    """
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)
+    marks = np.frombuffer(raw.translate(None, _NOT_STRUCTURAL), dtype=np.uint8)
+    quote = marks == ord('"')
+    step = _DEPTH_STEP[marks]
+    step[np.bitwise_xor.accumulate(quote) | quote] = 0
+    return int(np.cumsum(step, dtype=np.int64).max(initial=0))
+
+
 def _load_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"{path}: malformed JSON ({e.msg})") from e
-        except (UnicodeDecodeError, RecursionError) as e:
-            raise UsageError(f"{path}: not a JSON file ({e})") from None
+    """The value of a strict JSON file nested at most _MAX_DEPTH deep.
+
+    The cyclic garbage collector is paused while orjson builds the tree:
+    a parse tree has no cycles, and rescanning it as it grows is waste.
+    """
+    import orjson  # only the subcommands that read a file need it
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if _json_depth(raw) > _MAX_DEPTH:
+        raise UsageError(f"{path}: malformed JSON (nested deeper than {_MAX_DEPTH})")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError as e:
+        raise UsageError(f"{path}: malformed JSON ({e.msg})") from e
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _seeded_fiducial(config: argparse.Namespace) -> np.ndarray:

@@ -5,8 +5,12 @@ A complex array is written as nested lists whose innermost level is an
 pair knows that format: array_to_json writes it, and array_from_json
 reads it with one shape and finiteness check for the whole array. The
 loaders then rebuild the validated dataclasses, re-running their
-invariant checks. A malformed file raises DomainError (or the error of
-the dataclass it fails to build), never a bare Python exception.
+invariant checks. The loaders take parsed JSON values, not text. The
+command line parses files with orjson, which refuses NaN and Infinity
+literals and numbers that overflow a double; the finiteness check still
+guards values built in Python. A malformed value raises DomainError (or
+the error of the dataclass it fails to build), never a bare Python
+exception.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from conftest import perturb
 from steercert.serialize import array_to_json, realization_to_json
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -28,6 +29,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -160,6 +162,24 @@ def test_seed_out_of_range_is_usage_error():
         assert "--seed" in r.stderr and "Traceback" not in r.stderr
 
 
+_D_ARGVS = {
+    "bounds": ("bounds",),
+    "randomness": ("randomness",),
+    "povm-partial": ("povm", "build", "--kind", "partial"),
+    "povm-covariant": ("povm", "build", "--kind", "covariant"),
+}
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("prefix", _D_ARGVS.values(), ids=_D_ARGVS.keys())
+def test_d_below_two_is_usage_error(prefix, d):
+    # In a fresh process, so a numpy warning or a traceback would show.
+    r = run_cli(*prefix, "--d", str(d))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr == f"steercert: error: --d: need d >= 2, got {d}\n"
+
+
 def test_tolerance_out_of_range_is_usage_error(monkeypatch, capsys):
     def must_not_run(config):
         raise AssertionError("computation started")
@@ -221,6 +241,10 @@ _BAD_REALIZATIONS = {
     "not_utf8": lambda b: b"\xff\xfe{}",
     "deep_nesting": lambda b: b"[" * 5000 + b"]" * 5000,
     "bool_alpha": lambda b: _set(b, ("alpha",), [True, 1e-300]),
+    # json.dumps writes NaN and Infinity literals, which strict JSON lacks.
+    "nan_literal": lambda b: _set(b, ("state", "amplitudes", 0), [float("nan"), 0.0]),
+    "infinity_literal": lambda b: _set(b, ("alice_observables", 0, 0, 0),
+                                       [float("inf"), 0.0]),
 }
 _BAD_POVMS = {
     "ragged": lambda p: _set(p, ("elements", 1), p["elements"][1][:-1]),
@@ -232,6 +256,10 @@ _BAD_POVMS = {
     "bool_entry": lambda p: _set(p, ("elements",),
                                  np.asarray(p["elements"]).astype(bool).tolist()),
     "no_elements_key": lambda p: {"nope": 1},
+    "nan_literal": lambda p: _set(p, ("elements", 0, 0, 0), [float("nan"), 0.0]),
+    "infinity_literal": lambda p: _set(p, ("elements", 1, 0, 0), [0.0, -float("inf")]),
+    # Past int()'s 4300-digit limit, and past the largest double.
+    "overlong_integer": lambda p: b"[" + b"1" * 5000 + b"]",
 }
 _MALFORMED = (
     [("certify", name, make) for name, make in _BAD_REALIZATIONS.items()]
@@ -263,6 +291,127 @@ def test_malformed_file_is_usage_error(tmp_path, capsys, command, name, make):
     assert captured.err.startswith("steercert: error: ")
     if name == "no_elements_key":
         assert "missing key 'elements'" in captured.err
+    if name.endswith("_literal"):
+        assert "malformed JSON" in captured.err
+
+
+_FILE_ARGVS = {
+    "certify": ("certify", "--realization"),
+    "povm check": ("povm", "check", "--povm"),
+    "randomness": ("randomness", "--d", "3", "--povm"),
+}
+_HOSTILE_FILES = {
+    "nested_200000": b"[" * 200_000 + b"]" * 200_000,
+    "closed_before_opened": b"]" * 200_000 + b"[" * 200_000,
+    # An unterminated string of escaped quotes: a backtracking string scan
+    # restarts at every quote and takes quadratic time.
+    "escaped_quotes": b'"' + b'\\"' * 500_000,
+}
+
+
+@pytest.mark.parametrize("name", _HOSTILE_FILES)
+@pytest.mark.parametrize("command", _FILE_ARGVS)
+def test_hostile_file_exits_2_in_a_fresh_process(tmp_path, command, name):
+    # A parser that overflows its stack kills the process by a signal.
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_HOSTILE_FILES[name])
+    r = run_cli(*_FILE_ARGVS[command], str(path), timeout=120)
+    assert r.returncode == 2, r.stderr[-300:]
+    assert r.stdout == "" and r.stderr.startswith("steercert: error: ")
+
+
+def _nesting(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_nesting, value), default=0)
+    return 0
+
+
+_BRACKETY = st.text(alphabet='[]{}"\\a\n\u00e9')
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _BRACKETY,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_BRACKETY, kids, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(value=_JSON_VALUES, ascii_only=st.booleans())
+def test_json_depth_is_the_nesting_of_valid_json(value, ascii_only):
+    text = json.dumps(value, ensure_ascii=ascii_only, allow_nan=False).encode()
+    assert cli._json_depth(text) == _nesting(value), text
+
+
+@pytest.mark.parametrize("text,depth", [
+    (b'"[[[', 0),
+    (b"]]][[", 0),
+    (b'["\\"]]]', 1),
+])
+def test_json_depth_of_malformed_text(text, depth):
+    assert cli._json_depth(text) == depth
+
+
+def test_json_depth_of_a_realization_file(tmp_path):
+    assert cli._json_depth(json.dumps(_realization_blob()).encode()) == 7
+    assert cli._MAX_DEPTH >= 7
+
+
+_HARD_FLOATS = (
+    "5e-324",
+    "2.2250738585072011e-308",
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "-0.0",
+)
+
+
+def _load_both(path, text):
+    """The file loader's value of text and the json module's, as float64 bits."""
+    path.write_text(text)
+    loaded, expected = cli._load_json_file(str(path)), json.loads(text)
+    return (np.array(loaded, dtype=np.float64).view(np.int64).tolist(),
+            np.array(expected, dtype=np.float64).view(np.int64).tolist())
+
+
+def test_loader_reads_hard_floats_bit_for_bit(tmp_path):
+    text = "[" + ", ".join(_HARD_FLOATS) + "]"
+    loaded, expected = _load_both(tmp_path / "hard.json", text)
+    assert loaded == expected
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=32),
+       fmt=st.sampled_from(["%r", "%.17g", "%.25e", "%.40g"]))
+def test_loader_reads_floats_bit_for_bit(tmp_path_factory, values, fmt):
+    text = "[" + ", ".join(fmt % v for v in values) + "]"
+    loaded, expected = _load_both(tmp_path_factory.getbasetemp() / "floats.json", text)
+    assert loaded == expected, text
+
+
+def test_loader_reads_integers_below_2_to_64_exactly(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(f"[{-2**63}, {2**64 - 1}, {2**64}]")
+    small, large, huge = cli._load_json_file(str(path))
+    assert (small, large) == (-2**63, 2**64 - 1)
+    assert type(huge) is float and huge == float(2**64)
+
+
+def test_loader_restores_the_collector(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text("[[1.0, 2.0]]")
+    bad.write_text("[NaN]")
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cli._load_json_file(str(good)) == [[1.0, 2.0]]
+            assert gc.isenabled() == enabled
+            with pytest.raises(cli.UsageError, match="malformed JSON"):
+                cli._load_json_file(str(bad))
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_boolean_is_not_a_number(capsys):
@@ -273,6 +422,16 @@ def test_boolean_is_not_a_number(capsys):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("steercert: error: ")
+
+
+def test_deeply_nested_flag_is_usage_error(capsys):
+    deep = "[" * 100_000
+    for argv in (["bounds", "--d", "2", "--alpha", deep],
+                 ["povm", "build", "--kind", "covariant", "--d", "2", "--fiducial", deep]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("malformed JSON array (nested too deep)\n")
 
 
 def test_options_a_subcommand_does_not_take_are_usage_errors():
@@ -291,8 +450,9 @@ def test_bounds_at_large_d(capsys, d):
     assert rep["d"] == d and rep["gap"] > 0
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, steercert.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "orjson"])
+def test_cli_import_leaves_module_out(module):
+    code = f"import sys, steercert.cli; print({module!r} in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
