@@ -247,13 +247,13 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError(f"--seed: {ns.seed} is outside [0, 2**63)")
     if not 0.0 < ns.tolerance < 1.0:
         raise UsageError(f"--tolerance: {ns.tolerance} is outside (0, 1)")
-    if getattr(ns, "d", 2) < 2:
-        raise UsageError(f"--d: need d >= 2, got {ns.d}")
+    d = getattr(ns, "d", None)
+    if d is not None and d < 2:
+        raise UsageError(f"--d: need d >= 2, got {d}")
     if getattr(ns, "alpha", None) is not None:
         ns.alpha = _real_array(_loads(ns.alpha, "--alpha"), "--alpha")
         if np.any(ns.alpha <= 0):
             raise UsageError("--alpha: every entry must be positive")
-        d = getattr(ns, "d", None)
         if d is not None and ns.alpha.size != d:
             raise UsageError(f"--alpha: length {ns.alpha.size} does not match --d {d}")
     return ns
@@ -297,7 +297,7 @@ def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
 # deep nesting instead of raising, so deeper files never reach it.
 _MAX_DEPTH = 64
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
-_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_NOT_STRUCTURAL = bytes(b for b in range(256) if b not in b'"[]{}')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
 _DEPTH_STEP[list(b"[{")] = 1
 _DEPTH_STEP[list(b"]}")] = -1

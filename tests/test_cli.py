@@ -329,8 +329,10 @@ def _nesting(value) -> int:
 
 
 _BRACKETY = st.text(alphabet='[]{}"\\a\n\u00e9')
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False) | _BRACKETY)
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _BRACKETY,
+    _JSON_SCALARS,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_BRACKETY, kids, max_size=3),
     max_leaves=12,
 )
@@ -352,7 +354,7 @@ def test_json_depth_of_malformed_text(text, depth):
     assert cli._json_depth(text) == depth
 
 
-def test_json_depth_of_a_realization_file(tmp_path):
+def test_json_depth_of_a_realization_file():
     assert cli._json_depth(json.dumps(_realization_blob()).encode()) == 7
     assert cli._MAX_DEPTH >= 7
 
