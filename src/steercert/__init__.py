@@ -22,7 +22,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    DIM_CAP,
     Ket,
     apply_local,
     check_density_matrix,
@@ -104,7 +103,7 @@ __all__ = [
     "__version__",
     "SteercertError", "SizeError", "DomainError", "ContractError",
     "InvalidObservableError", "NotExtremalError",
-    "DIM_CAP", "DEFAULT_TOL", "Ket", "dagger", "haar_unitary", "apply_local",
+    "DEFAULT_TOL", "Ket", "dagger", "haar_unitary", "apply_local",
     "check_density_matrix",
     "omega", "generalized_pauli", "Povm", "GeneralizedObservable",
     "povm_to_observable", "observable_to_povm", "is_projective",

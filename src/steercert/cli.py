@@ -14,11 +14,13 @@ The argparse parser is built once per process. parse_args checks --seed,
 --tolerance, --d and --alpha and returns the argparse namespace itself,
 with --alpha decoded into an array; the handlers read its attributes.
 
-Realization and POVM files are parsed by orjson, imported only by the
-subcommands that read a file. They must be strict JSON: a NaN or Infinity
+Every JSON input, a realization or POVM file or the --alpha and --fiducial
+flags, goes through one parser, _load_json: orjson, imported only by the
+subcommands that read JSON. Input must be strict JSON: a NaN or Infinity
 literal is malformed, and so is nesting deeper than _MAX_DEPTH, which is
-refused before orjson sees it. The --alpha and --fiducial flags are parsed
-by the standard json module, and reports are written by it.
+refused before orjson sees it. The numbers in it are read by the one
+strict walk of serialize, which refuses a boolean among them. Reports are
+written by the standard json module.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 In process, main returns those codes; argparse usage errors and --version
@@ -46,7 +48,8 @@ from .measurements import Povm
 from .povm import covariant_povm, is_extremal_rank_one, partial_povm, validate_povm
 from .randomness import randomness_report
 from .selftest import certify
-from .serialize import array_from_json, array_to_json, povm_from_json, realization_from_json
+from .serialize import (array_from_json, array_to_json, povm_from_json,
+                        real_vector_from_json, realization_from_json)
 from .states import SchmidtVector, maximally_entangled, schmidt_state
 from .steering import (
     functional_coefficients,
@@ -154,36 +157,6 @@ class UsageError(Exception):
     pass
 
 
-def _is_number(v) -> bool:
-    """A JSON number: Python's bool is an int, but true is not a number."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _real_array(data, what: str) -> np.ndarray:
-    if not isinstance(data, list) or not all(map(_is_number, data)):
-        raise UsageError(f"{what}: expected a JSON array of numbers")
-    return np.asarray(data, dtype=float)
-
-
-def _loads(text: str, flag: str):
-    """The JSON value of a flag's text."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{flag}: malformed JSON array ({e.msg})") from e
-    except RecursionError:
-        raise UsageError(f"{flag}: malformed JSON array (nested too deep)") from None
-
-
-def _parse_fiducial(text: str, flag: str) -> np.ndarray:
-    data = _loads(text, flag)
-    if not isinstance(data, list) or not data:
-        raise UsageError(f"{flag}: expected a nonempty JSON array")
-    if all(map(_is_number, data)):
-        return np.asarray(data, dtype=complex)
-    return array_from_json(data, 1, flag)
-
-
 def _add_common(sp):
     sp.add_argument("--tolerance", type=float, default=1e-7)
     sp.add_argument("--seed", type=int, default=42)
@@ -251,7 +224,7 @@ def parse_args(argv) -> argparse.Namespace:
     if d is not None and d < 2:
         raise UsageError(f"--d: need d >= 2, got {d}")
     if getattr(ns, "alpha", None) is not None:
-        ns.alpha = _real_array(_loads(ns.alpha, "--alpha"), "--alpha")
+        ns.alpha = real_vector_from_json(_load_flag(ns.alpha, "--alpha"), "--alpha")
         if np.any(ns.alpha <= 0):
             raise UsageError("--alpha: every entry must be positive")
         if d is not None and ns.alpha.size != d:
@@ -321,27 +294,45 @@ def _json_depth(raw: bytes) -> int:
     return int(np.cumsum(step, dtype=np.int64).max(initial=0))
 
 
-def _load_json_file(path: str):
-    """The value of a strict JSON file nested at most _MAX_DEPTH deep.
+def _load_json(raw: bytes, what: str):
+    """The value of strict JSON bytes nested at most _MAX_DEPTH deep.
 
     The cyclic garbage collector is paused while orjson builds the tree:
     a parse tree has no cycles, and rescanning it as it grows is waste.
     """
-    import orjson  # only the subcommands that read a file need it
+    import orjson  # only the subcommands that read JSON need it
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if _json_depth(raw) > _MAX_DEPTH:
-        raise UsageError(f"{path}: malformed JSON (nested deeper than {_MAX_DEPTH})")
+    # Depth is at most the count of opening brackets, so a flag skips the scan.
+    if raw.count(b"[") + raw.count(b"{") > _MAX_DEPTH and _json_depth(raw) > _MAX_DEPTH:
+        raise UsageError(f"{what}: malformed JSON (nested deeper than {_MAX_DEPTH})")
     enabled = gc.isenabled()
     gc.disable()
     try:
         return orjson.loads(raw)
     except orjson.JSONDecodeError as e:
-        raise UsageError(f"{path}: malformed JSON ({e.msg})") from e
+        raise UsageError(f"{what}: malformed JSON ({e.msg})") from e
     finally:
         if enabled:
             gc.enable()
+
+
+def _load_json_file(path: str):
+    """The value of a strict JSON file, parsed by _load_json."""
+    with open(path, "rb") as fh:
+        return _load_json(fh.read(), path)
+
+
+def _load_flag(text: str, flag: str):
+    """A flag's JSON value; a lone surrogate (an undecodable argv byte) is malformed."""
+    return _load_json(text.encode("utf-8", "surrogatepass"), flag)
+
+
+def _parse_fiducial(text: str, flag: str) -> np.ndarray:
+    """A fiducial written as real numbers or as [re, im] pairs."""
+    data = _load_flag(text, flag)
+    if isinstance(data, list) and data and type(data[0]) is list:
+        return array_from_json(data, 1, flag)
+    return real_vector_from_json(data, flag)
 
 
 def _seeded_fiducial(config: argparse.Namespace) -> np.ndarray:
@@ -356,7 +347,7 @@ def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     if config.alpha is not None:
         alpha = config.alpha
     elif "alpha" in data:
-        alpha = _real_array(data["alpha"], f"{config.realization}: alpha")
+        alpha = real_vector_from_json(data["alpha"], f"{config.realization}: alpha")
     else:
         raise UsageError("no Schmidt coefficients: pass --alpha or an 'alpha' key")
     sv = SchmidtVector(alpha)

@@ -6,7 +6,7 @@ class SteercertError(Exception):
 
 
 class SizeError(SteercertError, ValueError):
-    """Operand shapes are inconsistent or exceed the dimension cap."""
+    """Operand shapes are inconsistent."""
 
 
 class DomainError(SteercertError, ValueError):

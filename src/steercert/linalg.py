@@ -15,11 +15,6 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SizeError
 
-# Total Hilbert-space dimension that certification is sized for. Nothing
-# enforces it: certify applies local operators to the state (apply_local)
-# and assembles no operator on the whole space.
-DIM_CAP = 4096
-
 # Default tolerance for algebraic identities; verdicts use a looser 1e-7.
 DEFAULT_TOL = 1e-9
 

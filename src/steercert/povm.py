@@ -147,22 +147,24 @@ class PovmValidationReport:
     passed: bool
 
 
+def _hermitian_parts(elements: np.ndarray) -> np.ndarray:
+    """(E + E^dagger) / 2 of every element of a stack."""
+    return (elements + np.conj(elements).transpose(0, 2, 1)) / 2
+
+
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmValidationReport:
-    """Report hermiticity, positivity within -tol and completeness within tol."""
-    n = p.n_outcomes
-    herm = np.empty(n)
-    mins = np.empty(n)
+    """Report hermiticity, positivity within -tol and completeness within tol; NaN fails."""
+    # Per element: a norm over the whole stack differs in the last bit.
+    herm = np.array([np.linalg.norm(e - dagger(e)) for e in p.elements])
+    mins = np.linalg.eigvalsh(_hermitian_parts(p.elements))[:, 0]
     failures = []
-    for b in range(n):
-        e = p.elements[b]
-        herm[b] = np.linalg.norm(e - dagger(e))
-        mins[b] = float(np.linalg.eigvalsh((e + dagger(e)) / 2)[0])
-        if herm[b] > tol:
+    for b in range(p.n_outcomes):
+        if not herm[b] <= tol:
             failures.append(f"element {b}: hermiticity residual {herm[b]:.3e}")
-        if mins[b] < -tol:
+        if not mins[b] >= -tol:
             failures.append(f"element {b}: eigenvalue {mins[b]:.3e}")
     comp = float(np.linalg.norm(p.elements.sum(axis=0) - np.eye(p.dim)))
-    if comp > tol:
+    if not comp <= tol:
         failures.append(f"completeness residual {comp:.3e}")
     return PovmValidationReport(herm, mins, comp, failures, not failures)
 
@@ -176,15 +178,12 @@ def is_extremal_rank_one(p: Povm, tol: float = 1e-8):
     cutoff of tol.
     """
     n = p.n_outcomes
-    ratios = np.zeros(n)
-    rank_violations = []
-    for b in range(n):
-        vals = np.abs(np.linalg.eigvalsh((p.elements[b] + dagger(p.elements[b])) / 2))
-        top = vals[-1]
-        second = vals[-2] if len(vals) > 1 else 0.0
-        ratios[b] = second / top if top > 0 else np.inf
-        if not ratios[b] <= tol:
-            rank_violations.append(b)
+    vals = np.abs(np.linalg.eigvalsh(_hermitian_parts(p.elements)))
+    top = vals[:, -1]
+    second = vals[:, -2] if p.dim > 1 else np.zeros(n)
+    ratios = np.full(n, np.inf)
+    np.divide(second, top, out=ratios, where=top > 0)
+    rank_violations = [b for b in range(n) if not ratios[b] <= tol]
     flat = p.elements.reshape(n, -1)
     gram = np.einsum("bi,ci->bc", flat, np.conj(flat)).real  # Tr[I_b I_c]
     sv = np.linalg.svd(gram, compute_uv=False)

@@ -3,17 +3,19 @@
 A complex array is written as nested lists whose innermost level is an
 [re, im] pair, so files stay language-neutral and diffable. One function
 pair knows that format: array_to_json writes it, and array_from_json
-reads it with one shape and finiteness check for the whole array. The
-loaders then rebuild the validated dataclasses, re-running their
-invariant checks. The loaders take parsed JSON values, not text. The
-command line parses files with orjson, which refuses NaN and Infinity
-literals and numbers that overflow a double; the finiteness check still
-guards values built in Python. A malformed value raises DomainError (or
-the error of the dataclass it fails to build), never a bare Python
-exception.
+reads it. Every array of numbers, complex or real, is read by one strict
+walk of the parsed value (_numbers): each level must be JSON arrays of
+one length, and each leaf a JSON number; a boolean, null, text or an
+object is refused, never read as 0.0 or 1.0. The loaders then rebuild
+the validated dataclasses, re-running their invariant checks. The
+loaders take parsed JSON values, not text. A malformed value raises
+DomainError (or the error of the dataclass it fails to build), never a
+bare Python exception.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -29,29 +31,43 @@ def array_to_json(a) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
+def _numbers(data, depth: int, what: str) -> np.ndarray:
+    """The float64 array of `depth` levels of nested JSON arrays of numbers.
+
+    Each level must be lists all of one length, and each leaf a finite int
+    or float; Python's bool is an int, but true is not a number.
+    """
+    level, shape = [data], []
+    for _ in range(depth):
+        if set(map(type, level)) - {list} or len(set(map(len, level))) > 1:
+            raise DomainError(f"{what}: not a rectangular JSON array of depth {depth}")
+        shape.append(len(level[0]) if level else 0)
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) - {float, int}:
+        raise DomainError(f"{what}: an entry is not a JSON number")
+    try:
+        a = np.array(level, dtype=np.float64).reshape(shape)
+        if np.all(np.isfinite(a)):
+            return a
+    except OverflowError:  # a Python int beyond the largest double
+        pass
+    raise DomainError(f"{what}: non-finite entries")
+
+
+def real_vector_from_json(data, what: str = "array") -> np.ndarray:
+    """The float64 vector of a JSON array of numbers, read by _numbers."""
+    return _numbers(data, 1, what)
+
+
 def array_from_json(data, ndim: int, what: str = "array") -> np.ndarray:
     """The complex128 array with `ndim` axes written by array_to_json.
 
-    The float pairs are read into one numeric array, cast to float64 and
-    viewed as complex, so every entry is bit-exact. Ragged or non-numeric
-    data (text, null, objects, or an array of booleans only), a shape other
-    than (..., 2) with ndim leading axes, and non-finite entries raise
-    DomainError naming `what`. A boolean mixed in among numbers is still
-    upcast by numpy, to 0.0 or 1.0.
+    _numbers reads the [re, im] pairs, viewed as complex, so every entry is
+    bit-exact; any other shape raises DomainError naming `what`.
     """
-    try:
-        a = np.asarray(data)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what}: not a rectangular array of [re, im] numbers") from None
-    if a.dtype.kind not in "iuf":
-        raise DomainError(f"{what}: not an array of [re, im] numbers")
-    a = a.astype(np.float64, copy=False)
-    if a.ndim != ndim + 1 or a.shape[-1] != 2:
-        raise DomainError(
-            f"{what}: expected {ndim} axes of [re, im] pairs, got shape {a.shape}"
-        )
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{what}: non-finite entries")
+    a = _numbers(data, ndim + 1, what)
+    if a.shape[-1] != 2:
+        raise DomainError(f"{what}: expected {ndim} axes of [re, im] pairs, got shape {a.shape}")
     return a.view(np.complex128)[..., 0]
 
 

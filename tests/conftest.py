@@ -4,6 +4,8 @@ Everything here is deterministic given an explicit rng or seed; tests that
 need fresh randomness construct their own ``np.random.default_rng(seed)``.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -154,3 +156,13 @@ def perturb(node, data, depth, leaves):
         out[key] = perturb(node[key], data, depth - 1, leaves)
         return out
     return _edit(node, data, leaves)
+
+
+def set_at(blob, path, value):
+    """A deep copy of blob with the entry at path replaced by value."""
+    out = copy.deepcopy(blob)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out

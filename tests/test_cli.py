@@ -1,7 +1,6 @@
 """End-to-end command line checks, via subprocess or cli.main in process."""
 
 import argparse
-import copy
 import gc
 import json
 import os
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 import steercert as sc
 import steercert.cli as cli
-from conftest import perturb
+from conftest import perturb, set_at
 from steercert.serialize import array_to_json, realization_to_json
 
 
@@ -204,16 +203,6 @@ def test_certify_one_bob_observable_is_usage_error(tmp_path):
     assert r.stdout == "" and "Traceback" not in r.stderr
 
 
-def _set(blob, path, value):
-    """A deep copy of blob with the entry at path replaced by value."""
-    out = copy.deepcopy(blob)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return out
-
-
 def _realization_blob():
     sv = sc.maximally_entangled(2)
     blob = realization_to_json(sc.ideal_realization(sv))
@@ -229,35 +218,39 @@ def _povm_blob(tmp_path):
 
 
 _BAD_REALIZATIONS = {
-    "null_amplitude": lambda b: _set(b, ("state", "amplitudes", 0), [None, 0.0]),
+    "null_amplitude": lambda b: set_at(b, ("state", "amplitudes", 0), [None, 0.0]),
     "no_state": lambda b: {k: v for k, v in b.items() if k != "state"},
-    "ragged_bob_operator": lambda b: _set(
+    "ragged_bob_operator": lambda b: set_at(
         b, ("bob_observables", 0, "operators", 1),
         b["bob_observables"][0]["operators"][1][:-1],
     ),
     "top_level_list": lambda b: [b],
-    "text_factor_dims": lambda b: _set(b, ("state", "factor_dims"), ["x", 2]),
-    "text_alpha": lambda b: _set(b, ("alpha",), ["x", 1]),
+    "text_factor_dims": lambda b: set_at(b, ("state", "factor_dims"), ["x", 2]),
+    "text_alpha": lambda b: set_at(b, ("alpha",), ["x", 1]),
     "not_utf8": lambda b: b"\xff\xfe{}",
     "deep_nesting": lambda b: b"[" * 5000 + b"]" * 5000,
-    "bool_alpha": lambda b: _set(b, ("alpha",), [True, 1e-300]),
+    "bool_alpha": lambda b: set_at(b, ("alpha",), [True, 1e-300]),
+    # Read as 1.0, this is the unit product state |00>: a failed check.
+    "true_amplitude": lambda b: set_at(b, ("state", "amplitudes"),
+                                       [[True, 0.0]] + [[0.0, 0.0]] * 3),
     # json.dumps writes NaN and Infinity literals, which strict JSON lacks.
-    "nan_literal": lambda b: _set(b, ("state", "amplitudes", 0), [float("nan"), 0.0]),
-    "infinity_literal": lambda b: _set(b, ("alice_observables", 0, 0, 0),
-                                       [float("inf"), 0.0]),
+    "nan_literal": lambda b: set_at(b, ("state", "amplitudes", 0), [float("nan"), 0.0]),
+    "infinity_literal": lambda b: set_at(b, ("alice_observables", 0, 0, 0),
+                                         [float("inf"), 0.0]),
 }
 _BAD_POVMS = {
-    "ragged": lambda p: _set(p, ("elements", 1), p["elements"][1][:-1]),
-    "null_entry": lambda p: _set(p, ("elements", 0, 0, 0), [None, 0.0]),
+    "ragged": lambda p: set_at(p, ("elements", 1), p["elements"][1][:-1]),
+    "null_entry": lambda p: set_at(p, ("elements", 0, 0, 0), [None, 0.0]),
     "number": lambda p: 5,
-    "text_entry": lambda p: _set(p, ("elements", 0, 0, 0),
-                                 [str(p["elements"][0][0][0][0]), 0.0]),
-    # A lone boolean among numbers is upcast by numpy, so every entry is one.
-    "bool_entry": lambda p: _set(p, ("elements",),
-                                 np.asarray(p["elements"]).astype(bool).tolist()),
+    "text_entry": lambda p: set_at(p, ("elements", 0, 0, 0),
+                                   [str(p["elements"][0][0][0][0]), 0.0]),
+    "bool_entry": lambda p: set_at(p, ("elements",),
+                                   np.asarray(p["elements"]).astype(bool).tolist()),
+    # Read as 0.0, this is the entry's own value, and the POVM passes.
+    "lone_false": lambda p: set_at(p, ("elements", 0, 0, 1), [False, 0.0]),
     "no_elements_key": lambda p: {"nope": 1},
-    "nan_literal": lambda p: _set(p, ("elements", 0, 0, 0), [float("nan"), 0.0]),
-    "infinity_literal": lambda p: _set(p, ("elements", 1, 0, 0), [0.0, -float("inf")]),
+    "nan_literal": lambda p: set_at(p, ("elements", 0, 0, 0), [float("nan"), 0.0]),
+    "infinity_literal": lambda p: set_at(p, ("elements", 1, 0, 0), [0.0, -float("inf")]),
     # Past int()'s 4300-digit limit, and past the largest double.
     "overlong_integer": lambda p: b"[" + b"1" * 5000 + b"]",
 }
@@ -433,7 +426,19 @@ def test_deeply_nested_flag_is_usage_error(capsys):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith("malformed JSON array (nested too deep)\n")
+        assert captured.err.endswith("malformed JSON (nested deeper than 64)\n")
+
+
+@pytest.mark.parametrize("text", ["[NaN, 0.5]", "[0.6, \udcff]", "[0.6, \ud800]"])
+@pytest.mark.parametrize("argv", [["bounds", "--d", "2", "--alpha"],
+                                  ["povm", "build", "--kind", "covariant", "--d", "2",
+                                   "--fiducial"]])
+def test_flag_is_strict_json(capsys, argv, text):
+    # A lone surrogate is how Python decodes a byte of argv that is not UTF-8.
+    assert cli.main(argv + [text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("steercert: error: ") and "malformed JSON" in captured.err
 
 
 def test_options_a_subcommand_does_not_take_are_usage_errors():

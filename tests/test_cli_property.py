@@ -6,8 +6,9 @@ missing key) and runs it through cli.main in process. Whatever the file,
 nothing may escape cli.main, every exit code must be a documented one,
 a report must be strict JSON, a `certified` verdict must come with
 finite residuals inside the tolerance, and no entropy may be reported
-for a POVM file that fails `povm check`. The search is derandomized, so
-the examples are the same on every run.
+for a POVM file that fails `povm check`. A file with one number written
+as true or false must exit 2. The search is derandomized, so the
+examples are the same on every run.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import steercert as sc
 import steercert.cli as cli
-from conftest import perturb
+from conftest import perturb, set_at
 from steercert.serialize import array_to_json, realization_to_json
 
 TOL = 1e-7
@@ -115,3 +116,29 @@ def test_perturbed_povm_file_fails_closed(tmp_path_factory, data):
     _check_exit(*entropy)
     if checked[0] != 0:
         assert "min_entropy_bits" not in entropy[1], entropy
+
+
+def _number_paths(node, path=()):
+    """The path of every JSON number in node."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for k, v in items for p in _number_paths(v, path + (k,))]
+    return [path] if type(node) in (int, float) else []
+
+
+@PROPERTY
+@given(data=st.data())
+def test_boolean_in_place_of_a_number_is_usage_error(tmp_path_factory, data):
+    blob = data.draw(st.sampled_from(REALIZATIONS + POVMS))
+    where = data.draw(st.sampled_from(_number_paths(blob)))
+    path = tmp_path_factory.mktemp("boolean") / "f.json"
+    path.write_text(json.dumps(set_at(blob, where, data.draw(st.booleans()))))
+    if isinstance(blob, dict) and "state" in blob:
+        argvs = [["certify", "--realization", str(path)]]
+    else:
+        argvs = [["povm", "check", "--povm", str(path)],
+                 ["randomness", "--d", "3", "--povm", str(path)]]
+    for argv in argvs:
+        code, out, err = _run(argv)
+        assert code == 2 and out == "", (where, argv, code, err)
+        assert err.startswith("steercert: error: ") and "Traceback" not in err

@@ -9,6 +9,7 @@ import steercert as sc
 from steercert.serialize import (
     array_from_json,
     array_to_json,
+    real_vector_from_json,
     realization_from_json,
     realization_to_json,
 )
@@ -54,7 +55,24 @@ def test_realization_round_trip_is_bit_exact():
     (5, 2),                            # scalar
     ([["0.5", 0.0]], 1),               # a number written as text
     ([[True, False]], 1),              # booleans only
+    ([[True, 0.0]], 1),                # a boolean among numbers
+    ([[0.5, False]], 1),
+    ([[0.5, [0.0]]], 1),               # a list where a number belongs
+    ([[2**1024, 0.0]], 1),             # an int beyond the largest double
 ])
 def test_decoder_rejects_malformed_data(data, ndim):
     with pytest.raises(sc.DomainError):
         array_from_json(data, ndim)
+
+
+@pytest.mark.parametrize("data", [[True, 0.5], [0.5, [0.5]], [[0.5]], 0.5, ["0.5"],
+                                  [2**1024], [float("nan")]])
+def test_real_reader_rejects_malformed_data(data):
+    with pytest.raises(sc.DomainError):
+        real_vector_from_json(data)
+
+
+def test_real_reader_reads_ints_and_floats_exactly():
+    got = real_vector_from_json([1, 2**53 + 1, 5e-324, -0.0])
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([1.0, float(2**53 + 1), 5e-324, -0.0]).tobytes()
