@@ -19,8 +19,15 @@ flags, goes through one parser, _load_json: orjson, imported only by the
 subcommands that read JSON. Input must be strict JSON: a NaN or Infinity
 literal is malformed, and so is nesting deeper than _MAX_DEPTH, which is
 refused before orjson sees it. The numbers in it are read by the one
-strict walk of serialize, which refuses a boolean among them. Reports are
-written by the standard json module.
+strict walk of serialize, which refuses a boolean among them.
+
+Reports are written by _dumps, whose bytes are exactly those of
+json.dumps(report, sort_keys=True, separators=(",", ": "), indent=2,
+allow_nan=False): it calls the same string escaper and int and float
+reprs. json.dumps with an indent runs the pure-Python encoder, one
+generator step per bracket, comma and number; _dumps instead formats a
+rectangular array of numbers one nesting level at a time. A NaN or an
+infinity in a report is a DomainError, and nothing is written.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 In process, main returns those codes; argparse usage errors and --version
@@ -34,9 +41,11 @@ import argparse
 import functools
 import gc
 import json
+import math
 import numbers
 import re
 import sys
+from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -271,9 +280,9 @@ def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
 _MAX_DEPTH = 64
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 _NOT_STRUCTURAL = bytes(b for b in range(256) if b not in b'"[]{}')
+_SQUARE = bytes.maketrans(b"{}", b"[]")
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
-_DEPTH_STEP[list(b"[{")] = 1
-_DEPTH_STEP[list(b"]}")] = -1
+_DEPTH_STEP[ord("[")], _DEPTH_STEP[ord("]")] = 1, -1
 
 
 def _json_depth(raw: bytes) -> int:
@@ -287,11 +296,18 @@ def _json_depth(raw: bytes) -> int:
     """
     if b"\\" in raw:
         raw = _ESCAPE.sub(b"", raw)
-    marks = np.frombuffer(raw.translate(None, _NOT_STRUCTURAL), dtype=np.uint8)
-    quote = marks == ord('"')
-    step = _DEPTH_STEP[marks]
-    step[np.bitwise_xor.accumulate(quote) | quote] = 0
-    return int(np.cumsum(step, dtype=np.int64).max(initial=0))
+    # Quotes alternate opening and closing, so the even pieces lie outside strings.
+    brackets = b"".join(raw.translate(_SQUARE, _NOT_STRUCTURAL).split(b'"')[::2])
+    if brackets.count(b"[") > _MAX_DEPTH:
+        step = _DEPTH_STEP[np.frombuffer(brackets, dtype=np.uint8)]
+        return int(np.cumsum(step, dtype=np.int64).max(initial=0))
+    # So few openers are walked in Python, and a flag never reaches numpy.
+    runs = brackets.split(b"[")  # every run after the first follows an opener
+    depth, deepest = -len(runs[0]), 0
+    for closers in runs[1:]:
+        deepest = max(deepest, depth + 1)
+        depth += 1 - len(closers)
+    return deepest
 
 
 def _load_json(raw: bytes, what: str):
@@ -302,8 +318,7 @@ def _load_json(raw: bytes, what: str):
     """
     import orjson  # only the subcommands that read JSON need it
 
-    # Depth is at most the count of opening brackets, so a flag skips the scan.
-    if raw.count(b"[") + raw.count(b"{") > _MAX_DEPTH and _json_depth(raw) > _MAX_DEPTH:
+    if _json_depth(raw) > _MAX_DEPTH:
         raise UsageError(f"{what}: malformed JSON (nested deeper than {_MAX_DEPTH})")
     enabled = gc.isenabled()
     gc.disable()
@@ -566,9 +581,12 @@ def _compile(schema: dict):
             all(k in v for k in req) and all(p(v[k]) for k, p in props if k in v)))
     if schema.keys() & {"items", "minItems", "maxItems"}:
         item = _compile(schema.get("items", {}))
+        every = lambda v: all(map(item, v))
+        if schema.get("items") == {"type": "number"}:
+            # Exact floats and ints are numbers: a sufficient test, tried first.
+            every = lambda v: set(map(type, v)) <= {float, int} or all(map(item, v))
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
-        checks.append(lambda v: not isinstance(v, list) or (
-            lo <= len(v) <= hi and all(map(item, v))))
+        checks.append(lambda v: not isinstance(v, list) or (lo <= len(v) <= hi and every(v)))
     return functools.reduce(_both, checks) if checks else (lambda v: True)
 
 
@@ -576,6 +594,76 @@ def _compile(schema: dict):
 def _predicate(key: str):
     """SCHEMAS[key] compiled once into a predicate that agrees with _validator."""
     return _compile(SCHEMAS[key])
+
+
+def _number(x) -> str:
+    """A JSON number as the json module writes it; NaN and inf raise ValueError."""
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _grid(value, newline: str) -> str | None:
+    """_dumps(value, newline) when value is a nonempty rectangular nest of
+    lists whose leaves are all exact ints and floats; otherwise None.
+
+    The nest is flattened one level at a time, the leaves are formatted by
+    one map, and each level's rows by one %-template, innermost level first.
+    """
+    level, shape = value, [len(value)]
+    kinds = set(map(type, level))
+    while kinds == {list}:
+        if len(set(map(len, level))) > 1 or not level[0]:
+            return None
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+    if not kinds <= {float, int}:
+        return None
+    if kinds == {float} and math.isfinite(sum(level)):  # then no leaf is NaN or inf
+        strs = list(map(float.__repr__, level))
+    else:
+        strs = list(map(_number, level))
+    del level
+    for depth in reversed(range(len(shape))):
+        n, outer = shape[depth], newline + "  " * depth
+        inner = outer + "  "
+        row = "[" + inner + ("%s," + inner) * (n - 1) + "%s" + outer + "]"
+        strs = list(map(row.__mod__, zip(*[iter(strs)] * n)))
+    return strs[0]
+
+
+def _dumps(value, newline: str) -> str:
+    """value as json.dumps(value, sort_keys=True, separators=(",", ": "),
+    indent=2, allow_nan=False) writes it, byte for byte.
+
+    Dict keys must be str. newline is a line break plus the indent of the
+    line that value starts on. A NaN or an infinity raises ValueError, and
+    a value that is not JSON raises TypeError, as in json.dumps.
+    """
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return _number(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        fields = (json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+                  for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return _grid(value, newline) or (
+            "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(config: argparse.Namespace, report: dict) -> str:
@@ -596,9 +684,7 @@ def _render(config: argparse.Namespace, report: dict) -> str:
             lines.append(f"{row['theta']!r},{row['beta_l']!r},{row['gap']!r}")
         return "\n".join(lines) + "\n"
     try:
-        text = json.dumps(
-            report, sort_keys=True, separators=(",", ": "), indent=2, allow_nan=False
-        )
+        text = _dumps(report, "\n")
     except ValueError as e:
         raise DomainError(f"report is not strict JSON: {e}") from None
     return text + "\n"

@@ -185,7 +185,7 @@ def is_extremal_rank_one(p: Povm, tol: float = 1e-8):
     np.divide(second, top, out=ratios, where=top > 0)
     rank_violations = [b for b in range(n) if not ratios[b] <= tol]
     flat = p.elements.reshape(n, -1)
-    gram = np.einsum("bi,ci->bc", flat, np.conj(flat)).real  # Tr[I_b I_c]
+    gram = (flat @ flat.conj().T).real  # Tr[I_b I_c]
     sv = np.linalg.svd(gram, compute_uv=False)
     rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
     diagnostics = {

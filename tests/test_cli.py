@@ -696,16 +696,88 @@ def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
         {"type": ["boolean", "null"]},
         {"enum": [1, "a", None, False]},
         {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
+        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         {"type": "object", "required": ["a"], "properties": {"a": {"enum": ["x"]}}},
     ]
     values = [True, False, 0, 1, 1.0, 1.5, np.float64(3.0), np.int64(1), np.bool_(True),
               "a", "1", None, [], [1], [1.0, 2], [1, 2, 3], [True], {"a": "x"},
-              {"a": 1}, {"b": "x"}, float("nan")]
+              {"a": 1}, {"b": "x"}, float("nan"), [1.0, True], [np.float64(0.5), 1],
+              [np.float64(0.5), True], [float("nan"), 0.0], [[0.0], 1.0], [0.0, [1.0, 2.0]]]
     for schema in schemas:
         pred = cli._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
         for v in values:
             assert pred(v) == reference.is_valid(v), (schema, v)
+
+
+def _stdlib_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=2, allow_nan=False)
+
+
+def _nest(flat: list, shape: list) -> list:
+    """flat as nested lists of the given shape, row-major."""
+    for n in reversed(shape[1:]):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat
+
+
+_WRITER_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([5e-324, -0.0, 1e16, 1e-05, 0.1, 1e300, -2.5e-310]))
+_WRITER_NUMBERS = _WRITER_FLOATS | st.integers() | st.integers(2**63, 10**40)
+_WRITER_TEXT = st.text() | st.sampled_from(["\ud800", "a\udcff\u00e9", 'q"\\\n\x7f\u20ac'])
+
+
+@st.composite
+def _grids(draw):
+    """Rectangular nests of numbers, some with a bool or an np.float64 among them."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    leaves = draw(st.sampled_from([
+        _WRITER_FLOATS, st.integers(), _WRITER_NUMBERS,
+        _WRITER_NUMBERS | st.sampled_from([True, False, np.float64(-0.0), np.float64(2.5)]),
+    ]))
+    size = int(np.prod(shape))
+    return _nest(draw(st.lists(leaves, min_size=size, max_size=size)), shape)
+
+
+_WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | _WRITER_NUMBERS | _WRITER_TEXT | _grids(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_WRITER_TEXT, kids, max_size=4)),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(value=_WRITER_VALUES)
+def test_writer_writes_what_the_json_module_writes(value):
+    assert cli._dumps(value, "\n") == _stdlib_dumps(value)
+
+
+def _json_config(key: str) -> argparse.Namespace:
+    """The least namespace _render needs to write a JSON report for schema key."""
+    sub, _, action = key.partition("-")
+    return argparse.Namespace(subcommand=sub, povm_action=action, format="json")
+
+
+def test_every_report_renders_as_the_json_module_writes_it(real_reports):
+    for key, report in real_reports:
+        assert cli._render(_json_config(key), report) == _stdlib_dumps(report) + "\n", key
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "np.nan"])
+@pytest.mark.parametrize("key,path", [
+    ("bounds", ["gamma"]),
+    ("bounds", ["alpha", 0]),
+    ("bounds", ["delta", 1, 0]),
+    ("povm-build", ["elements", 0, 1, 1, 0]),
+    ("povm-build", ["validation", "hermiticity", 2]),
+    ("sweep", ["rows", 1, "gap"]),
+])
+def test_non_finite_report_is_a_domain_error(real_reports, bad, key, path):
+    report = set_at(dict(real_reports)[key], path, bad)
+    with pytest.raises(sc.DomainError, match="report is not strict JSON"):
+        cli._render(_json_config(key), report)
 
 
 @pytest.mark.parametrize("schema", [
