@@ -11,6 +11,7 @@ such dressed observables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,29 +41,51 @@ class BellFunctional3:
             raise DomainError("bound must equal 6*sqrt(3)*cos(pi/9)")
 
 
+def _bell_scalars(lam1) -> np.ndarray:
+    """lambda_k omega^{kxy} as a (3, 3, 2) array indexed by (x, y, k - 1).
+
+    Each is one numpy scalar product, lam1 * w ** (x y) or
+    conj(lam1) * w ** (2 x y), as the reference sum of np.kron terms forms
+    it, so lambda_2 = conj(lambda_1).
+    """
+    w = omega(3)
+    lam2 = np.conj(lam1)
+    return np.array([[(lam1 * w ** (x * y), lam2 * w ** (2 * x * y)) for y in range(3)]
+                     for x in range(3)])
+
+
+def _bell_sum(alice_pairs, bob_pairs, scalars) -> np.ndarray:
+    """sum_xyk scalars[x, y, k] A_x^{k+1} (x) B_y^{k+1} as one matrix.
+
+    alice_pairs holds the pairs (A_x, A_x^2) and bob_pairs (B_y, B_y^2).
+    One broadcast product forms all 18 terms, each laid out as
+    np.multiply.outer(A, B), with indices (i, i', j, j'). One product
+    scales them, and one reduction sums them in (x, y, k) order, starting
+    from 0.0. A last transpose puts the sum in np.kron's (i, j, i', j')
+    order. Each step rounds as the sum of np.kron terms added into a zero
+    matrix does, term by term and in the same order, so the two agree bit
+    for bit. numpy's complex multiply is not bitwise commutative (its SIMD
+    kernels use fused multiply-adds), so the operands keep that sum's
+    order: A before B, the scalar before the product. The 18 terms are
+    held at once, 18 times the operator's memory.
+    """
+    a, b = np.array(alice_pairs), np.array(bob_pairs)
+    da, db = a.shape[-1], b.shape[-1]
+    terms = a.reshape(3, 1, 2, da * da, 1) * b.reshape(1, 3, 2, 1, db * db)
+    np.multiply(scalars[:, :, :, None, None], terms, out=terms)
+    op = np.add.reduce(terms.reshape(18, da, da, db, db), axis=0, initial=0.0)
+    return op.transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
 def _bell_operator(alice, bob_pairs, lam1) -> np.ndarray:
     """sum_xy sum_k lambda_k omega^{kxy} A_x^k (x) B_y^k as one matrix.
 
     alice holds A_0, A_1, A_2 and bob_pairs the pairs (B_y, B_y^2); k runs
-    over 1, 2 with lambda_2 = conj(lambda_1). The 18 terms are added into a
-    zero matrix one at a time in (x, y, k) order, each the scalar
-    lambda_k omega^{kxy} times the broadcast outer product that np.kron
-    forms, so the result equals the np.kron sum bit for bit while holding
-    no more than three operators at once.
+    over 1, 2 with lambda_2 = conj(lambda_1). The scalars come from
+    _bell_scalars and the sum from _bell_sum, so the result equals the
+    np.kron sum, added into a zero matrix in (x, y, k) order, bit for bit.
     """
-    w = omega(3)
-    da = alice[0].shape[0]
-    db = bob_pairs[0][0].shape[0]
-    op = np.zeros((da, db, da, db), dtype=np.complex128)
-    bobs = [(b1[None, :, None, :], b2[None, :, None, :]) for b1, b2 in bob_pairs]
-    for x in range(3):
-        a1 = alice[x][:, None, :, None]
-        a2 = (alice[x] @ alice[x])[:, None, :, None]
-        for y in range(3):
-            b1, b2 = bobs[y]
-            op += lam1 * w ** (x * y) * (a1 * b1)
-            op += np.conj(lam1) * w ** (2 * x * y) * (a2 * b2)
-    return op.reshape(da * db, da * db)
+    return _bell_sum([(a, a @ a) for a in alice], bob_pairs, _bell_scalars(lam1))
 
 
 def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
@@ -87,11 +110,45 @@ def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
     return float(val.real)
 
 
+def _no_sort(_):
+    return None
+
+
+@functools.cache
+def _gees(n: int):
+    """LAPACK zgees and the lwork that scipy.linalg.schur queries for order n.
+
+    The query's answer depends on n alone, so one query per size serves
+    every later call.
+    """
+    from scipy.linalg import get_lapack_funcs  # only the see-saw needs it; kept off the CLI import
+
+    gees = get_lapack_funcs("gees", dtype=np.complex128)
+    work = gees(_no_sort, np.zeros((n, n), dtype=np.complex128), lwork=-1)[-2]
+    return gees, int(work[0].real)
+
+
+def _schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (t, q) of a square matrix, u = q t q^dagger.
+
+    LAPACK zgees is called as scipy.linalg.schur(u, output="complex")
+    calls it (same lwork, no sorting, u left unchanged), so the bits are
+    schur's, without its per-call wrapper. As in schur, a non-finite entry
+    raises ValueError, and a failed decomposition raises LinAlgError.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    if not np.isfinite(u).all():
+        raise ValueError("array must not contain infs or NaNs")
+    gees, lwork = _gees(u.shape[0])
+    t, _, _, q, _, info = gees(_no_sort, u, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
+    return t, q
+
+
 def _project_order3(u: np.ndarray) -> np.ndarray:
     """Nearest unitary whose spectrum sits on the cube roots of unity."""
-    import scipy.linalg  # only the see-saw needs it; kept off the CLI import
-
-    t, q = scipy.linalg.schur(u, output="complex")
+    t, q = _schur(u)
     ks = np.round(np.angle(np.diag(t)) * 3.0 / (2.0 * np.pi)).astype(int) % 3
     return (q * omega(3) ** ks) @ dagger(q)
 
@@ -109,8 +166,8 @@ def _polar_rounded(m: np.ndarray) -> np.ndarray:
     return _project_order3(dagger(vh) @ dagger(u))
 
 
-def _plain_value(psi, alice, bob_pairs, lam1) -> float:
-    op = _bell_operator(alice, bob_pairs, lam1)
+def _plain_value(psi, alice_pairs, bob_pairs, scalars) -> float:
+    op = _bell_sum(alice_pairs, bob_pairs, scalars)
     return float(np.real(np.conj(psi) @ op @ psi))
 
 
@@ -120,16 +177,17 @@ def _seesaw_single(ss, iters: int, lam1):
     State update is exact; observable updates propose the polar factor
     of the linear coefficient matrix rounded to an order-3 spectrum and
     are accepted only when they do not decrease the value, so the
-    per-sweep history is monotone by construction."""
+    per-sweep history is monotone by construction. Each observable is
+    held with its square, and the Bell scalars are formed once."""
     rng = np.random.default_rng(ss)
     w = omega(3)
-    alice = [_random_order3(rng) for _ in range(3)]
-    bobs = [_random_order3(rng) for _ in range(3)]
-    bob_pairs = [(b, b @ b) for b in bobs]
+    scalars = _bell_scalars(lam1)
+    alice_pairs = [(a, a @ a) for a in (_random_order3(rng) for _ in range(3))]
+    bob_pairs = [(b, b @ b) for b in (_random_order3(rng) for _ in range(3))]
     cur = -np.inf
     history: list[float] = []
     for _ in range(iters):
-        vals, vecs = np.linalg.eigh(_bell_operator(alice, bob_pairs, lam1))
+        vals, vecs = np.linalg.eigh(_bell_sum(alice_pairs, bob_pairs, scalars))
         psi = vecs[:, -1]
         cur = float(vals[-1])
         p = psi.reshape(3, 3)
@@ -138,23 +196,25 @@ def _seesaw_single(ss, iters: int, lam1):
         ks = [p @ b.T @ np.conj(p).T for b, _ in bob_pairs]
         for x in range(3):
             m = lam1 * sum(w ** (x * y) * ks[y] for y in range(3))
-            trial = alice.copy()
-            trial[x] = _polar_rounded(m)
-            v = _plain_value(psi, trial, bob_pairs, lam1)
+            a = _polar_rounded(m)
+            trial = alice_pairs.copy()
+            trial[x] = (a, a @ a)
+            v = _plain_value(psi, trial, bob_pairs, scalars)
             if v >= cur:
-                alice, cur = trial, v
-        ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a in alice]
+                alice_pairs, cur = trial, v
+        ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a, _ in alice_pairs]
         for y in range(3):
             n = lam1 * sum(w ** (x * y) * ls[x] for x in range(3))
             b = _polar_rounded(n)
             trial = bob_pairs.copy()
             trial[y] = (b, b @ b)
-            v = _plain_value(psi, alice, trial, lam1)
+            v = _plain_value(psi, alice_pairs, trial, scalars)
             if v >= cur:
                 bob_pairs, cur = trial, v
         history.append(cur)
         if len(history) > 5 and history[-1] - history[-6] < 1e-15:
             break
+    alice = [a for a, _ in alice_pairs]
     bobs = [b for b, _ in bob_pairs]
     return cur, psi, alice, bobs, history
 

@@ -377,9 +377,19 @@ def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     return (0 if rep.certified else 1), report
 
 
-def _povm_reports(p: Povm, tol: float) -> tuple[dict, dict, bool]:
+def _povm_reports(p: Povm, tol: float, extremal: bool = False) -> tuple[dict, dict, bool]:
+    """p's validation and extremality reports, and whether both pass.
+
+    extremal=True says that p has already passed is_extremal_rank_one, as
+    every POVM that covariant_povm returns has. A pass fixes the Gram rank
+    at n_outcomes, so the test is not run again.
+    """
     v = validate_povm(p, tol)
-    ok, info = is_extremal_rank_one(p)
+    if extremal:
+        ok, rank = True, p.n_outcomes
+    else:
+        ok, info = is_extremal_rank_one(p)
+        rank = info["gram_rank"]
     validation = {
         "hermiticity": [float(x) for x in v.hermiticity],
         "min_eigenvalues": [float(x) for x in v.min_eigenvalues],
@@ -389,8 +399,8 @@ def _povm_reports(p: Povm, tol: float) -> tuple[dict, dict, bool]:
     }
     extremality = {
         "extremal": bool(ok),
-        "gram_rank": int(info["gram_rank"]),
-        "expected_rank": int(info["expected_rank"]),
+        "gram_rank": rank,
+        "expected_rank": p.n_outcomes,
     }
     return validation, extremality, bool(v.passed and ok)
 
@@ -407,7 +417,8 @@ def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
             else:
                 nu = _seeded_fiducial(config)
             p = covariant_povm(d, nu)
-        validation, extremality, passed = _povm_reports(p, config.tolerance)
+        validation, extremality, passed = _povm_reports(
+            p, config.tolerance, extremal=config.kind == "covariant")
         report = {
             "kind": config.kind,
             "d": d,
@@ -551,6 +562,17 @@ def _either(first, second):
     return lambda v: first(v) or second(v)
 
 
+def _number_pairs(v: list) -> bool:
+    """True when every item of v is a list of two exact floats or ints.
+
+    A sufficient test for items of _COMPLEX that scans one level at a
+    time: item types, item lengths, then the leaf types. It is false for
+    an empty v, and a list it rejects goes to the per-item predicate.
+    """
+    return (set(map(type, v)) == {list} and set(map(len, v)) == {2}
+            and set(map(type, chain.from_iterable(v))) <= {float, int})
+
+
 _KEYWORDS = {"type", "enum", "required", "properties", "items", "minItems", "maxItems"}
 
 
@@ -585,6 +607,8 @@ def _compile(schema: dict):
         if schema.get("items") == {"type": "number"}:
             # Exact floats and ints are numbers: a sufficient test, tried first.
             every = lambda v: set(map(type, v)) <= {float, int} or all(map(item, v))
+        elif schema.get("items") == _COMPLEX:
+            every = lambda v: _number_pairs(v) or all(map(item, v))
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
         checks.append(lambda v: not isinstance(v, list) or (lo <= len(v) <= hi and every(v)))
     return functools.reduce(_both, checks) if checks else (lambda v: True)

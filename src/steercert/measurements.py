@@ -10,6 +10,7 @@ arithmetic is mod d.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ class Povm:
     The container itself only fixes shapes and finite entries; library
     builders return elements that satisfy hermiticity, positivity within
     -1e-9 and completeness within 1e-9, and untrusted input is meant to go
-    through povm.validate_povm, which reports instead of raising.
+    through povm.validate_povm, which reports instead of raising. elements
+    is a read-only view of the array given.
     """
 
     elements: np.ndarray
@@ -96,6 +98,8 @@ class Povm:
             raise SizeError("a POVM needs at least one element")
         if not np.all(np.isfinite(a)):
             raise DomainError("POVM elements have non-finite entries")
+        a = a.view()
+        a.flags.writeable = False
         object.__setattr__(self, "elements", a)
 
     @property
@@ -105,6 +109,19 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
+
+    @functools.cached_property
+    def hermitian_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of every element's Hermitian part (E + E^dagger)/2.
+
+        Computed on first use and kept, read-only, so povm.validate_povm
+        and povm.is_extremal_rank_one share one eigvalsh. elements is a
+        read-only view, so the kept value cannot go stale through it.
+        """
+        e = self.elements
+        vals = np.linalg.eigvalsh((e + np.conj(e).transpose(0, 2, 1)) / 2)
+        vals.flags.writeable = False
+        return vals
 
 
 @dataclass(frozen=True)

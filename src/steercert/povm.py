@@ -147,16 +147,11 @@ class PovmValidationReport:
     passed: bool
 
 
-def _hermitian_parts(elements: np.ndarray) -> np.ndarray:
-    """(E + E^dagger) / 2 of every element of a stack."""
-    return (elements + np.conj(elements).transpose(0, 2, 1)) / 2
-
-
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmValidationReport:
     """Report hermiticity, positivity within -tol and completeness within tol; NaN fails."""
     # Per element: a norm over the whole stack differs in the last bit.
     herm = np.array([np.linalg.norm(e - dagger(e)) for e in p.elements])
-    mins = np.linalg.eigvalsh(_hermitian_parts(p.elements))[:, 0]
+    mins = p.hermitian_eigenvalues[:, 0]
     failures = []
     for b in range(p.n_outcomes):
         if not herm[b] <= tol:
@@ -178,7 +173,7 @@ def is_extremal_rank_one(p: Povm, tol: float = 1e-8):
     cutoff of tol.
     """
     n = p.n_outcomes
-    vals = np.abs(np.linalg.eigvalsh(_hermitian_parts(p.elements)))
+    vals = np.abs(p.hermitian_eigenvalues)
     top = vals[:, -1]
     second = vals[:, -2] if p.dim > 1 else np.zeros(n)
     ratios = np.full(n, np.inf)

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import steercert as sc
 import steercert.bell3 as b3
@@ -94,6 +95,58 @@ def test_bell_operator_dressed_bit_for_bit():
         assert same_bits(b3._bell_operator(alice, pairs, lam1), ref)
         m = r.state.amplitudes.reshape(36, 1)
         assert b3.bell_value(real) == float(np.sum(np.conj(m) * (ref @ m)).real)
+
+
+def same_schur(u):
+    """_schur(u) equals scipy.linalg.schur(u, output="complex") bit for bit."""
+    ours = b3._schur(u)
+    theirs = scipy.linalg.schur(u, output="complex")
+    # LAPACK returns Fortran-ordered arrays; same_bits views rows.
+    return all(same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b))
+               for a, b in zip(ours, theirs))
+
+
+def test_schur_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(515)
+    for trial in range(500):
+        assert same_schur(random_order3(3, rng)), trial
+
+
+def test_schur_is_scipys_on_seesaw_polar_factors(monkeypatch):
+    seen = []
+    schur = b3._schur
+
+    def recording(u):
+        seen.append(u.copy())
+        return schur(u)
+
+    monkeypatch.setattr(b3, "_schur", recording)
+    *_, history = b3._seesaw_single(np.random.SeedSequence(5), 30, sc.BellFunctional3().lambda1)
+    assert len(seen) == 6 * len(history)
+    monkeypatch.undo()
+    for i, u in enumerate(seen):
+        assert same_schur(u), i
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_schur_refuses_non_finite_input(bad):
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        b3._schur(u)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        b3._project_order3(u)
+
+
+def test_schur_raises_when_lapack_fails(monkeypatch):
+    gees, lwork = b3._gees(3)
+
+    def failing(*args, **kwargs):
+        return (*gees(*args, **kwargs)[:-1], 2)
+
+    monkeypatch.setattr(b3, "_gees", lambda n: (failing, lwork))
+    with pytest.raises(np.linalg.LinAlgError):
+        b3._schur(random_order3(3, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("args, value, iterations", [

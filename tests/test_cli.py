@@ -495,6 +495,23 @@ def test_povm_build_check_pipeline(tmp_path):
     assert rep["extremality"]["gram_rank"] == 16
 
 
+def test_covariant_build_solves_each_eigenproblem_once(monkeypatch, capsys):
+    calls = []
+    for name in ("eigvalsh", "svd"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _solve=solve, _name=name, **k:
+                            calls.append(_name) or _solve(*a, **k))
+    assert cli.main(["povm", "build", "--kind", "covariant", "--d", "4", "--seed", "11"]) == 0
+    assert sorted(calls) == ["eigvalsh", "svd"]
+    monkeypatch.undo()
+    # the report says what the full test says of the written elements
+    rep = json.loads(capsys.readouterr().out)
+    pairs = np.array(rep["elements"])
+    validation, extremality, _ = cli._povm_reports(sc.Povm(pairs[..., 0] + 1j * pairs[..., 1]),
+                                                   rep["tolerance"])
+    assert (validation, extremality) == (rep["validation"], rep["extremality"])
+
+
 def test_povm_check_catches_tamper(tmp_path):
     out = tmp_path / "povm.json"
     run_cli("povm", "build", "--kind", "partial", "--d", "3", "--output", str(out))
@@ -698,11 +715,18 @@ def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
         {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
         {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         {"type": "object", "required": ["a"], "properties": {"a": {"enum": ["x"]}}},
+        cli._COMPLEX_VEC,
+        cli._MATRIX,
     ]
     values = [True, False, 0, 1, 1.0, 1.5, np.float64(3.0), np.int64(1), np.bool_(True),
               "a", "1", None, [], [1], [1.0, 2], [1, 2, 3], [True], {"a": "x"},
               {"a": 1}, {"b": "x"}, float("nan"), [1.0, True], [np.float64(0.5), 1],
               [np.float64(0.5), True], [float("nan"), 0.0], [[0.0], 1.0], [0.0, [1.0, 2.0]]]
+    # Lists of [re, im] pairs, on both sides of the level-wise pair test.
+    values += [[[0.0, 1.0], [2, -0.5]], [[0.0, 1.0], [True, 0.0]],
+               [[0.0, 1.0], [np.float64(0.5), 0.0]], [[0.0, 1.0], [0.0, 1.0, 2.0]],
+               [[0.0, 1.0], [[0.0, 1.0], 0.0]], [[0.0, 1.0], []], [[]],
+               [[float("nan"), 0.0]], [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0]]]]
     for schema in schemas:
         pred = cli._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
