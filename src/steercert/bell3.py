@@ -166,9 +166,10 @@ def _polar_rounded(m: np.ndarray) -> np.ndarray:
     return _project_order3(dagger(vh) @ dagger(u))
 
 
-def _plain_value(psi, alice_pairs, bob_pairs, scalars) -> float:
+def _plain_value(psi, alice_pairs, bob_pairs, scalars) -> tuple[float, np.ndarray]:
+    """psi's value under the Bell operator of the pairs, and that operator."""
     op = _bell_sum(alice_pairs, bob_pairs, scalars)
-    return float(np.real(np.conj(psi) @ op @ psi))
+    return float(np.real(np.conj(psi) @ op @ psi)), op
 
 
 def _seesaw_single(ss, iters: int, lam1):
@@ -178,16 +179,19 @@ def _seesaw_single(ss, iters: int, lam1):
     of the linear coefficient matrix rounded to an order-3 spectrum and
     are accepted only when they do not decrease the value, so the
     per-sweep history is monotone by construction. Each observable is
-    held with its square, and the Bell scalars are formed once."""
+    held with its square, and the Bell scalars are formed once. The Bell
+    operator of the current observables is kept from the trial that set
+    them, so a sweep starts without rebuilding it."""
     rng = np.random.default_rng(ss)
     w = omega(3)
     scalars = _bell_scalars(lam1)
     alice_pairs = [(a, a @ a) for a in (_random_order3(rng) for _ in range(3))]
     bob_pairs = [(b, b @ b) for b in (_random_order3(rng) for _ in range(3))]
+    op = _bell_sum(alice_pairs, bob_pairs, scalars)
     cur = -np.inf
     history: list[float] = []
     for _ in range(iters):
-        vals, vecs = np.linalg.eigh(_bell_sum(alice_pairs, bob_pairs, scalars))
+        vals, vecs = np.linalg.eigh(op)
         psi = vecs[:, -1]
         cur = float(vals[-1])
         p = psi.reshape(3, 3)
@@ -199,18 +203,18 @@ def _seesaw_single(ss, iters: int, lam1):
             a = _polar_rounded(m)
             trial = alice_pairs.copy()
             trial[x] = (a, a @ a)
-            v = _plain_value(psi, trial, bob_pairs, scalars)
+            v, trial_op = _plain_value(psi, trial, bob_pairs, scalars)
             if v >= cur:
-                alice_pairs, cur = trial, v
+                alice_pairs, cur, op = trial, v, trial_op
         ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a, _ in alice_pairs]
         for y in range(3):
             n = lam1 * sum(w ** (x * y) * ls[x] for x in range(3))
             b = _polar_rounded(n)
             trial = bob_pairs.copy()
             trial[y] = (b, b @ b)
-            v = _plain_value(psi, alice_pairs, trial, scalars)
+            v, trial_op = _plain_value(psi, alice_pairs, trial, scalars)
             if v >= cur:
-                bob_pairs, cur = trial, v
+                bob_pairs, cur, op = trial, v, trial_op
         history.append(cur)
         if len(history) > 5 and history[-1] - history[-6] < 1e-15:
             break

@@ -7,7 +7,8 @@ validated against the subcommand's own schema before it is written.
 Each entry of SCHEMAS is compiled once into a plain-Python predicate with
 jsonschema's Draft 2020-12 meanings; only a report the predicate rejects
 goes to jsonschema, whose best_match error is raised, and then nothing is
-written. Output bytes depend only on the parsed arguments, never on wall
+written. jsonschema is imported only then, so the command line starts
+without it. Output bytes depend only on the parsed arguments, never on wall
 time or thread count.
 
 The argparse parser is built once per process. parse_args checks --seed,
@@ -38,6 +39,7 @@ jsonschema.ValidationError, since that is a fault of the program.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -47,7 +49,6 @@ import re
 import sys
 from itertools import chain
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -310,31 +311,45 @@ def _json_depth(raw: bytes) -> int:
     return deepest
 
 
-def _load_json(raw: bytes, what: str):
-    """The value of strict JSON bytes nested at most _MAX_DEPTH deep.
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector; its prior state comes back on exit.
 
-    The cyclic garbage collector is paused while orjson builds the tree:
-    a parse tree has no cycles, and rescanning it as it grows is waste.
+    A JSON parse tree has no cycles, and rescanning it while it is built,
+    walked and freed is waste. Each file reader keeps the collector paused
+    from the parse until its arrays are built and the tree is released.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_json(raw: bytes, what: str):
+    """The value of strict JSON bytes nested at most _MAX_DEPTH deep."""
     import orjson  # only the subcommands that read JSON need it
 
     if _json_depth(raw) > _MAX_DEPTH:
         raise UsageError(f"{what}: malformed JSON (nested deeper than {_MAX_DEPTH})")
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return orjson.loads(raw)
     except orjson.JSONDecodeError as e:
         raise UsageError(f"{what}: malformed JSON ({e.msg})") from e
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _load_json_file(path: str):
     """The value of a strict JSON file, parsed by _load_json."""
     with open(path, "rb") as fh:
         return _load_json(fh.read(), path)
+
+
+def _load_povm_file(path: str) -> Povm:
+    """The POVM of a file; the collector stays paused until its tree is freed."""
+    with _gc_paused():
+        return povm_from_json(_load_json_file(path))
 
 
 def _load_flag(text: str, flag: str):
@@ -357,13 +372,14 @@ def _seeded_fiducial(config: argparse.Namespace) -> np.ndarray:
 
 
 def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
-    data = _load_json_file(config.realization)
-    r = realization_from_json(data)
-    if config.alpha is not None:
+    with _gc_paused():
+        data = _load_json_file(config.realization)
+        r = realization_from_json(data)
         alpha = config.alpha
-    elif "alpha" in data:
-        alpha = real_vector_from_json(data["alpha"], f"{config.realization}: alpha")
-    else:
+        if alpha is None and "alpha" in data:
+            alpha = real_vector_from_json(data["alpha"], f"{config.realization}: alpha")
+        del data
+    if alpha is None:
         raise UsageError("no Schmidt coefficients: pass --alpha or an 'alpha' key")
     sv = SchmidtVector(alpha)
     f = functional_coefficients(sv)
@@ -429,7 +445,7 @@ def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
             **_meta(config),
         }
         return (0 if passed else 1), report
-    p = povm_from_json(_load_json_file(config.povm))
+    p = _load_povm_file(config.povm)
     validation, extremality, passed = _povm_reports(p, config.tolerance)
     report = {
         "n_outcomes": p.n_outcomes,
@@ -452,7 +468,7 @@ def _run_randomness(config: argparse.Namespace) -> tuple[int, dict]:
     elif source.startswith("builtin:"):
         raise UsageError(f"--povm: unknown builtin {source!r}")
     else:
-        p = povm_from_json(_load_json_file(source))
+        p = _load_povm_file(source)
         validation, extremality, passed = _povm_reports(p, config.tolerance)
         if not passed:
             reason = (validation["failures"] or ["not extremal rank-one"])[0]
@@ -524,9 +540,25 @@ def _schema_key(config: argparse.Namespace) -> str:
     return config.subcommand
 
 
+def __getattr__(name: str):
+    """Resolve `steercert.cli.jsonschema` on demand (PEP 562).
+
+    The benchmark's span installer reads this attribute to wrap
+    jsonschema.validate. The shim goes once that installer wraps _render
+    instead (ROADMAP item 9b).
+    """
+    if name == "jsonschema":
+        import jsonschema
+
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @functools.cache
 def _validator(key: str):
     """The validator of SCHEMAS[key], with the schema itself checked once."""
+    import jsonschema  # only a report that fails _predicate needs it
+
     cls = jsonschema.validators.validator_for(SCHEMAS[key])
     cls.check_schema(SCHEMAS[key])
     return cls(SCHEMAS[key])
@@ -695,6 +727,8 @@ def _render(config: argparse.Namespace, report: dict) -> str:
     if not _predicate(key)(report):
         # The predicate only says whether a report fails; jsonschema names
         # the error, and stays the judge should the two ever disagree.
+        import jsonschema
+
         error = jsonschema.exceptions.best_match(_validator(key).iter_errors(report))
         if error is not None:
             raise error

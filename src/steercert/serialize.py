@@ -15,6 +15,7 @@ bare Python exception.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -38,15 +39,19 @@ def _numbers(data, depth: int, what: str) -> np.ndarray:
     or float; Python's bool is an int, but true is not a number.
     """
     level, shape = [data], []
-    for _ in range(depth):
+    for k in range(depth):
+        if k:
+            level = list(chain.from_iterable(level))
         if set(map(type, level)) - {list} or len(set(map(len, level))) > 1:
             raise DomainError(f"{what}: not a rectangular JSON array of depth {depth}")
         shape.append(len(level[0]) if level else 0)
-        level = list(chain.from_iterable(level))
-    if set(map(type, level)) - {float, int}:
+    # level holds the innermost lists; the leaves are read from them twice
+    # rather than gathered into one more list.
+    if set(map(type, chain.from_iterable(level))) - {float, int}:
         raise DomainError(f"{what}: an entry is not a JSON number")
     try:
-        a = np.array(level, dtype=np.float64).reshape(shape)
+        leaves = chain.from_iterable(level)
+        a = np.fromiter(leaves, np.float64, count=math.prod(shape)).reshape(shape)
         if np.all(np.isfinite(a)):
             return a
     except OverflowError:  # a Python int beyond the largest double

@@ -409,6 +409,37 @@ def test_loader_restores_the_collector(tmp_path):
         (gc.enable if was else gc.disable)()
 
 
+def test_file_readers_build_arrays_with_the_collector_paused(monkeypatch, tmp_path, capsys):
+    realization, no_alpha, povm = (tmp_path / n for n in ("r.json", "r0.json", "p.json"))
+    realization.write_text(json.dumps(_realization_blob()))
+    no_alpha.write_text(json.dumps({k: v for k, v in _realization_blob().items() if k != "alpha"}))
+    assert cli.main(["povm", "build", "--kind", "partial", "--d", "3", "--output", str(povm)]) == 0
+    paused = []
+    for name in ("realization_from_json", "povm_from_json"):
+        def reader(data, _original=getattr(cli, name)):
+            paused.append(not gc.isenabled())
+            return _original(data)
+        monkeypatch.setattr(cli, name, reader)
+    runs = [
+        (["certify", "--realization", str(realization)], 0),
+        (["certify", "--realization", str(no_alpha)], 2),
+        (["povm", "check", "--povm", str(povm)], 0),
+        (["randomness", "--d", "3", "--povm", str(povm)], 0),
+        (["povm", "check", "--povm", str(realization)], 2),
+    ]
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in runs:
+                assert cli.main(argv) == code, argv
+                assert gc.isenabled() == enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert len(paused) == 2 * len(runs) and all(paused)
+
+
 def test_boolean_is_not_a_number(capsys):
     for argv in (["randomness", "--d", "2", "--alpha", "[true, 1e-300]",
                   "--povm", "builtin:covariant"],
@@ -457,7 +488,7 @@ def test_bounds_at_large_d(capsys, d):
     assert rep["d"] == d and rep["gap"] > 0
 
 
-@pytest.mark.parametrize("module", ["scipy", "orjson"])
+@pytest.mark.parametrize("module", ["scipy", "orjson", "jsonschema"])
 def test_cli_import_leaves_module_out(module):
     code = f"import sys, steercert.cli; print({module!r} in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -834,3 +865,57 @@ def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path)
         assert info.value.message == "'wide' is not of type 'number'"
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+_FAILING_REPORT_CHILD = """
+import contextlib, io, json, sys
+import steercert.cli as cli
+
+loaded_at_import = "jsonschema" in sys.modules
+reports = []
+
+def corrupted(config):
+    code, report = cli._run_bounds(config)
+    reports.append({**report, "gap": "wide"})
+    return code, reports[-1]
+
+cli._HANDLERS["bounds"] = corrupted
+stdout = io.StringIO()
+try:
+    with contextlib.redirect_stdout(stdout):
+        cli.main(["bounds", "--d", "2"])
+    raised = None
+except Exception as e:
+    raised = e
+import jsonschema
+
+want = jsonschema.exceptions.best_match(
+    jsonschema.Draft202012Validator(cli.SCHEMAS["bounds"]).iter_errors(reports[-1]))
+try:
+    cli.no_such_name
+    missing = None
+except AttributeError as e:
+    missing = str(e)
+print(json.dumps({
+    "loaded_at_import": loaded_at_import,
+    "validation_error": isinstance(raised, jsonschema.ValidationError),
+    "message": getattr(raised, "message", repr(raised)),
+    "best_match": want.message,
+    "stdout": stdout.getvalue(),
+    "attribute_is_module": getattr(cli, "jsonschema") is jsonschema,
+    "missing": missing,
+}))
+"""
+
+
+def test_failing_report_imports_jsonschema_on_demand():
+    r = subprocess.run([sys.executable, "-c", _FAILING_REPORT_CHILD],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout)
+    assert not seen["loaded_at_import"]
+    assert seen["validation_error"], seen["message"]
+    assert seen["message"] == seen["best_match"] == "'wide' is not of type 'number'"
+    assert seen["stdout"] == ""
+    assert seen["attribute_is_module"]
+    assert seen["missing"] == "module 'steercert.cli' has no attribute 'no_such_name'"
