@@ -89,14 +89,13 @@ from .randomness import (
 )
 from .bell3 import (
     BELL3_BOUND,
-    BellFunctional3,
+    LAMBDA1,
     DressedAlice,
     ExtendedCheckReport,
     bell_value,
     dressed_alice,
     extended_certification_check,
     seesaw_details,
-    seesaw_optimize,
 )
 
 __all__ = [
@@ -120,7 +119,6 @@ __all__ = [
     "is_extremal_rank_one", "theorem3_residuals",
     "RandomnessReport", "outcome_distribution", "guessing_probability",
     "min_entropy", "eve_bruteforce_oracle", "randomness_report",
-    "BELL3_BOUND", "BellFunctional3", "bell_value", "seesaw_optimize",
-    "seesaw_details", "DressedAlice", "dressed_alice",
-    "ExtendedCheckReport", "extended_certification_check",
+    "BELL3_BOUND", "LAMBDA1", "bell_value", "seesaw_details",
+    "DressedAlice", "dressed_alice", "ExtendedCheckReport", "extended_certification_check",
 ]

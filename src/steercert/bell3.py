@@ -23,22 +23,7 @@ from .states import Realization, SchmidtVector, schmidt_state
 from .steering import functional_coefficients, lhs_bound_exact, evaluate
 
 BELL3_BOUND = 6.0 * np.sqrt(3.0) * np.cos(np.pi / 9.0)
-
-
-@dataclass(frozen=True)
-class BellFunctional3:
-    """Coefficients of the qutrit functional and its deterministic bound."""
-
-    lambda0: complex = 1.0 + 0.0j
-    lambda1: complex = np.exp(-1j * np.pi / 18.0)
-    lambda2: complex = np.exp(+1j * np.pi / 18.0)
-    bound: float = BELL3_BOUND
-
-    def __post_init__(self):
-        if self.lambda2 != np.conj(self.lambda1):
-            raise DomainError("lambda2 must equal conj(lambda1) exactly")
-        if not abs(self.bound - BELL3_BOUND) <= 1e-12:
-            raise DomainError("bound must equal 6*sqrt(3)*cos(pi/9)")
+LAMBDA1 = np.exp(-1j * np.pi / 18.0)
 
 
 def _bell_scalars(lam1) -> np.ndarray:
@@ -77,20 +62,14 @@ def _bell_sum(alice_pairs, bob_pairs, scalars) -> np.ndarray:
     return op.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
-def _bell_operator(alice, bob_pairs, lam1) -> np.ndarray:
-    """sum_xy sum_k lambda_k omega^{kxy} A_x^k (x) B_y^k as one matrix.
+def bell_value(r: Realization) -> float:
+    """Value of the three-setting functional on a realization.
 
-    alice holds A_0, A_1, A_2 and bob_pairs the pairs (B_y, B_y^2); k runs
-    over 1, 2 with lambda_2 = conj(lambda_1). The scalars come from
-    _bell_scalars and the sum from _bell_sum, so the result equals the
-    np.kron sum, added into a zero matrix in (x, y, k) order, bit for bit.
+    The operator sum_xy sum_k lambda_k omega^{kxy} A_x^k (x) B_y^k, with
+    lambda_1 = LAMBDA1 and lambda_2 = conj(LAMBDA1), is formed by
+    _bell_sum, so it equals the np.kron sum, added into a zero matrix in
+    (x, y, k) order, bit for bit.
     """
-    return _bell_sum([(a, a @ a) for a in alice], bob_pairs, _bell_scalars(lam1))
-
-
-def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
-    """Value of the three-setting functional on a realization."""
-    f = f or BellFunctional3()
     if len(r.alice_observables) != 3 or len(r.bob_observables) != 3:
         raise SizeError("the functional takes three settings per side")
     if r.d != 3:
@@ -99,8 +78,10 @@ def bell_value(r: Realization, f: BellFunctional3 | None = None) -> float:
         ok, res = is_projective(g)
         if not ok:
             raise ContractError(f"Bob observable {i} not projective: {res}")
-    op = _bell_operator(
-        r.alice_observables, [g.operators[1:] for g in r.bob_observables], f.lambda1
+    op = _bell_sum(
+        [(a, a @ a) for a in r.alice_observables],
+        [g.operators[1:] for g in r.bob_observables],
+        _bell_scalars(LAMBDA1),
     )
     # op acts on A (x) B; an Eve factor, if any, is the trailing axis of m.
     m = r.state.amplitudes.reshape(op.shape[0], -1)
@@ -223,26 +204,20 @@ def _seesaw_single(ss, iters: int, lam1):
     return cur, psi, alice, bobs, history
 
 
-def seesaw_optimize(seed: int = 42, restarts: int = 32, iters: int = 150):
-    """Best (value, realization) over seeded random restarts.
+def seesaw_details(seed: int = 42, restarts: int = 32, iters: int = 150):
+    """Best (value, realization, sweeps used) over seeded random restarts.
 
     Restarts are independent and run one after another in the calling
     thread; no thread-count setting is read. The best value wins, ties
-    broken by the lowest restart index.
+    broken by the lowest restart index, and the sweep count is the
+    winner's.
     """
-    value, r, _ = seesaw_details(seed, restarts, iters)
-    return value, r
-
-
-def seesaw_details(seed: int = 42, restarts: int = 32, iters: int = 150):
-    """Like seesaw_optimize but also reports the winner's sweep count."""
     if restarts < 1 or iters < 1:
         raise DomainError("restarts and iters must be >= 1")
-    lam1 = BellFunctional3().lambda1
     seeds = np.random.SeedSequence(seed).spawn(restarts)
 
     def run(idx):
-        val, psi, alice, bobs, history = _seesaw_single(seeds[idx], iters, lam1)
+        val, psi, alice, bobs, history = _seesaw_single(seeds[idx], iters, LAMBDA1)
         return val, idx, psi, alice, bobs, len(history)
 
     best = max((run(i) for i in range(restarts)), key=lambda o: (o[0], -o[1]))
@@ -304,21 +279,18 @@ def dressed_alice(aux_dim: int, q_rank: int) -> DressedAlice:
     return DressedAlice(aux_dim=aux_dim, q_projector=q, a0=a0, a1=a1)
 
 
-def _dressed_pair_realization(
-    sv: SchmidtVector, da: DressedAlice, w: float, conjugate_second_branch: bool = True
-) -> Realization:
+def _dressed_pair_realization(sv: SchmidtVector, da: DressedAlice, w: float) -> Realization:
     """psi(alpha) (x) branch with Bob's observables matched branch by
     branch: X_3 against Alice's Q sector and X_3-dagger against the
-    complement (passing False breaks that pairing on purpose)."""
+    complement."""
     d = 3
     aux = da.aux_dim
     z = generalized_pauli(d, "Z")
     x = generalized_pauli(d, "X")
     q = da.q_projector
     qc = np.eye(aux) - q
-    second = dagger(x) if conjugate_second_branch else x
     b0 = np.kron(np.conj(z), np.eye(aux))
-    b1 = np.kron(x, q) + np.kron(second, qc)
+    b1 = np.kron(x, q) + np.kron(dagger(x), qc)
     branch = np.zeros((aux, aux), dtype=np.complex128)
     branch[0, 0] = np.sqrt(w)
     if aux > 1:

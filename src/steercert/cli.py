@@ -393,19 +393,14 @@ def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     return (0 if rep.certified else 1), report
 
 
-def _povm_reports(p: Povm, tol: float, extremal: bool = False) -> tuple[dict, dict, bool]:
+def _povm_reports(p: Povm, tol: float) -> tuple[dict, dict, bool]:
     """p's validation and extremality reports, and whether both pass.
 
-    extremal=True says that p has already passed is_extremal_rank_one, as
-    every POVM that covariant_povm returns has. A pass fixes the Gram rank
-    at n_outcomes, so the test is not run again.
+    Both tests read the spectra p caches, so a POVM that covariant_povm
+    has already tested solves no eigenproblem again here.
     """
     v = validate_povm(p, tol)
-    if extremal:
-        ok, rank = True, p.n_outcomes
-    else:
-        ok, info = is_extremal_rank_one(p)
-        rank = info["gram_rank"]
+    ok, info = is_extremal_rank_one(p)
     validation = {
         "hermiticity": [float(x) for x in v.hermiticity],
         "min_eigenvalues": [float(x) for x in v.min_eigenvalues],
@@ -415,7 +410,7 @@ def _povm_reports(p: Povm, tol: float, extremal: bool = False) -> tuple[dict, di
     }
     extremality = {
         "extremal": bool(ok),
-        "gram_rank": rank,
+        "gram_rank": info["gram_rank"],
         "expected_rank": p.n_outcomes,
     }
     return validation, extremality, bool(v.passed and ok)
@@ -433,8 +428,7 @@ def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
             else:
                 nu = _seeded_fiducial(config)
             p = covariant_povm(d, nu)
-        validation, extremality, passed = _povm_reports(
-            p, config.tolerance, extremal=config.kind == "covariant")
+        validation, extremality, passed = _povm_reports(p, config.tolerance)
         report = {
             "kind": config.kind,
             "d": d,

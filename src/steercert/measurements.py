@@ -82,14 +82,14 @@ class Povm:
     builders return elements that satisfy hermiticity, positivity within
     -1e-9 and completeness within 1e-9, and untrusted input is meant to go
     through povm.validate_povm, which reports instead of raising. elements
-    is a read-only view of the array given.
+    is a read-only copy of the array given.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
         try:
-            a = np.asarray(self.elements, dtype=np.complex128)
+            a = np.array(self.elements, dtype=np.complex128)
         except ValueError as exc:
             raise SizeError(f"ragged element shapes: {exc}") from None
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -98,7 +98,6 @@ class Povm:
             raise SizeError("a POVM needs at least one element")
         if not np.all(np.isfinite(a)):
             raise DomainError("POVM elements have non-finite entries")
-        a = a.view()
         a.flags.writeable = False
         object.__setattr__(self, "elements", a)
 
@@ -116,12 +115,26 @@ class Povm:
 
         Computed on first use and kept, read-only, so povm.validate_povm
         and povm.is_extremal_rank_one share one eigvalsh. elements is a
-        read-only view, so the kept value cannot go stale through it.
+        read-only copy, so the kept value cannot go stale.
         """
         e = self.elements
         vals = np.linalg.eigvalsh((e + np.conj(e).transpose(0, 2, 1)) / 2)
         vals.flags.writeable = False
         return vals
+
+    @functools.cached_property
+    def gram_singular_values(self) -> np.ndarray:
+        """Descending singular values of the Gram matrix G_bc = Tr[E_b E_c].
+
+        Computed on first use and kept, read-only, like
+        hermitian_eigenvalues, so every povm.is_extremal_rank_one on one
+        Povm shares one SVD.
+        """
+        flat = self.elements.reshape(self.n_outcomes, -1)
+        gram = (flat @ flat.conj().T).real
+        sv = np.linalg.svd(gram, compute_uv=False)
+        sv.flags.writeable = False
+        return sv
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .linalg import DEFAULT_TOL, Ket, dagger
 from .measurements import Povm, _weyl_operators
 from .states import SchmidtVector
 
+# Relative cutoff of the rank-one and Gram-rank tests in is_extremal_rank_one.
+EXTREMAL_TOL = 1e-8
+
 # Phase exponent tables with the Sidon property mod d^2-d+1.
 DEFAULT_PHASE_TABLES = {
     3: (0, 1, 3),
@@ -164,13 +167,15 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmValidationReport:
     return PovmValidationReport(herm, mins, comp, failures, not failures)
 
 
-def is_extremal_rank_one(p: Povm, tol: float = 1e-8):
+def is_extremal_rank_one(p: Povm):
     """Rank-one test per element plus full-rank test of the Gram matrix.
 
     The Gram matrix G_{bb'} = Tr[I_b I_b'] has full rank exactly when the
     elements are linearly independent, which for rank-one elements is the
-    extremality criterion. Numerical ranks use a relative singular-value
-    cutoff of tol.
+    extremality criterion. The second-to-top eigenvalue ratio of each
+    element and the numerical Gram rank both use the relative cutoff
+    EXTREMAL_TOL. The spectra are the ones p caches, so repeated tests of
+    one Povm solve no eigenproblem twice.
     """
     n = p.n_outcomes
     vals = np.abs(p.hermitian_eigenvalues)
@@ -178,11 +183,9 @@ def is_extremal_rank_one(p: Povm, tol: float = 1e-8):
     second = vals[:, -2] if p.dim > 1 else np.zeros(n)
     ratios = np.full(n, np.inf)
     np.divide(second, top, out=ratios, where=top > 0)
-    rank_violations = [b for b in range(n) if not ratios[b] <= tol]
-    flat = p.elements.reshape(n, -1)
-    gram = (flat @ flat.conj().T).real  # Tr[I_b I_c]
-    sv = np.linalg.svd(gram, compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
+    rank_violations = [b for b in range(n) if not ratios[b] <= EXTREMAL_TOL]
+    sv = p.gram_singular_values
+    rank = int(np.sum(sv > EXTREMAL_TOL * sv[0])) if sv[0] > 0 else 0
     diagnostics = {
         "second_eigenvalue_ratios": ratios,
         "rank_one_violations": rank_violations,

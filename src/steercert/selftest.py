@@ -54,6 +54,10 @@ def commutation_residual(r: Realization, tol: float = VERDICT_TOL) -> float:
     reduced state, so the residual is weighted by sqrt(rho_B) rather
     than evaluated as an operator identity. Requires projective Bob
     observables.
+
+    With C the commutator, ||C sqrt(rho_B)||_F^2 = Tr[C rho_B C^dagger]
+    = ||(1 (x) C (x) 1_E)|psi>||^2, so the residual is taken on the state
+    and rho_B is never formed.
     """
     for i, g in enumerate(r.bob_observables[:2]):
         ok, res = is_projective(g, tol)
@@ -69,12 +73,9 @@ def _commutation_residual(r: Realization) -> float:
     d = r.d
     b0 = r.bob_observables[0].operators[1]
     b1 = r.bob_observables[1].operators[1]
-    rho = r.state.reduced((1,))
-    vals, vecs = np.linalg.eigh((rho + dagger(rho)) / 2)
-    vals = np.where(vals < 0.0, 0.0, vals)
-    sqrt_rho = (vecs * np.sqrt(vals)) @ dagger(vecs)
+    da, db = r.state.factor_dims[0], r.state.factor_dims[1]
     comm = b0 @ b1 - (1.0 / omega(d)) * b1 @ b0
-    return float(np.linalg.norm(comm @ sqrt_rho))
+    return float(np.linalg.norm(comm @ r.state.amplitudes.reshape(da, db, -1)))
 
 
 def ztilde_spectrum(f: SteeringFunctional) -> np.ndarray:

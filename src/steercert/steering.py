@@ -117,7 +117,6 @@ class LhsOptimum:
     """Result of an LHS-bound computation."""
 
     value: float
-    method: str
     strategy: tuple | None = None
     eta: np.ndarray | None = None
 
@@ -202,7 +201,7 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     """
     if alice_observables is None:
         b0, value, _, _ = _branch_perron(f)
-        return LhsOptimum(value, "exact", strategy=(b0, 0))
+        return LhsOptimum(value, strategy=(b0, 0))
     d = f.d
     alpha = f.sv.alpha
     p0, p1 = [unitary_observable_povm(obs, d).elements for obs in alice_observables][:2]
@@ -217,7 +216,7 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
             if val > best:
                 best = val
                 best_strategy = (b0, b1)
-    return LhsOptimum(best, "exact", strategy=best_strategy)
+    return LhsOptimum(best, strategy=best_strategy)
 
 
 def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:
@@ -230,7 +229,7 @@ def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:
     the best branch.
     """
     _, value, vec, margin = _branch_perron(f)
-    return LhsOptimum(value + margin, "paper-upper", eta=np.abs(vec))
+    return LhsOptimum(value + margin, eta=np.abs(vec))
 
 
 def violation_gap(f: SteeringFunctional) -> tuple[float, float, float]:

@@ -55,7 +55,7 @@ def bell_operator_reference(alice, bob_pairs, lam1):
     sum_xy sum_k lambda_k omega^{kxy} A_x^k (x) B_y^k with lambda_2 =
     conj(lambda_1) and bob_pairs holding (B_y, B_y^2), added into a zero
     matrix in (x, y, k) order with each scalar formed as in the see-saw.
-    bell3._bell_operator must reproduce it bit for bit.
+    bell3._bell_sum must reproduce it bit for bit.
     """
     w = sc.omega(3)
     da, db = alice[0].shape[0], bob_pairs[0][0].shape[0]

@@ -34,20 +34,8 @@ def test_classical_bound_matches_enumeration():
     assert abs(sc.BELL3_BOUND - 6 * np.sqrt(3) * np.cos(np.pi / 9)) < 1e-12
 
 
-def test_functional_invariants():
-    f = sc.BellFunctional3()
-    assert f.lambda0 == 1
-    assert f.lambda2 == np.conj(f.lambda1)
-    assert abs(f.lambda1 - np.exp(-1j * np.pi / 18)) < 1e-15
-    with pytest.raises(sc.DomainError):
-        sc.BellFunctional3(lambda1=1.0, lambda2=1.0j)
-    with pytest.raises(sc.DomainError):
-        sc.BellFunctional3(bound=9.7)
-
-
-def test_functional_rejects_nan_bound():
-    with pytest.raises(sc.DomainError):
-        sc.BellFunctional3(bound=float("nan"))
+def test_lambda1_is_the_papers_phase():
+    assert abs(sc.LAMBDA1 - np.exp(-1j * np.pi / 18)) < 1e-15
 
 
 def same_bits(a, b):
@@ -63,13 +51,12 @@ def random_order3(dim, rng):
 
 def test_bell_operator_is_the_kron_sum_bit_for_bit():
     rng = np.random.default_rng(808)
-    default = sc.BellFunctional3().lambda1
     for trial in range(240):
         alice = [random_order3(3, rng) for _ in range(3)]
         pairs = [(b, b @ b) for b in (random_order3(3, rng) for _ in range(3))]
-        lam1 = np.exp(1j * rng.uniform(-np.pi, np.pi)) if trial % 2 else default
+        lam1 = np.exp(1j * rng.uniform(-np.pi, np.pi)) if trial % 2 else sc.LAMBDA1
         assert same_bits(
-            b3._bell_operator(alice, pairs, lam1),
+            b3._bell_sum([(a, a @ a) for a in alice], pairs, b3._bell_scalars(lam1)),
             bell_operator_reference(alice, pairs, lam1),
         ), trial
 
@@ -77,7 +64,7 @@ def test_bell_operator_is_the_kron_sum_bit_for_bit():
 def test_bell_operator_dressed_bit_for_bit():
     # dim 6 per side: the dressed observables and their products, then
     # Haar-random order-3 unitaries
-    lam1 = sc.BellFunctional3().lambda1
+    lam1 = sc.LAMBDA1
     dressed = sc.dressed_alice(2, 1)
     r = b3._dressed_pair_realization(sc.maximally_entangled(3), dressed, 0.3)
     a0, a1 = r.alice_observables
@@ -92,7 +79,8 @@ def test_bell_operator_dressed_bit_for_bit():
         )
         pairs = [g.operators[1:] for g in real.bob_observables]
         ref = bell_operator_reference(alice, pairs, lam1)
-        assert same_bits(b3._bell_operator(alice, pairs, lam1), ref)
+        op = b3._bell_sum([(a, a @ a) for a in alice], pairs, b3._bell_scalars(lam1))
+        assert same_bits(op, ref)
         m = r.state.amplitudes.reshape(36, 1)
         assert b3.bell_value(real) == float(np.sum(np.conj(m) * (ref @ m)).real)
 
@@ -121,7 +109,7 @@ def test_schur_is_scipys_on_seesaw_polar_factors(monkeypatch):
         return schur(u)
 
     monkeypatch.setattr(b3, "_schur", recording)
-    *_, history = b3._seesaw_single(np.random.SeedSequence(5), 30, sc.BellFunctional3().lambda1)
+    *_, history = b3._seesaw_single(np.random.SeedSequence(5), 30, sc.LAMBDA1)
     assert len(seen) == 6 * len(history)
     monkeypatch.undo()
     for i, u in enumerate(seen):
@@ -165,20 +153,20 @@ def test_bell3_reports_are_pinned(args, value, iterations):
 
 
 def ideal_bell_realization():
-    val, r = sc.seesaw_optimize(seed=42, restarts=8, iters=120)
+    val, r, _ = sc.seesaw_details(seed=42, restarts=8, iters=120)
     assert val > sc.BELL3_BOUND  # quantum side of the inequality
     return r
 
 
 def test_seesaw_reaches_quantum_maximum():
-    val, r = sc.seesaw_optimize(seed=42, restarts=8, iters=120)
+    val, r, _ = sc.seesaw_details(seed=42, restarts=8, iters=120)
     assert abs(val - 6 * np.sqrt(3)) < 1e-9
     assert abs(b3.bell_value(r) - val) < 1e-9
 
 
 def test_seesaw_history_monotone():
     ss = np.random.SeedSequence(5)
-    *_, history = b3._seesaw_single(ss, 60, sc.BellFunctional3().lambda1)
+    *_, history = b3._seesaw_single(ss, 60, sc.LAMBDA1)
     hist = np.array(history)
     assert np.all(np.diff(hist) >= -1e-12)
     assert hist[-1] <= 6 * np.sqrt(3) + 1e-9
@@ -192,7 +180,7 @@ def test_seesaw_details_reports_iterations():
 
 
 def test_seesaw_optimal_state_schmidt_uniform():
-    _, r = sc.seesaw_optimize(seed=42, restarts=8, iters=150)
+    _, r, _ = sc.seesaw_details(seed=42, restarts=8, iters=150)
     s = np.linalg.svd(r.state.amplitudes.reshape(3, 3), compute_uv=False)
     assert np.max(np.abs(s - 1 / np.sqrt(3))) < 1e-6
 
@@ -275,7 +263,11 @@ def test_extended_check_detects_broken_pairing():
     sv = sc.SchmidtVector(np.array([0.7, 0.5, np.sqrt(0.26)]))
     da = sc.dressed_alice(2, 1)
     good = b3._dressed_pair_realization(sv, da, 0.5)
-    bad = b3._dressed_pair_realization(sv, da, 0.5, conjugate_second_branch=False)
+    # X_3 on the complement of Q too, where the matched pairing has X_3-dagger
+    x, q = sc.generalized_pauli(3, "X"), da.q_projector
+    b1 = np.kron(x, q) + np.kron(x, np.eye(2) - q)
+    bad = sc.Realization(good.state, good.alice_observables,
+                         [good.bob_observables[0], sc.GeneralizedObservable.from_unitary(b1, 3)])
     f = sc.functional_coefficients(sv)
     assert abs(sc.evaluate(f, good) - 3.0) < 1e-9
     assert sc.evaluate(f, bad) < 3.0 - 1e-3

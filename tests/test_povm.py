@@ -43,6 +43,22 @@ def test_covariant_povm_validity_and_extremality():
         assert np.max(np.abs(probs - 1 / d**2)) < 1e-12
 
 
+def test_povm_is_not_changed_by_edits_to_the_callers_array():
+    els = np.array(sc.covariant_povm(2, [0.8, 0.6 * np.exp(0.7j)]).elements)
+    p = sc.Povm(els)
+    assert sc.validate_povm(p).passed and sc.is_extremal_rank_one(p)[0]
+    els[0] += np.diag([1.0, -1.0])
+    els[1] -= np.diag([1.0, -1.0])
+    # the spectra p cached must describe the elements p holds
+    fresh = sc.Povm(p.elements)
+    assert np.array_equal(sc.validate_povm(p).min_eigenvalues,
+                          sc.validate_povm(fresh).min_eigenvalues)
+    assert (sc.is_extremal_rank_one(p)[1]["gram_rank"]
+            == sc.is_extremal_rank_one(fresh)[1]["gram_rank"])
+    assert sc.validate_povm(p).passed
+    assert not sc.validate_povm(sc.Povm(els)).passed
+
+
 def test_covariant_povm_real_fiducial_degenerates():
     # real qubit fiducials span only a 3-dimensional Gram space
     nu = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])

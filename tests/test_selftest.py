@@ -70,6 +70,37 @@ def test_commutation_residual_ideal_and_commuting_pair():
     assert abs(sc.commutation_residual(same) - np.sqrt(3)) < 1e-12
 
 
+def sqrt_rho_commutation_residual(r):
+    """|| (B_0 B_1 - omega^-1 B_1 B_0) sqrt(rho_B) ||_F through an eigensolve of rho_B."""
+    b0, b1 = (g.operators[1] for g in r.bob_observables[:2])
+    rho = r.state.reduced((1,))
+    vals, vecs = np.linalg.eigh((rho + sc.dagger(rho)) / 2)
+    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ sc.dagger(vecs)
+    comm = b0 @ b1 - (1.0 / sc.omega(r.d)) * b1 @ b0
+    return float(np.linalg.norm(comm @ sqrt_rho))
+
+
+def test_commutation_residual_is_the_sqrt_rho_formula():
+    rng = np.random.default_rng(71)
+    for d in (2, 3, 4):
+        sv = sc.random_schmidt_vector(d, rng)
+        ideal = sc.ideal_realization(sv)
+        dressed = sc.dress_realization(ideal, 2, 2, seed=d)
+        bob = dressed.bob_observables
+        h = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+        vals, vecs = np.linalg.eigh(h + sc.dagger(h))
+        v = (vecs * np.exp(0.1j * vals / np.max(np.abs(vals)))) @ sc.dagger(vecs)
+        tampered = sc.GeneralizedObservable.from_unitary(v @ bob[1].operators[1] @ sc.dagger(v), d)
+        for r in (
+            ideal,
+            dressed,
+            sc.Realization(dressed.state, dressed.alice_observables, bob[::-1]),
+            sc.Realization(dressed.state, dressed.alice_observables, [bob[0], tampered]),
+        ):
+            ref = sqrt_rho_commutation_residual(r)
+            assert abs(sc.commutation_residual(r) - ref) <= 1e-12 * ref + 1e-14, (d, ref)
+
+
 def test_commutation_residual_needs_projective_input():
     mes = sc.maximally_entangled(3)
     noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))

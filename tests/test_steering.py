@@ -193,7 +193,6 @@ def test_lhs_exact_d2_against_enumeration_oracle():
     mes = sc.functional_coefficients(sc.maximally_entangled(2))
     lo = sc.lhs_bound_exact(mes)
     assert abs(lo.value - np.sqrt(2)) < 1e-9
-    assert lo.method == "exact"
 
     rng = np.random.default_rng(18)
     for _ in range(20):
