@@ -70,7 +70,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ket:
-    """Pure state vector with explicit tensor-factor bookkeeping."""
+    """Pure state vector with explicit tensor-factor bookkeeping.
+
+    amplitudes is a read-only array of its own, normalized at construction.
+    """
 
     amplitudes: np.ndarray
     factor_dims: tuple[int, ...]
@@ -83,7 +86,9 @@ class Ket:
         nrm = np.linalg.norm(a)
         if not abs(nrm - 1.0) <= 1e-6:
             raise DomainError(f"ket norm {nrm} is not 1 within 1e-6")
-        object.__setattr__(self, "amplitudes", a / nrm)
+        amps = a / nrm
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "factor_dims", dims)
 
     @property

@@ -19,24 +19,39 @@ from .linalg import Ket, dagger, haar_unitary
 from .measurements import GeneralizedObservable, generalized_pauli
 
 
+def schmidt_rows(alpha) -> np.ndarray:
+    """Each row of a stack of Schmidt vectors, checked and scaled to unit norm.
+
+    alpha is (n, d) with d >= 2; every entry must be finite and positive
+    and every row's 2-norm within 1e-6 of 1, or DomainError is raised.
+    Returns a new (n, d) array of the rows divided by their norms, each
+    norm taken as np.linalg.norm takes it, so a row of the stack is
+    bit for bit the SchmidtVector of that row.
+    """
+    a = np.asarray(alpha, dtype=np.float64)
+    if a.shape[-1] < 2:
+        raise DomainError("need at least two Schmidt coefficients")
+    if not np.isfinite(a).all():
+        raise DomainError("Schmidt coefficients must be finite")
+    if not a.min() > 0.0:
+        raise DomainError(f"Schmidt coefficients must be positive, min {a.min()}")
+    nrm = np.sqrt(np.vecdot(a, a, keepdims=True))
+    near = abs(nrm - 1.0) <= 1e-6
+    if not near.all():
+        raise DomainError(f"||alpha|| = {nrm[~near][0]} is off by more than 1e-6")
+    return a / nrm
+
+
 @dataclass(frozen=True)
 class SchmidtVector:
-    """Strictly positive Schmidt coefficients, unit 2-norm."""
+    """Strictly positive Schmidt coefficients, unit 2-norm; alpha is read-only."""
 
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
-        if a.size < 2:
-            raise DomainError("need at least two Schmidt coefficients")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("Schmidt coefficients must be finite")
-        if not a.min() > 0.0:
-            raise DomainError(f"Schmidt coefficients must be positive, min {a.min()}")
-        nrm = float(np.linalg.norm(a))
-        if not abs(nrm - 1.0) <= 1e-6:
-            raise DomainError(f"||alpha|| = {nrm} is off by more than 1e-6")
-        object.__setattr__(self, "alpha", a / nrm)
+        a = schmidt_rows(np.asarray(self.alpha, dtype=np.float64).reshape(1, -1))[0]
+        a.flags.writeable = False
+        object.__setattr__(self, "alpha", a)
 
     @property
     def d(self) -> int:

@@ -15,6 +15,12 @@ over nonnegative unit vectors eta. With Alice's ideal observables both
 equal max_a lambda_max(Q_a) for d explicit d x d matrices, attained at
 a = argmax alpha (proof in _branch_perron); lhs_bound_paper_upper adds
 the eigensolver's roundoff margin so that it is a certified bound.
+
+The chain from Schmidt vector to LHS bound runs over stacks of rows, a
+leading axis of Schmidt vectors: states.schmidt_rows checks and scales
+them, _gamma takes gamma of every row and _branch_perron solves every
+row's Q_a in one stacked eigh. The scalar API passes a stack of one, and
+lhs_bound_rows a whole grid, bit for bit the same row by row.
 """
 
 from __future__ import annotations
@@ -26,19 +32,22 @@ import numpy as np
 from .errors import DomainError, SizeError
 from .linalg import apply_local
 from .measurements import _powers, unitary_observable_povm
-from .states import Realization, SchmidtVector
+from .states import Realization, SchmidtVector, schmidt_rows
 
 
 @dataclass(frozen=True)
 class SteeringFunctional:
-    """Coefficients (gamma, delta_k) attached to a Schmidt vector."""
+    """Coefficients (gamma, delta_k) attached to a Schmidt vector.
+
+    delta is a read-only copy of the array given.
+    """
 
     sv: SchmidtVector
     gamma: float
     delta: np.ndarray
 
     def __post_init__(self):
-        dl = np.asarray(self.delta, dtype=np.complex128).reshape(-1)
+        dl = np.array(self.delta, dtype=np.complex128).reshape(-1)
         if dl.size != self.sv.d:
             raise SizeError(f"delta has length {dl.size}, expected {self.sv.d}")
         if not self.gamma > 0.0:
@@ -49,11 +58,25 @@ class SteeringFunctional:
         for k in range(1, d):
             if abs(dl[d - k] - np.conj(dl[k])) > 1e-12:
                 raise DomainError(f"delta_{d - k} != conj(delta_{k})")
+        dl.flags.writeable = False
         object.__setattr__(self, "delta", dl)
 
     @property
     def d(self) -> int:
         return self.sv.d
+
+
+def _gamma(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma = d / sum_{i!=j} alpha_i/alpha_j of every row of an (n, d) stack.
+
+    Returns (gamma, col), shapes (n,) and (n, d), with the column sums
+    col_j = sum_{i != j} alpha_i/alpha_j = S/alpha_j - 1, S = sum(alpha).
+    Each row is summed along its own contiguous axis, so a row of the
+    stack gets the same bits as that row alone.
+    """
+    d = alpha.shape[-1]
+    col = alpha.sum(axis=-1, keepdims=True) / alpha - 1.0
+    return d / col.sum(axis=-1), col
 
 
 def functional_coefficients(sv: SchmidtVector) -> SteeringFunctional:
@@ -65,14 +88,9 @@ def functional_coefficients(sv: SchmidtVector) -> SteeringFunctional:
     follows identically. The FFT needs no power omega^{kj}, whose roundoff
     grows with kj, so delta_{d-k} = conj(delta_k) holds to ~1e-15 at any d.
     """
-    a = sv.alpha
-    d = sv.d
-    total = float(a.sum())
-    # col_j = sum_{i != j} alpha_i/alpha_j
-    col = total / a - 1.0
-    s = float(col.sum())
-    gamma = d / s
-    delta = -(gamma / d) * np.fft.fft(col.astype(np.complex128))
+    gamma, col = _gamma(sv.alpha[None, :])
+    gamma = float(gamma[0])
+    delta = -(gamma / sv.d) * np.fft.fft(col[0].astype(np.complex128))
     return SteeringFunctional(sv, gamma, delta)
 
 
@@ -132,7 +150,7 @@ class LhsOptimum:
 _EIG_MARGIN_C = 4.0
 
 
-def _branch_perron(f: SteeringFunctional):
+def _branch_perron(alpha: np.ndarray, gamma: np.ndarray):
     """Best branch of the LHS bound with its top eigenpair, in closed form.
 
     With Alice's ideal Z, X (eigenprojectors e_a e_a^T and the Fourier
@@ -171,21 +189,52 @@ def _branch_perron(f: SteeringFunctional):
     l = lambda_b, which increases in c < l - d; so phi_a(lambda_b) >= 1 and
     lambda_a >= lambda_b.
 
-    Returns (b0, value, perron vector, margin) for a = argmax alpha, ties
-    kept at the smallest b0, where margin bounds |computed - exact| of the
-    top eigenvalue (see _EIG_MARGIN_C).
+    The kernel runs over a stack of rows: alpha is (n, d), unit rows as
+    states.schmidt_rows returns them, and gamma (n,) their _gamma. It
+    forms every row's Q_a and makes one stacked np.linalg.eigh call,
+    which solves each matrix as a call on that matrix alone would.
+    (eigvalsh would not: its values differ in the last bits.)
+
+    Returns arrays (b0, value, perron vector, margin) of shapes (n,),
+    (n,), (n, d) and (n,), for a = argmax alpha of each row, ties kept at
+    the smallest b0, where margin bounds |computed - exact| of the top
+    eigenvalue (see _EIG_MARGIN_C).
     """
-    d = f.d
-    alpha = f.sv.alpha
-    s = float(alpha.sum())
-    b0 = int(np.argmax(alpha[(-np.arange(d)) % d]))
-    a = (-b0) % d
-    q = f.gamma * (np.ones((d, d)) - np.diag(s / alpha))
-    q[a, a] += d
+    n, d = alpha.shape
+    g = gamma[:, None]
+    s = alpha.sum(axis=-1, keepdims=True)
+    b0 = np.argmax(alpha[:, (-np.arange(d)) % d], axis=-1)
+    # Q_a's diagonal; each off-diagonal entry is gamma * 1 = gamma exactly.
+    dia = g * (1.0 - s / alpha)
+    dia[np.arange(n), (-b0) % d] += d
+    q = np.empty((n, d, d))
+    q[...] = g[:, :, None]
+    q.reshape(n, d * d)[:, :: d + 1] = dia
     vals, vecs = np.linalg.eigh(q)
-    scale = f.gamma * d + f.gamma * s * float(np.linalg.norm(1.0 / alpha)) + d
-    margin = _EIG_MARGIN_C * d * np.finfo(float).eps * scale
-    return b0, float(vals[-1]), vecs[:, -1], margin
+    inv = 1.0 / alpha
+    scale = g * d + g * s * np.sqrt(np.vecdot(inv, inv, keepdims=True)) + d
+    margin = _EIG_MARGIN_C * d * np.finfo(float).eps * scale[:, 0]
+    return b0, vals[:, -1], vecs[:, :, -1], margin
+
+
+def lhs_bound_rows(alpha) -> np.ndarray:
+    """Exact LHS bound, with the ideal Alice, of every row of an (n, d) stack.
+
+    The rows are checked and scaled as SchmidtVector scales one, and the
+    whole stack goes through _gamma and _branch_perron once, so entry i
+    equals lhs_bound_exact(functional_coefficients(SchmidtVector(alpha[i])))
+    .value bit for bit.
+    """
+    rows = schmidt_rows(alpha)
+    return _branch_perron(rows, _gamma(rows)[0])[1]
+
+
+def lhs_bounds(f: SteeringFunctional) -> tuple[LhsOptimum, LhsOptimum]:
+    """(lhs_bound_exact(f), lhs_bound_paper_upper(f)) from one eigensolve."""
+    b0, value, vec, margin = _branch_perron(f.sv.alpha[None, :], np.array([f.gamma]))
+    value = float(value[0])
+    return (LhsOptimum(value, strategy=(int(b0[0]), 0)),
+            LhsOptimum(value + float(margin[0]), eta=np.abs(vec[0])))
 
 
 def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum:
@@ -200,8 +249,7 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     scenarios; ties keep the lexicographically first strategy.
     """
     if alice_observables is None:
-        b0, value, _, _ = _branch_perron(f)
-        return LhsOptimum(value, strategy=(b0, 0))
+        return lhs_bounds(f)[0]
     d = f.d
     alpha = f.sv.alpha
     p0, p1 = [unitary_observable_povm(obs, d).elements for obs in alice_observables][:2]
@@ -228,8 +276,7 @@ def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:
     point. eta is the entrywise absolute value of the Perron vector of
     the best branch.
     """
-    _, value, vec, margin = _branch_perron(f)
-    return LhsOptimum(value + margin, eta=np.abs(vec))
+    return lhs_bounds(f)[1]
 
 
 def violation_gap(f: SteeringFunctional) -> tuple[float, float, float]:

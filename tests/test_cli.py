@@ -612,6 +612,44 @@ def test_sweep_rejects_other_dimensions():
     assert run_cli("sweep", "--d", "3", "--theta-grid", "4").returncode == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 10**5])
+def test_sweep_equals_the_per_point_chain_bit_for_bit(capsys, n):
+    assert cli.main(["sweep", "--d", "2", "--theta-grid", str(n), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    thetas = np.linspace(0.0, np.pi / 2.0, n + 2)[1:-1]
+    assert len(rows) == n
+    for row, theta in zip(rows, thetas):
+        sv = sc.SchmidtVector(np.array([np.cos(theta), np.sin(theta)]))
+        b = sc.lhs_bound_exact(sc.functional_coefficients(sv)).value
+        assert row == {"theta": float(theta), "beta_l": b, "gap": 2.0 - b}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "2"],
+    ["bounds", "--d", "5", "--alpha", "[0.1, 0.2, 0.3, 0.4, 0.83666]"],
+    ["bounds", "--d", "32"],
+    ["sweep", "--d", "2", "--theta-grid", "1"],
+    ["sweep", "--d", "2", "--theta-grid", "64"],
+    ["sweep", "--d", "2", "--theta-grid", "1000", "--format", "json"],
+])
+def test_bounds_and_sweep_run_one_eigensolve(monkeypatch, capsys, argv):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_sweep_grid_outside_one_to_the_cap_is_usage_error(monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    for n in (0, -1, cli._MAX_THETA_GRID + 1, 10**11):
+        assert cli.main(["sweep", "--d", "2", "--theta-grid", str(n)]) == 2
+        assert "--theta-grid" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_usage():
     assert run_cli("frobnicate").returncode == 2
 

@@ -61,3 +61,12 @@ def test_ket_rejects_non_finite_amplitudes():
         amps = np.array([1.0, 0.0, 0.0, bad])
         with pytest.raises(sc.DomainError):
             sc.Ket(amps, (2, 2))
+
+
+def test_ket_amplitudes_are_read_only():
+    caller = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    k = sc.Ket(caller, (2, 2))
+    caller[0] = 5.0
+    with pytest.raises(ValueError):
+        k.amplitudes[0] = 5.0  # would break the unit norm checked at construction
+    assert abs(np.linalg.norm(k.amplitudes) - 1.0) < 1e-15

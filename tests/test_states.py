@@ -152,3 +152,32 @@ def test_schmidt_vector_rejects_non_finite():
     for bad in ([np.nan, 1.0], [0.6, np.nan, 0.8], [np.inf, 0.5]):
         with pytest.raises(sc.DomainError):
             sc.SchmidtVector(np.array(bad))
+
+
+def test_schmidt_vector_alpha_is_read_only():
+    caller = np.array([0.6, 0.8])
+    sv = sc.SchmidtVector(caller)
+    caller[0] = 5.0
+    with pytest.raises(ValueError):
+        sv.alpha[0] = 0.0  # would break positivity after the checks ran
+    assert np.array_equal(sv.alpha, [0.6, 0.8] / np.linalg.norm([0.6, 0.8]))
+
+
+def test_schmidt_rows_are_schmidt_vectors_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 5, 8, 16, 32, 64, 512):
+        stack = np.sqrt(rng.dirichlet(np.ones(d), size=50)) * (1 + rng.uniform(-9e-7, 9e-7, (50, 1)))
+        rows = sc.schmidt_rows(stack)
+        for row, a in zip(rows, stack):
+            assert np.array_equal(row, sc.SchmidtVector(a).alpha)
+
+
+def test_schmidt_rows_refuse_any_bad_row():
+    good = np.array([[0.6, 0.8], [0.8, 0.6]])
+    for i, bad in enumerate(([np.nan, 1.0], [0.0, 1.0], [-0.6, 0.8], [0.9, 0.1])):
+        stack = good.copy()
+        stack[i % 2] = bad
+        with pytest.raises(sc.DomainError):
+            sc.schmidt_rows(stack)
+    with pytest.raises(sc.DomainError, match="two Schmidt"):
+        sc.schmidt_rows(np.ones((3, 1)))

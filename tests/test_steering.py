@@ -309,3 +309,33 @@ def test_violation_gap_closes_toward_product_state():
         gaps.append(sc.violation_gap(sc.functional_coefficients(sv))[2])
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def test_functional_is_not_changed_by_edits_to_the_callers_delta():
+    sv = sc.SchmidtVector(np.array([0.8, 0.6]))
+    f0 = sc.functional_coefficients(sv)
+    caller = np.array(f0.delta)
+    f = sc.SteeringFunctional(sv, f0.gamma, caller)
+    caller[0] = 5.0  # delta_0 = -1 was checked at construction
+    assert f.delta[0] == -1.0
+    with pytest.raises(ValueError):
+        f.delta[1] = 7.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32, 64])
+def test_stacked_kernel_equals_one_row_calls_bit_for_bit(d):
+    rng = np.random.default_rng(1000 + d)
+    stack = np.sqrt(rng.dirichlet(np.ones(d), size=40))
+    rows = sc.schmidt_rows(stack)
+    gamma, _ = sc.steering._gamma(rows)
+    b0, vals, vecs, margins = sc.steering._branch_perron(rows, gamma)
+    assert np.array_equal(sc.lhs_bound_rows(stack), vals)
+    for i, a in enumerate(stack):
+        f = sc.functional_coefficients(sc.SchmidtVector(a))
+        exact, upper = sc.lhs_bounds(f)
+        assert f.gamma == gamma[i]
+        assert (exact.value, exact.strategy) == (vals[i], (b0[i], 0))
+        assert upper.value == vals[i] + margins[i]
+        assert np.array_equal(upper.eta, np.abs(vecs[i]))
+        assert sc.lhs_bound_exact(f) == exact
+        assert sc.lhs_bound_paper_upper(f).value == upper.value
