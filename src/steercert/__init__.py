@@ -46,7 +46,6 @@ from .states import (
     ideal_realization,
     maximally_entangled,
     random_schmidt_vector,
-    schmidt_rows,
     schmidt_state,
 )
 from .steering import (
@@ -56,8 +55,6 @@ from .steering import (
     functional_coefficients,
     lhs_bound_exact,
     lhs_bound_paper_upper,
-    lhs_bound_rows,
-    lhs_bounds,
     quantum_maximum,
     violation_gap,
 )
@@ -111,10 +108,10 @@ __all__ = [
     "povm_to_observable", "observable_to_povm", "is_projective",
     "unitary_observable_povm", "random_povm",
     "SchmidtVector", "maximally_entangled", "schmidt_state", "Realization",
-    "ideal_realization", "dress_realization", "random_schmidt_vector", "schmidt_rows",
+    "ideal_realization", "dress_realization", "random_schmidt_vector",
     "SteeringFunctional", "functional_coefficients", "quantum_maximum",
     "evaluate", "LhsOptimum", "lhs_bound_exact",
-    "lhs_bound_paper_upper", "lhs_bounds", "lhs_bound_rows", "violation_gap",
+    "lhs_bound_paper_upper", "violation_gap",
     "VERDICT_TOL", "CertReport", "certify", "stabilizer_residuals",
     "commutation_residual", "ztilde_spectrum", "extract_bob_unitary",
     "DEFAULT_PHASE_TABLES", "PhaseTable", "default_phase_table", "sidon_check",

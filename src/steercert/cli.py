@@ -61,7 +61,13 @@ from .selftest import certify
 from .serialize import (array_from_json, array_to_json, povm_from_json,
                         real_vector_from_json, realization_from_json)
 from .states import SchmidtVector, maximally_entangled, schmidt_state
-from .steering import functional_coefficients, lhs_bound_rows, lhs_bounds, quantum_maximum
+from .steering import (
+    functional_coefficients,
+    lhs_bound_exact,
+    lhs_bound_paper_upper,
+    lhs_bound_rows,
+    quantum_maximum,
+)
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
@@ -254,7 +260,8 @@ def _meta(config: argparse.Namespace) -> dict:
 def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
     sv = _schmidt_vector(config)
     f = functional_coefficients(sv)
-    exact, upper = lhs_bounds(f)
+    exact = lhs_bound_exact(f)
+    upper = lhs_bound_paper_upper(f)
     report = {
         "d": f.d,
         "alpha": [float(a) for a in sv.alpha],

@@ -25,6 +25,7 @@ lhs_bound_rows a whole grid, bit for bit the same row by row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,19 @@ class SteeringFunctional:
     @property
     def d(self) -> int:
         return self.sv.d
+
+    @functools.cached_property
+    def _perron(self) -> tuple[int, float, np.ndarray, float]:
+        """_branch_perron of this functional's row: (b0, value, vector, margin).
+
+        Solved on first use and kept, so lhs_bound_exact and
+        lhs_bound_paper_upper on one functional share one eigh. sv.alpha
+        is read-only and gamma a float, so the kept value cannot go stale.
+        """
+        b0, value, vec, margin = _branch_perron(self.sv.alpha[None, :], np.array([self.gamma]))
+        vec = vec[0]
+        vec.flags.writeable = False
+        return int(b0[0]), float(value[0]), vec, float(margin[0])
 
 
 def _gamma(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +243,6 @@ def lhs_bound_rows(alpha) -> np.ndarray:
     return _branch_perron(rows, _gamma(rows)[0])[1]
 
 
-def lhs_bounds(f: SteeringFunctional) -> tuple[LhsOptimum, LhsOptimum]:
-    """(lhs_bound_exact(f), lhs_bound_paper_upper(f)) from one eigensolve."""
-    b0, value, vec, margin = _branch_perron(f.sv.alpha[None, :], np.array([f.gamma]))
-    value = float(value[0])
-    return (LhsOptimum(value, strategy=(int(b0[0]), 0)),
-            LhsOptimum(value + float(margin[0]), eta=np.abs(vec[0])))
-
-
 def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum:
     """Exact LHS bound over Bob's deterministic responses.
 
@@ -249,7 +255,8 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     scenarios; ties keep the lexicographically first strategy.
     """
     if alice_observables is None:
-        return lhs_bounds(f)[0]
+        b0, value, _, _ = f._perron
+        return LhsOptimum(value, strategy=(b0, 0))
     d = f.d
     alpha = f.sv.alpha
     p0, p1 = [unitary_observable_povm(obs, d).elements for obs in alice_observables][:2]
@@ -276,7 +283,8 @@ def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:
     point. eta is the entrywise absolute value of the Perron vector of
     the best branch.
     """
-    return lhs_bounds(f)[1]
+    _, value, vec, margin = f._perron
+    return LhsOptimum(value + margin, eta=np.abs(vec))
 
 
 def violation_gap(f: SteeringFunctional) -> tuple[float, float, float]:

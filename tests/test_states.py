@@ -167,7 +167,7 @@ def test_schmidt_rows_are_schmidt_vectors_bit_for_bit():
     rng = np.random.default_rng(31)
     for d in (2, 3, 5, 8, 16, 32, 64, 512):
         stack = np.sqrt(rng.dirichlet(np.ones(d), size=50)) * (1 + rng.uniform(-9e-7, 9e-7, (50, 1)))
-        rows = sc.schmidt_rows(stack)
+        rows = sc.states.schmidt_rows(stack)
         for row, a in zip(rows, stack):
             assert np.array_equal(row, sc.SchmidtVector(a).alpha)
 
@@ -178,6 +178,6 @@ def test_schmidt_rows_refuse_any_bad_row():
         stack = good.copy()
         stack[i % 2] = bad
         with pytest.raises(sc.DomainError):
-            sc.schmidt_rows(stack)
+            sc.states.schmidt_rows(stack)
     with pytest.raises(sc.DomainError, match="two Schmidt"):
-        sc.schmidt_rows(np.ones((3, 1)))
+        sc.states.schmidt_rows(np.ones((3, 1)))
