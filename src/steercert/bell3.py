@@ -127,6 +127,33 @@ def _schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, q
 
 
+@functools.cache
+def _gesdd(n: int):
+    """LAPACK zgesdd and the lwork that zgesdd_lwork gives for order n."""
+    from scipy.linalg import get_lapack_funcs  # only the see-saw needs it; kept off the CLI import
+
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.complex128)
+    work, _ = gesdd_lwork(n, n)
+    return gesdd, int(work.real)
+
+
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vh) of a square matrix, m = u diag(s) vh.
+
+    LAPACK zgesdd is called with full u and vh, as np.linalg.svd(m) calls
+    it, so the bits are svd's, without its per-call wrapper. As in svd, a
+    non-finite entry or a failed decomposition raises LinAlgError.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("SVD of a matrix with infs or NaNs")
+    gesdd, lwork = _gesdd(m.shape[0])
+    u, s, vh, info = gesdd(m, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (zgesdd info {info})")
+    return u, s, vh
+
+
 def _project_order3(u: np.ndarray) -> np.ndarray:
     """Nearest unitary whose spectrum sits on the cube roots of unity."""
     t, q = _schur(u)
@@ -143,7 +170,7 @@ def _random_order3(rng: np.random.Generator) -> np.ndarray:
 
 
 def _polar_rounded(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
+    u, _, vh = _svd(m)
     return _project_order3(dagger(vh) @ dagger(u))
 
 

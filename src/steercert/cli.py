@@ -26,9 +26,16 @@ Reports are written by _dumps, whose bytes are exactly those of
 json.dumps(report, sort_keys=True, separators=(",", ": "), indent=2,
 allow_nan=False): it calls the same string escaper and int and float
 reprs. json.dumps with an indent runs the pure-Python encoder, one
-generator step per bracket, comma and number; _dumps instead formats a
-rectangular array of numbers one nesting level at a time. A NaN or an
-infinity in a report is a DomainError, and nothing is written.
+generator step per bracket, comma and number; _dumps instead flattens a
+rectangular array of numbers and joins its leaves with separators that
+depend only on its shape. A long list of finite floats gets its digits
+from orjson, which writes the same shortest round-trip digits as
+float.__repr__ (both are Ryu) but in its own notation between 1e-9 and
+1e-4 and from 1e16 up; floats in the wider band [1e-11, 1e-4) or from
+1e15 up keep float.__repr__, and a test checks the two against each
+other on random bit patterns and at the band's edges. orjson is imported
+only when such a list is written. A NaN or an infinity in a report is a
+DomainError, and nothing is written.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 In process, main returns those codes; argparse usage errors and --version
@@ -594,15 +601,36 @@ def _either(first, second):
     return lambda v: first(v) or second(v)
 
 
-def _number_pairs(v: list) -> bool:
-    """True when every item of v is a list of two exact floats or ints.
+def _number_pairs(v: list, depth: int = 0) -> bool:
+    """True when v, flattened depth levels, is a list of lists of two
+    exact floats or ints.
 
-    A sufficient test for items of _COMPLEX that scans one level at a
-    time: item types, item lengths, then the leaf types. It is false for
-    an empty v, and a list it rejects goes to the per-item predicate.
+    A sufficient test for an array whose items nest depth plain arrays
+    above _COMPLEX (see _pair_depth), which scans one level at a time:
+    each level's lists are joined, then the item types, item lengths and
+    leaf types are checked. It is false when no pair is left, and a list
+    it rejects goes to the per-item predicate.
     """
+    for _ in range(depth):
+        if set(map(type, v)) != {list}:
+            return False
+        v = list(chain.from_iterable(v))
     return (set(map(type, v)) == {list} and set(map(len, v)) == {2}
             and set(map(type, chain.from_iterable(v))) <= {float, int})
+
+
+def _pair_depth(items: dict) -> int | None:
+    """How many plain arrays nest between an array's items and _COMPLEX.
+
+    0 for the items of _COMPLEX_VEC, 1 for those of _MATRIX and 2 for an
+    array of _MATRIX; None when items is not such a chain.
+    """
+    depth = 0
+    while items != _COMPLEX:
+        if items.keys() != {"type", "items"} or items["type"] != "array":
+            return None
+        items, depth = items["items"], depth + 1
+    return depth
 
 
 _KEYWORDS = {"type", "enum", "required", "properties", "items", "minItems", "maxItems"}
@@ -639,8 +667,9 @@ def _compile(schema: dict):
         if schema.get("items") == {"type": "number"}:
             # Exact floats and ints are numbers: a sufficient test, tried first.
             every = lambda v: set(map(type, v)) <= {float, int} or all(map(item, v))
-        elif schema.get("items") == _COMPLEX:
-            every = lambda v: _number_pairs(v) or all(map(item, v))
+        elif (depth := _pair_depth(schema.get("items", {}))) is not None:
+            # The whole nest of [re, im] pairs in one pass, tried first.
+            every = lambda v: _number_pairs(v, depth) or all(map(item, v))
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
         checks.append(lambda v: not isinstance(v, list) or (lo <= len(v) <= hi and every(v)))
     return functools.reduce(_both, checks) if checks else (lambda v: True)
@@ -661,12 +690,51 @@ def _number(x) -> str:
     return float.__repr__(x)
 
 
+# orjson writes floats with the Ryu algorithm's shortest round-trip digits,
+# as float.__repr__ does, but in its own notation for 1e-9 <= |x| < 1e-4
+# ("0.00001" for 1e-05, "1e-9" for 1e-09) and for |x| >= 1e16 ("1e16" for
+# 1e+16). Floats in the wider band [_REPR_LOW, _REPR_HIGH) or at or above
+# _REPR_FROM keep float.__repr__; a list shorter than _ORJSON_MIN is all
+# written by float.__repr__, which is faster for so few.
+_REPR_LOW, _REPR_HIGH, _REPR_FROM = 1e-11, 1e-4, 1e15
+_ORJSON_MIN = 12
+
+
+def _float_reprs(level: list) -> list:
+    """list(map(float.__repr__, level)) for a list of finite floats.
+
+    orjson would write a NaN or an infinity as null, so a caller passes
+    only finite floats. The list and the text of its JSON are never held
+    at once with orjson's bytes.
+    """
+    if len(level) < _ORJSON_MIN:
+        return list(map(float.__repr__, level))
+    import orjson  # only subcommands that write a long float grid need it
+
+    strs = orjson.dumps(level).decode().split(",")
+    strs[0], strs[-1] = strs[0][1:], strs[-1][:-1]  # the brackets
+    a = np.abs(np.fromiter(level, dtype=np.float64, count=len(level)))
+    own = ((a >= _REPR_LOW) & (a < _REPR_HIGH)) | (a >= _REPR_FROM)
+    for i in np.flatnonzero(own).tolist():
+        strs[i] = float.__repr__(level[i])
+    return strs
+
+
+def _reprs(values: list) -> list:
+    """The repr of each value, as an f-string's !r writes it."""
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        return _float_reprs(values)
+    return list(map(repr, values))
+
+
 def _grid(value, newline: str) -> str | None:
     """_dumps(value, newline) when value is a nonempty rectangular nest of
     lists whose leaves are all exact ints and floats; otherwise None.
 
-    The nest is flattened one level at a time, the leaves are formatted by
-    one map, and each level's rows by one %-template, innermost level first.
+    The nest is flattened one level at a time and the leaves are formatted
+    together, by _float_reprs when all are finite floats. The text between two leaves depends only on how many
+    levels close there, so one list of separators, filled by a slice per
+    level, is interleaved with the leaves and joined once.
     """
     level, shape = value, [len(value)]
     kinds = set(map(type, level))
@@ -679,16 +747,24 @@ def _grid(value, newline: str) -> str | None:
     if not kinds <= {float, int}:
         return None
     if kinds == {float} and math.isfinite(sum(level)):  # then no leaf is NaN or inf
-        strs = list(map(float.__repr__, level))
+        strs = _float_reprs(level)
     else:
         strs = list(map(_number, level))
     del level
-    for depth in reversed(range(len(shape))):
-        n, outer = shape[depth], newline + "  " * depth
-        inner = outer + "  "
-        row = "[" + inner + ("%s," + inner) * (n - 1) + "%s" + outer + "]"
-        strs = list(map(row.__mod__, zip(*[iter(strs)] * n)))
-    return strs[0]
+    m, n = len(shape), len(strs)
+    pad = [newline + "  " * k for k in range(m + 1)]
+    # close[c] ends the c innermost levels; open_[c] starts c of them and the first leaf.
+    close = ["".join(pad[m - 1 - j] + "]" for j in range(c)) for c in range(m + 1)]
+    open_ = ["".join(pad[m - c + j] + "[" for j in range(c)) + pad[m] for c in range(m)]
+    seps = [close[0] + "," + open_[0]] * n
+    stride = 1
+    for c in range(1, m):
+        stride *= shape[m - c]
+        seps[stride - 1::stride] = [close[c] + "," + open_[c]] * (n // stride)
+    seps[-1] = close[m]
+    text = [None] * (2 * n)
+    text[0::2], text[1::2] = strs, seps
+    return "[" + open_[m - 1] + "".join(text)
 
 
 def _dumps(value, newline: str) -> str:
@@ -722,6 +798,9 @@ def _dumps(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_CSV_BLOCK = 2**16
+
+
 def _render(config: argparse.Namespace, report: dict) -> str:
     key = _schema_key(config)
     if not _predicate(key)(report):
@@ -733,13 +812,17 @@ def _render(config: argparse.Namespace, report: dict) -> str:
         if error is not None:
             raise error
     if config.subcommand == "sweep" and config.format == "csv":
+        rows = report["rows"]
         lines = [
             f"# steercert {report['tool_version']} seed={report['seed']} "
             f"tolerance={report['tolerance']!r}",
             "theta,beta_l,gap",
         ]
-        for row in report["rows"]:
-            lines.append(f"{row['theta']!r},{row['beta_l']!r},{row['gap']!r}")
+        # A block of rows at a time, so the reprs of only one block are held.
+        for i in range(0, len(rows), _CSV_BLOCK):
+            block = rows[i:i + _CSV_BLOCK]
+            columns = [_reprs([row[k] for row in block]) for k in ("theta", "beta_l", "gap")]
+            lines.append("\n".join(map(",".join, zip(*columns))))
         return "\n".join(lines) + "\n"
     try:
         text = _dumps(report, "\n")

@@ -137,6 +137,55 @@ def test_schur_raises_when_lapack_fails(monkeypatch):
         b3._schur(random_order3(3, np.random.default_rng(0)))
 
 
+def same_svd(m):
+    """_svd(m) equals np.linalg.svd(m) bit for bit."""
+    return all(same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b))
+               for a, b in zip(b3._svd(m), np.linalg.svd(m)))
+
+
+def test_svd_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(616)
+    for trial in range(500):
+        assert same_svd(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), trial
+
+
+def test_svd_is_numpys_on_seesaw_polar_inputs(monkeypatch):
+    seen = []
+    svd = b3._svd
+
+    def recording(m):
+        seen.append(m.copy())
+        return svd(m)
+
+    monkeypatch.setattr(b3, "_svd", recording)
+    *_, history = b3._seesaw_single(np.random.SeedSequence(5), 30, sc.LAMBDA1)
+    assert len(seen) == 6 * len(history)
+    monkeypatch.undo()
+    for i, m in enumerate(seen):
+        assert same_svd(m), i
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_svd_refuses_non_finite_input(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        b3._svd(m)
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        b3._polar_rounded(m)
+
+
+def test_svd_raises_when_lapack_fails(monkeypatch):
+    gesdd, lwork = b3._gesdd(3)
+
+    def failing(*args, **kwargs):
+        return (*gesdd(*args, **kwargs)[:-1], 2)
+
+    monkeypatch.setattr(b3, "_gesdd", lambda n: (failing, lwork))
+    with pytest.raises(np.linalg.LinAlgError, match="zgesdd info 2"):
+        b3._svd(np.eye(3, dtype=complex))
+
+
 @pytest.mark.parametrize("args, value, iterations", [
     (["--restarts", "3", "--seed", "1"], 10.392304845413276, 24),
     (["--restarts", "4", "--seed", "3"], 10.392304845413285, 28),

@@ -775,6 +775,22 @@ def test_compiled_schema_agrees_with_jsonschema(real_reports, data):
     assert cli._predicate(key)(report) == cli._validator(key).is_valid(report), report
 
 
+_TYPE_CASES = [
+    True, False, 0, 1, 1.0, 1.5, np.float64(3.0), np.int64(1), np.bool_(True),
+    "a", "1", None, [], [1], [1.0, 2], [1, 2, 3], [True], {"a": "x"},
+    {"a": 1}, {"b": "x"}, float("nan"), [1.0, True], [np.float64(0.5), 1],
+    [np.float64(0.5), True], [float("nan"), 0.0], [[0.0], 1.0], [0.0, [1.0, 2.0]],
+]
+# Lists of [re, im] pairs, on both sides of the level-wise pair test.
+_PAIR_CASES = [
+    [[0.0, 1.0], [2, -0.5]], [[0.0, 1.0], [True, 0.0]],
+    [[0.0, 1.0], [np.float64(0.5), 0.0]], [[0.0, 1.0], [0.0, 1.0, 2.0]],
+    [[0.0, 1.0], [[0.0, 1.0], 0.0]], [[0.0, 1.0], []], [[]],
+    [[float("nan"), 0.0]], [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0]]],
+]
+_ELEMENTS = cli.SCHEMAS["povm-build"]["properties"]["elements"]
+
+
 def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
     schemas = [
         {"type": "number"},
@@ -787,20 +803,40 @@ def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
         cli._COMPLEX_VEC,
         cli._MATRIX,
     ]
-    values = [True, False, 0, 1, 1.0, 1.5, np.float64(3.0), np.int64(1), np.bool_(True),
-              "a", "1", None, [], [1], [1.0, 2], [1, 2, 3], [True], {"a": "x"},
-              {"a": 1}, {"b": "x"}, float("nan"), [1.0, True], [np.float64(0.5), 1],
-              [np.float64(0.5), True], [float("nan"), 0.0], [[0.0], 1.0], [0.0, [1.0, 2.0]]]
-    # Lists of [re, im] pairs, on both sides of the level-wise pair test.
-    values += [[[0.0, 1.0], [2, -0.5]], [[0.0, 1.0], [True, 0.0]],
-               [[0.0, 1.0], [np.float64(0.5), 0.0]], [[0.0, 1.0], [0.0, 1.0, 2.0]],
-               [[0.0, 1.0], [[0.0, 1.0], 0.0]], [[0.0, 1.0], []], [[]],
-               [[float("nan"), 0.0]], [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0]]]]
     for schema in schemas:
         pred = cli._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
-        for v in values:
+        for v in _TYPE_CASES + _PAIR_CASES:
             assert pred(v) == reference.is_valid(v), (schema, v)
+
+
+@pytest.mark.parametrize("schema, depth", [
+    (cli._COMPLEX_VEC, 0), (cli._MATRIX, 1), (_ELEMENTS, 2),
+    ({"type": "array", "items": cli._COMPLEX_VEC, "minItems": 1}, 1),
+])
+def test_one_pass_pair_check_agrees_with_the_per_item_predicate(schema, depth):
+    assert cli._pair_depth(schema["items"]) == depth
+    pred = cli._compile(schema)
+    per_item = cli._compile(schema["items"])
+    reference = jsonschema.Draft202012Validator(schema)
+    cases = _TYPE_CASES + _PAIR_CASES
+    for _ in range(depth):  # each case also as one item of every level
+        cases = cases + [[v] for v in cases] + [[v, v] for v in cases]
+    for v in cases:
+        want = reference.is_valid(v)
+        assert pred(v) == want, v
+        if isinstance(v, list) and len(v) >= schema.get("minItems", 0):
+            assert all(map(per_item, v)) == want, v
+            # The one-pass check is sufficient: what it accepts is valid.
+            assert not cli._number_pairs(v, depth) or want, v
+
+
+def test_one_pass_pair_check_is_only_for_plain_chains():
+    assert cli._pair_depth({"type": "number"}) is None
+    assert cli._pair_depth({}) is None
+    assert cli._pair_depth({"type": "array", "items": cli._COMPLEX, "minItems": 1}) is None
+    assert cli._pair_depth({"type": ["array"], "items": cli._COMPLEX}) is None
+    assert cli._pair_depth(cli._COMPLEX) == 0
 
 
 def _stdlib_dumps(value) -> str:
@@ -844,6 +880,127 @@ _WRITER_VALUES = st.recursive(
 @given(value=_WRITER_VALUES)
 def test_writer_writes_what_the_json_module_writes(value):
     assert cli._dumps(value, "\n") == _stdlib_dumps(value)
+
+
+def _float_edges() -> list:
+    """The band edges and their neighbours, signed zeros, subnormals and
+    the largest floats, with both signs."""
+    edges = [1e-11, 1e-9, 1e-4, 1e15, 1e16]
+    near = [np.nextafter(e, t) for e in edges for t in (0.0, np.inf)]
+    tiny = [5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-310]
+    big = [np.finfo(np.float64).max, np.nextafter(np.finfo(np.float64).max, 0.0)]
+    values = [float(x) for x in edges + near + tiny + big]
+    return [0.0, -0.0] + values + [-x for x in values]
+
+
+def _random_finite_floats(n: int, seed: int) -> list:
+    """The floats of n random bit patterns, non-finite ones dropped."""
+    x = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    return x[np.isfinite(x)].tolist()
+
+
+def test_float_reprs_are_float_repr_on_random_bit_patterns():
+    level = _random_finite_floats(10**6 + 10**3, 1717)
+    assert len(level) > 10**6
+    # Every binade is present, the subnormals' included.
+    exponents = np.frexp(np.array(level))[1]
+    assert set(exponents.tolist()) >= set(range(-1021, 1025))
+    assert np.sum(np.abs(level) < np.finfo(np.float64).tiny) > 100
+    assert cli._float_reprs(level) == list(map(float.__repr__, level))
+
+
+def test_float_reprs_are_float_repr_over_the_decimal_range():
+    rng = np.random.default_rng(1818)
+    level = (rng.choice([-1.0, 1.0], 2 * 10**5) * 10.0 ** rng.uniform(-14, 19, 2 * 10**5)).tolist()
+    assert cli._float_reprs(level) == list(map(float.__repr__, level))
+
+
+def test_float_reprs_at_the_band_edges():
+    edges = _float_edges()
+    assert len(edges) >= cli._ORJSON_MIN
+    for level in (edges, edges[::-1], edges * 3, [0.5] * 40 + edges):
+        assert cli._float_reprs(level) == list(map(float.__repr__, level))
+    for x in edges:  # each alone, and each in a list long enough for orjson
+        assert cli._float_reprs([x]) == [repr(x)]
+        assert cli._float_reprs([x] * cli._ORJSON_MIN) == [repr(x)] * cli._ORJSON_MIN
+
+
+def test_orjson_writes_float_repr_outside_the_band():
+    # The fallback covers exactly the band; everywhere else orjson's own
+    # text is what gets written.
+    import orjson
+
+    level = _random_finite_floats(2 * 10**5, 1919) + _float_edges()
+    a = np.abs(np.array(level))
+    outside = ~(((a >= cli._REPR_LOW) & (a < cli._REPR_HIGH)) | (a >= cli._REPR_FROM))
+    level = np.array(level)[outside].tolist()
+    assert orjson.dumps(level).decode()[1:-1].split(",") == list(map(float.__repr__, level))
+
+
+@pytest.mark.parametrize("name, narrowed", [
+    ("_REPR_LOW", 2e-9), ("_REPR_HIGH", 9.5e-5), ("_REPR_FROM", 2e16),
+])
+def test_narrowing_either_edge_of_the_band_breaks_the_text(monkeypatch, name, narrowed):
+    # Both edges keep a margin past the first float orjson writes in its
+    # own notation: 1e-9 and 1e16, and just below 1e-4.
+    assert cli._REPR_LOW <= 1e-11 and cli._REPR_HIGH >= 1e-4 and cli._REPR_FROM <= 1e15
+    level = _float_edges() + [1.5e-9, 9.7e-5, 1.5e16]
+    assert cli._float_reprs(level) == list(map(float.__repr__, level))
+    monkeypatch.setattr(cli, name, narrowed)
+    assert cli._float_reprs(level) != list(map(float.__repr__, level))
+
+
+def test_writer_writes_hard_float_grids_as_the_json_module_does():
+    rng = np.random.default_rng(2020)
+    edges = _float_edges()
+    hard = edges + rng.permutation(edges).tolist() + _random_finite_floats(4096, 2121)
+    for shape in ([len(hard)], [2, len(hard) // 2], [len(hard) // 4, 2, 2]):
+        grid = _nest(hard[:int(np.prod(shape))], shape)
+        assert cli._dumps(grid, "\n") == _stdlib_dumps(grid), shape
+        assert cli._dumps({"g": grid, "h": [grid]}, "\n") == _stdlib_dumps({"g": grid, "h": [grid]})
+    # Finite leaves whose sum overflows go through the per-leaf writer.
+    big = [1.7e308] * 2 * cli._ORJSON_MIN
+    assert cli._dumps(_nest(big, [cli._ORJSON_MIN, 2]), "\n") == _stdlib_dumps(
+        _nest(big, [cli._ORJSON_MIN, 2]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_povm_element_is_a_domain_error_not_null(bad):
+    import orjson
+
+    assert orjson.dumps([bad]) == b"[null]"  # why orjson never sees one
+    config = cli.parse_args(["povm", "build", "--kind", "covariant", "--d", "5"])
+    _, report = cli._run_povm(config)
+    assert len(report["elements"]) * 5 * 5 * 2 >= cli._ORJSON_MIN
+    report["elements"][3][2][4][1] = bad
+    with pytest.raises(sc.DomainError, match="report is not strict JSON"):
+        cli._render(_json_config("povm-build"), report)
+
+
+def _sweep_csv_reference(report: dict) -> str:
+    """The sweep CSV as one f-string per row writes it."""
+    lines = [f"# steercert {report['tool_version']} seed={report['seed']} "
+             f"tolerance={report['tolerance']!r}", "theta,beta_l,gap"]
+    lines += [f"{r['theta']!r},{r['beta_l']!r},{r['gap']!r}" for r in report["rows"]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 12, 64, cli._CSV_BLOCK + 1])
+def test_sweep_csv_is_one_repr_per_field(n):
+    config = cli.parse_args(["sweep", "--d", "2", "--theta-grid", str(n)])
+    _, report = cli._run_sweep(config)
+    assert cli._render(config, report) == _sweep_csv_reference(report)
+
+
+def test_sweep_csv_writes_other_numbers_by_their_repr():
+    config = cli.parse_args(["sweep", "--d", "2", "--theta-grid", "40"])
+    _, report = cli._run_sweep(config)
+    report["rows"][3]["gap"] = float("nan")
+    report["rows"][5]["beta_l"] = 2
+    report["rows"][7]["theta"] = np.float64(0.5)
+    text = cli._render(config, report)
+    assert text == _sweep_csv_reference(report)
+    assert ",nan\n" in text and ",2," in text
 
 
 def _json_config(key: str) -> argparse.Namespace:
