@@ -260,7 +260,10 @@ def seesaw_details(seed: int = 42, restarts: int = 32, iters: int = 150):
 @dataclass(frozen=True)
 class DressedAlice:
     """Observables certified by maximal violation: fixed only up to a
-    projector Q on an auxiliary factor of unknown dimension."""
+    projector Q on an auxiliary factor of unknown dimension.
+
+    q_projector, a0 and a1 are read-only copies of the arrays given.
+    """
 
     aux_dim: int
     q_projector: np.ndarray
@@ -268,13 +271,15 @@ class DressedAlice:
     a1: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q_projector, dtype=np.complex128)
+        q = np.array(self.q_projector, dtype=np.complex128)
         if q.shape != (self.aux_dim, self.aux_dim):
             raise SizeError("q_projector must act on the aux factor")
         if not (np.linalg.norm(q @ q - q) <= 1e-9 and np.linalg.norm(q - dagger(q)) <= 1e-9):
             raise DomainError("q_projector is not an orthogonal projector")
-        for name, a in (("a0", self.a0), ("a1", self.a1)):
-            a = np.asarray(a, dtype=np.complex128)
+        q.flags.writeable = False
+        object.__setattr__(self, "q_projector", q)
+        for name in ("a0", "a1"):
+            a = np.array(getattr(self, name), dtype=np.complex128)
             n = 3 * self.aux_dim
             if a.shape != (n, n):
                 raise SizeError(f"{name} must have dimension {n}")
@@ -282,7 +287,8 @@ class DressedAlice:
                 raise DomainError(f"{name} is not unitary")
             if not np.linalg.norm(np.linalg.matrix_power(a, 3) - np.eye(n)) <= 1e-9:
                 raise DomainError(f"{name} cubed is not the identity")
-        object.__setattr__(self, "q_projector", q)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def q_rank(self) -> int:

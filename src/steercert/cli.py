@@ -4,12 +4,17 @@ Every subcommand emits a single JSON document (a sweep emits plot-ready
 CSV rows unless given --format json) with the {tool_version, seed,
 tolerance} triple included for reproducibility, and each document is
 validated against the subcommand's own schema before it is written.
-Each entry of SCHEMAS is compiled once into a plain-Python predicate with
-jsonschema's Draft 2020-12 meanings; only a report the predicate rejects
-goes to jsonschema, whose best_match error is raised, and then nothing is
-written. jsonschema is imported only then, so the command line starts
-without it. Output bytes depend only on the parsed arguments, never on wall
-time or thread count.
+Handlers put numpy arrays into a report as they are; an ndarray stands
+for the JSON lists _plain makes of it, with each complex entry an
+[re, im] pair. Each entry of SCHEMAS is compiled once into a plain-Python
+predicate with jsonschema's Draft 2020-12 meanings. It judges a float64
+or complex128 array from its dtype, ndim and length against the schema's
+chain of items, without a walk over the entries, and any other array by
+walking _plain of it. Only a report the predicate rejects goes to
+jsonschema, as _plain(report), whose best_match error is raised, and then
+nothing is written. jsonschema is imported only then, so the command line
+starts without it. Output bytes depend only on the parsed arguments, never
+on wall time or thread count.
 
 The argparse parser is built once per process. parse_args checks --seed,
 --tolerance, --d and --alpha and returns the argparse namespace itself,
@@ -23,19 +28,22 @@ refused before orjson sees it. The numbers in it are read by the one
 strict walk of serialize, which refuses a boolean among them.
 
 Reports are written by _dumps, whose bytes are exactly those of
-json.dumps(report, sort_keys=True, separators=(",", ": "), indent=2,
-allow_nan=False): it calls the same string escaper and int and float
-reprs. json.dumps with an indent runs the pure-Python encoder, one
-generator step per bracket, comma and number; _dumps instead flattens a
-rectangular array of numbers and joins its leaves with separators that
-depend only on its shape. A long list of finite floats gets its digits
-from orjson, which writes the same shortest round-trip digits as
-float.__repr__ (both are Ryu) but in its own notation between 1e-9 and
-1e-4 and from 1e16 up; floats in the wider band [1e-11, 1e-4) or from
-1e15 up keep float.__repr__, and a test checks the two against each
-other on random bit patterns and at the band's edges. orjson is imported
-only when such a list is written. A NaN or an infinity in a report is a
-DomainError, and nothing is written.
+json.dumps(_plain(report), sort_keys=True, separators=(",", ": "),
+indent=2, allow_nan=False): it calls the same string escaper and int and
+float reprs. json.dumps with an indent runs the pure-Python encoder, one
+generator step per bracket, comma and number. _dumps instead writes a
+float64 or complex128 array from the array itself, with no nested lists
+between: its floats, each complex entry as re then im, are formatted
+together and joined with separators that depend only on its shape. From
+12 floats up, their digits come from one orjson.dumps of the array.
+orjson writes the same shortest round-trip digits as float.__repr__ (both
+are Ryu) but in its own notation between 1e-9 and 1e-4 and from 1e16 up;
+floats in the wider band [1e-11, 1e-4) or from 1e15 up keep
+float.__repr__, and a test checks the two against each other on random
+bit patterns and at the band's edges. orjson is imported only when so
+many floats are written. Any other array is written as the lists of
+_plain, and a plain list one item at a time. A NaN or an infinity in a
+report is a DomainError, and nothing is written.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
 In process, main returns those codes; argparse usage errors and --version
@@ -54,7 +62,6 @@ import math
 import numbers
 import re
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -271,13 +278,13 @@ def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
     upper = lhs_bound_paper_upper(f)
     report = {
         "d": f.d,
-        "alpha": [float(a) for a in sv.alpha],
+        "alpha": sv.alpha,
         "beta_q": quantum_maximum(f),
         "beta_l_exact": exact.value,
         "beta_l_upper": upper.value,
         "gap": quantum_maximum(f) - exact.value,
         "gamma": f.gamma,
-        "delta": array_to_json(f.delta),
+        "delta": f.delta,
         "strategy": list(map(int, exact.strategy)) if exact.strategy else None,
         **_meta(config),
     }
@@ -394,7 +401,7 @@ def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     rep = certify(f, r, tol=config.tolerance)
     report = {
         "d": f.d,
-        "alpha": [float(a) for a in sv.alpha],
+        "alpha": sv.alpha,
         **rep.to_dict(),
         **_meta(config),
     }
@@ -410,8 +417,8 @@ def _povm_reports(p: Povm, tol: float) -> tuple[dict, dict, bool]:
     v = validate_povm(p, tol)
     ok, info = is_extremal_rank_one(p)
     validation = {
-        "hermiticity": [float(x) for x in v.hermiticity],
-        "min_eigenvalues": [float(x) for x in v.min_eigenvalues],
+        "hermiticity": v.hermiticity,
+        "min_eigenvalues": v.min_eigenvalues,
         "completeness_residual": v.completeness_residual,
         "failures": list(v.failures),
         "passed": v.passed,
@@ -441,7 +448,7 @@ def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
             "kind": config.kind,
             "d": d,
             "n_outcomes": p.n_outcomes,
-            "elements": array_to_json(p.elements),
+            "elements": p.elements,
             "validation": validation,
             "extremality": extremality,
             **_meta(config),
@@ -483,7 +490,7 @@ def _run_randomness(config: argparse.Namespace) -> tuple[int, dict]:
     rep = randomness_report(p, rho, tol=config.tolerance)
     report = {
         "d": int(sv.alpha.size),
-        "alpha": [float(a) for a in sv.alpha],
+        "alpha": sv.alpha,
         "povm": source,
         "n_outcomes": p.n_outcomes,
         **rep.to_dict(),
@@ -501,7 +508,7 @@ def _run_bell3(config: argparse.Namespace) -> tuple[int, dict]:
         "value": value,
         "threshold": BELL3_BOUND,
         "gap": value - BELL3_BOUND,
-        "state_schmidt": [float(s) for s in schmidt],
+        "state_schmidt": schmidt,
         "iterations": used,
         "restarts": config.restarts,
         **_meta(config),
@@ -573,18 +580,24 @@ def _validator(key: str):
 
 # Draft 2020-12 meanings, as jsonschema's type checker defines them: a bool
 # is neither a number nor an integer, and an integral float is an integer.
+# An ndarray has the type of _plain of it; each test tries that last.
 _TYPES = {
-    "array": lambda v: isinstance(v, list),
-    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list) or _typed(v, "array"),
+    "boolean": lambda v: isinstance(v, bool) or _typed(v, "boolean"),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()),
-    "null": lambda v: v is None,
+    or (isinstance(v, float) and v.is_integer()) or _typed(v, "integer"),
+    "null": lambda v: v is None or _typed(v, "null"),
     "number": lambda v: type(v) in (float, int)
-    or (not isinstance(v, bool) and isinstance(v, numbers.Number)),
-    "object": lambda v: isinstance(v, dict),
-    "string": lambda v: isinstance(v, str),
+    or (not isinstance(v, bool) and isinstance(v, numbers.Number)) or _typed(v, "number"),
+    "object": lambda v: isinstance(v, dict) or _typed(v, "object"),
+    "string": lambda v: isinstance(v, str) or _typed(v, "string"),
 }
 _SCALARS = (str, bool, int, float, type(None))
+
+
+def _typed(v, name: str) -> bool:
+    """Whether v is an ndarray whose _plain has JSON type name."""
+    return isinstance(v, np.ndarray) and _TYPES[name](_plain(v))
 
 
 def _same(a, b) -> bool:
@@ -601,36 +614,69 @@ def _either(first, second):
     return lambda v: first(v) or second(v)
 
 
-def _number_pairs(v: list, depth: int = 0) -> bool:
-    """True when v, flattened depth levels, is a list of lists of two
-    exact floats or ints.
-
-    A sufficient test for an array whose items nest depth plain arrays
-    above _COMPLEX (see _pair_depth), which scans one level at a time:
-    each level's lists are joined, then the item types, item lengths and
-    leaf types are checked. It is false when no pair is left, and a list
-    it rejects goes to the per-item predicate.
-    """
-    for _ in range(depth):
-        if set(map(type, v)) != {list}:
-            return False
-        v = list(chain.from_iterable(v))
-    return (set(map(type, v)) == {list} and set(map(len, v)) == {2}
-            and set(map(type, chain.from_iterable(v))) <= {float, int})
-
-
-def _pair_depth(items: dict) -> int | None:
-    """How many plain arrays nest between an array's items and _COMPLEX.
+def _pair_depth(items: dict, leaf: dict = _COMPLEX) -> int | None:
+    """How many plain arrays nest between an array's items and leaf.
 
     0 for the items of _COMPLEX_VEC, 1 for those of _MATRIX and 2 for an
-    array of _MATRIX; None when items is not such a chain.
+    array of _MATRIX; with leaf _NUM, 0 for the items of _REAL_VEC. None
+    when items is not such a chain.
     """
     depth = 0
-    while items != _COMPLEX:
+    while items != leaf:
         if items.keys() != {"type", "items"} or items["type"] != "array":
             return None
         items, depth = items["items"], depth + 1
     return depth
+
+
+def _plain(value):
+    """value with every ndarray in it replaced by the JSON lists it stands for.
+
+    An array becomes nested lists, one level per axis, with each complex
+    entry an [re, im] pair as array_to_json writes it. An ndarray in a
+    report means exactly this, to the schema check and to the writer.
+    """
+    if isinstance(value, np.ndarray):
+        return array_to_json(value) if value.dtype.kind == "c" else _plain(value.tolist())
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_plain, value))
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
+
+
+_DIRECT = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
+def _direct(a: np.ndarray) -> bool:
+    """Whether a is checked and written from its dtype and shape alone.
+
+    True for a float64 or complex128 array with at least one axis and no
+    axis of length 0; any other array goes through _plain.
+    """
+    return a.dtype in _DIRECT and a.ndim > 0 and a.size > 0
+
+
+def _array_levels(schema: dict) -> tuple[int, int | None] | None:
+    """(levels, last) when schema accepts exactly the nonempty rectangular
+    nests of floats `levels` lists deep whose innermost lists have length
+    last (any length when last is None), given that the outer list fits
+    minItems and maxItems; None for any other schema.
+
+    Such a schema is an array, with no enum, whose items are a chain of
+    plain arrays over _COMPLEX or over _NUM.
+    """
+    names = schema.get("type", "array")
+    if "enum" in schema or "array" not in ([names] if isinstance(names, str) else names):
+        return None
+    items = schema.get("items", {})
+    if (depth := _pair_depth(items)) is not None:
+        return depth + 2, 2
+    if (depth := _pair_depth(items, _NUM)) is not None:
+        return depth + 1, None
+    return None
 
 
 _KEYWORDS = {"type", "enum", "required", "properties", "items", "minItems", "maxItems"}
@@ -641,7 +687,10 @@ def _compile(schema: dict):
 
     Only the keywords SCHEMAS uses are known. Any other keyword, or an enum
     member that is not a JSON scalar, raises ValueError here, so no part of
-    a schema is skipped unnoticed when a report is checked.
+    a schema is skipped unnoticed when a report is checked. An ndarray is
+    judged as _plain of it: from its dtype, ndim and length when _direct
+    and the schema is an item chain (_array_levels), else by walking its
+    lists.
     """
     unknown = sorted(schema.keys() - _KEYWORDS)
     if unknown:
@@ -657,22 +706,30 @@ def _compile(schema: dict):
             raise ValueError(f"enum {members!r}: only JSON scalars have a compiled check")
         checks.append(lambda v: any(_same(v, e) for e in members))
     if "required" in schema or "properties" in schema:
-        req = tuple(schema.get("required", ()))
+        req = frozenset(schema.get("required", ()))
         props = [(k, _compile(s)) for k, s in schema.get("properties", {}).items()]
         checks.append(lambda v: not isinstance(v, dict) or (
-            all(k in v for k in req) and all(p(v[k]) for k, p in props if k in v)))
+            v.keys() >= req and all([p(v[k]) for k, p in props if k in v])))
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
     if schema.keys() & {"items", "minItems", "maxItems"}:
         item = _compile(schema.get("items", {}))
-        every = lambda v: all(map(item, v))
-        if schema.get("items") == {"type": "number"}:
-            # Exact floats and ints are numbers: a sufficient test, tried first.
-            every = lambda v: set(map(type, v)) <= {float, int} or all(map(item, v))
-        elif (depth := _pair_depth(schema.get("items", {}))) is not None:
-            # The whole nest of [re, im] pairs in one pass, tried first.
-            every = lambda v: _number_pairs(v, depth) or all(map(item, v))
-        lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
-        checks.append(lambda v: not isinstance(v, list) or (lo <= len(v) <= hi and every(v)))
-    return functools.reduce(_both, checks) if checks else (lambda v: True)
+        checks.append(lambda v: not isinstance(v, list) or (
+            lo <= len(v) <= hi and all(map(item, v))))
+    listed = functools.reduce(_both, checks) if checks else (lambda v: True)
+    if schema.keys() <= {"type"}:
+        return listed  # _TYPES already judge an ndarray as _plain of it
+    levels = _array_levels(schema)
+
+    def check(v) -> bool:
+        if not isinstance(v, np.ndarray):
+            return listed(v)
+        if levels is None or not _direct(v):
+            return listed(_plain(v))
+        shape = v.shape + (2,) if v.dtype.kind == "c" else v.shape
+        return (len(shape) == levels[0] and levels[1] in (None, shape[-1])
+                and lo <= shape[0] <= hi)
+
+    return check
 
 
 @functools.cache
@@ -694,29 +751,29 @@ def _number(x) -> str:
 # as float.__repr__ does, but in its own notation for 1e-9 <= |x| < 1e-4
 # ("0.00001" for 1e-05, "1e-9" for 1e-09) and for |x| >= 1e16 ("1e16" for
 # 1e+16). Floats in the wider band [_REPR_LOW, _REPR_HIGH) or at or above
-# _REPR_FROM keep float.__repr__; a list shorter than _ORJSON_MIN is all
+# _REPR_FROM keep float.__repr__; fewer than _ORJSON_MIN floats are all
 # written by float.__repr__, which is faster for so few.
 _REPR_LOW, _REPR_HIGH, _REPR_FROM = 1e-11, 1e-4, 1e15
 _ORJSON_MIN = 12
 
 
-def _float_reprs(level: list) -> list:
-    """list(map(float.__repr__, level)) for a list of finite floats.
+def _float_reprs(level) -> list:
+    """list(map(float.__repr__, level)) for a list or 1-D float64 array of
+    finite floats.
 
     orjson would write a NaN or an infinity as null, so a caller passes
-    only finite floats. The list and the text of its JSON are never held
-    at once with orjson's bytes.
+    only finite floats.
     """
     if len(level) < _ORJSON_MIN:
         return list(map(float.__repr__, level))
     import orjson  # only subcommands that write a long float grid need it
 
-    strs = orjson.dumps(level).decode().split(",")
-    strs[0], strs[-1] = strs[0][1:], strs[-1][:-1]  # the brackets
-    a = np.abs(np.fromiter(level, dtype=np.float64, count=len(level)))
-    own = ((a >= _REPR_LOW) & (a < _REPR_HIGH)) | (a >= _REPR_FROM)
+    a = np.ascontiguousarray(level, dtype=np.float64)
+    strs = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    own = ((mag >= _REPR_LOW) & (mag < _REPR_HIGH)) | (mag >= _REPR_FROM)
     for i in np.flatnonzero(own).tolist():
-        strs[i] = float.__repr__(level[i])
+        strs[i] = float.__repr__(a[i])
     return strs
 
 
@@ -727,30 +784,21 @@ def _reprs(values: list) -> list:
     return list(map(repr, values))
 
 
-def _grid(value, newline: str) -> str | None:
-    """_dumps(value, newline) when value is a nonempty rectangular nest of
-    lists whose leaves are all exact ints and floats; otherwise None.
+def _array(a: np.ndarray, newline: str) -> str:
+    """_dumps(_plain(a), newline) for an array that is _direct.
 
-    The nest is flattened one level at a time and the leaves are formatted
-    together, by _float_reprs when all are finite floats. The text between two leaves depends only on how many
-    levels close there, so one list of separators, filled by a slice per
-    level, is interleaved with the leaves and joined once.
+    The floats of a, with each complex entry as re then im, are formatted
+    together by _float_reprs. The text between two leaves depends only on
+    how many levels close there, so one list of separators, filled by a
+    slice per level, is interleaved with the leaves and joined once.
     """
-    level, shape = value, [len(value)]
-    kinds = set(map(type, level))
-    while kinds == {list}:
-        if len(set(map(len, level))) > 1 or not level[0]:
-            return None
-        shape.append(len(level[0]))
-        level = list(chain.from_iterable(level))
-        kinds = set(map(type, level))
-    if not kinds <= {float, int}:
-        return None
-    if kinds == {float} and math.isfinite(sum(level)):  # then no leaf is NaN or inf
-        strs = _float_reprs(level)
-    else:
-        strs = list(map(_number, level))
-    del level
+    shape = a.shape + (2,) if a.dtype.kind == "c" else a.shape
+    flat = np.ascontiguousarray(a).view(np.float64).reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        x = float(flat[~finite][0])
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    strs = _float_reprs(flat)
     m, n = len(shape), len(strs)
     pad = [newline + "  " * k for k in range(m + 1)]
     # close[c] ends the c innermost levels; open_[c] starts c of them and the first leaf.
@@ -768,7 +816,7 @@ def _grid(value, newline: str) -> str | None:
 
 
 def _dumps(value, newline: str) -> str:
-    """value as json.dumps(value, sort_keys=True, separators=(",", ": "),
+    """value as json.dumps(_plain(value), sort_keys=True, separators=(",", ": "),
     indent=2, allow_nan=False) writes it, byte for byte.
 
     Dict keys must be str. newline is a line break plus the indent of the
@@ -790,11 +838,12 @@ def _dumps(value, newline: str) -> str:
         fields = (json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, inner)
                   for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    if isinstance(value, np.ndarray):
+        return _array(value, newline) if _direct(value) else _dumps(_plain(value), newline)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return _grid(value, newline) or (
-            "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]")
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -808,7 +857,7 @@ def _render(config: argparse.Namespace, report: dict) -> str:
         # the error, and stays the judge should the two ever disagree.
         import jsonschema
 
-        error = jsonschema.exceptions.best_match(_validator(key).iter_errors(report))
+        error = jsonschema.exceptions.best_match(_validator(key).iter_errors(_plain(report)))
         if error is not None:
             raise error
     if config.subcommand == "sweep" and config.format == "csv":

@@ -194,24 +194,21 @@ def povm_to_observable(p: Povm) -> GeneralizedObservable:
 def observable_to_povm(g: GeneralizedObservable) -> Povm:
     """Inverse Fourier transform N_a = (1/d) sum_k omega^{-ak} B_k.
 
-    Eigenvalues of the reconstructed elements in [-1e-6, 0) are clipped
-    to zero and the element rebuilt; anything below -1e-6 means the
-    coefficients never came from a POVM and raises.
+    Returns the Hermitian parts of the N_a as they are. An element with
+    an eigenvalue below -DEFAULT_TOL means the operators never came from
+    a POVM and raises InvalidObservableError; nothing is clipped.
     """
     d = g.d
     phases = root_powers(d, -np.arange(d), np.arange(d))  # [a, k]
     els = np.einsum("ak,kij->aij", phases, g.operators) / d
-    out = np.empty_like(els)
-    for a in range(d):
-        h = (els[a] + dagger(els[a])) / 2
-        vals, vecs = np.linalg.eigh(h)
-        if vals.min() < -1e-6:
-            raise InvalidObservableError(
-                f"element {a} has eigenvalue {vals.min():.3e} below -1e-6"
-            )
-        vals = np.where(vals < 0.0, 0.0, vals)
-        out[a] = (vecs * vals) @ dagger(vecs)
-    return Povm(out)
+    els = (els + np.conj(els).transpose(0, 2, 1)) / 2
+    least = np.linalg.eigvalsh(els)[:, 0]
+    bad = np.flatnonzero(~(least >= -DEFAULT_TOL))  # NaN fails too
+    if bad.size:
+        raise InvalidObservableError(
+            f"element {bad[0]} has eigenvalue {least[bad[0]]:.3e} below -{DEFAULT_TOL:g}"
+        )
+    return Povm(els)
 
 
 def is_projective(g: GeneralizedObservable, tol: float = DEFAULT_TOL):

@@ -77,7 +77,8 @@ class Realization:
     Factor 0 of the state is Alice's, factor 1 Bob's; a third factor, if
     present, is an eavesdropper's and is traced out by every statistic.
     Alice observables must be unitary with A^d = 1 (d = Bob's outcome
-    count), so their spectra are d-th roots of unity.
+    count), so their spectra are d-th roots of unity; alice_observables
+    is a list of read-only copies of the arrays given.
     """
 
     state: Ket
@@ -91,8 +92,9 @@ class Realization:
             raise SizeError("need at least one Bob observable")
         d = self.bob_observables[0].d
         da, db = self.state.factor_dims[0], self.state.factor_dims[1]
-        alice = [np.asarray(a, dtype=np.complex128) for a in self.alice_observables]
+        alice = [np.array(a, dtype=np.complex128) for a in self.alice_observables]
         for i, a in enumerate(alice):
+            a.flags.writeable = False
             if a.shape != (da, da):
                 raise SizeError(f"Alice observable {i} shape {a.shape} != {(da, da)}")
             if not np.allclose(a @ dagger(a), np.eye(da), rtol=0.0, atol=1e-9):
@@ -176,7 +178,7 @@ def dress_realization(
     for g in r.bob_observables:
         ops = np.stack([u @ np.kron(bk, eye_j) @ dagger(u) for bk in g.operators])
         bob.append(GeneralizedObservable(ops))
-    return Realization(state, [a.copy() for a in r.alice_observables], bob)
+    return Realization(state, r.alice_observables, bob)
 
 
 _MAX_DRAWS = 10_000

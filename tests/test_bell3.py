@@ -290,6 +290,23 @@ def test_dressed_alice_rejects_non_finite_entries():
                 sc.DressedAlice(**kwargs)
 
 
+def test_dressed_alice_is_not_changed_by_edits_to_the_callers_arrays():
+    good = sc.dressed_alice(2, 1)
+    caller = {field: np.array(getattr(good, field)) for field in ("q_projector", "a0", "a1")}
+    da = sc.DressedAlice(aux_dim=2, **caller)
+    for field, m in caller.items():
+        m[:] = 5.0  # the projector, unitarity and cube checks ran at construction
+        assert np.array_equal(getattr(da, field), getattr(good, field)), field
+    assert da.q_rank == 1
+
+
+def test_dressed_alice_arrays_are_read_only():
+    da = sc.dressed_alice(2, 1)
+    for field in ("q_projector", "a0", "a1"):
+        with pytest.raises(ValueError):
+            getattr(da, field)[0, 0] = 5.0
+
+
 def test_extended_check_passes_across_q_ranks():
     sv = sc.maximally_entangled(3)
     for aux, q in [(1, 1), (2, 0), (2, 1), (2, 2)]:

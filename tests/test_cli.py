@@ -540,7 +540,7 @@ def test_covariant_build_solves_each_eigenproblem_once(monkeypatch, capsys):
     pairs = np.array(rep["elements"])
     validation, extremality, _ = cli._povm_reports(sc.Povm(pairs[..., 0] + 1j * pairs[..., 1]),
                                                    rep["tolerance"])
-    assert (validation, extremality) == (rep["validation"], rep["extremality"])
+    assert (cli._plain(validation), extremality) == (rep["validation"], rep["extremality"])
 
 
 def test_povm_check_catches_tamper(tmp_path):
@@ -735,6 +735,8 @@ def _report_argvs(tmp_path):
         ["certify", "--realization", str(realization)],
         ["povm", "build", "--kind", "partial", "--d", "3"],
         ["povm", "build", "--kind", "covariant", "--d", "2"],
+        ["povm", "build", "--kind", "covariant", "--d", "12", "--seed", "5"],
+        ["povm", "build", "--kind", "partial", "--d", "6"],
         ["povm", "check", "--povm", str(povm)],
         ["randomness", "--d", "3"],
         ["bell3", "--restarts", "1", "--iters", "5"],
@@ -744,13 +746,17 @@ def _report_argvs(tmp_path):
 
 @pytest.fixture(scope="module")
 def real_reports(tmp_path_factory):
-    """(schema key, report) of every subcommand, as its handler returns it."""
+    """(schema key, report) of every subcommand, as its handler returns it,
+    numpy arrays and all."""
     out = []
     for argv in _report_argvs(tmp_path_factory.mktemp("reports")):
         config = cli.parse_args(argv)
         _, report = cli._HANDLERS[config.subcommand](config)
         out.append((cli._schema_key(config), report))
     assert {key for key, _ in out} == set(cli.SCHEMAS)
+    # Checked once here, since jsonschema takes most of a second on a d=12 build.
+    for key, report in out:
+        assert cli._predicate(key)(report) and cli._validator(key).is_valid(cli._plain(report))
     return out
 
 
@@ -762,6 +768,10 @@ _REPORT_LEAVES = st.sampled_from([
     "x", "certified", "failed", "partial", "covariant", "Certified",
     [], {}, [0.0, 1.0], [0.0, 1.0, 2.0], [[0.0, 0.0]], [1, 2], ["x"],
     {"theta": 0.1, "beta_l": 1.0, "gap": 1.0}, {"theta": 0.1},
+    np.array(0.5), np.array(2.0), np.array(1j), np.zeros(2), np.zeros((1, 2)), np.ones((2, 2)),
+    np.array([0.5j]), np.array([[0.5j]]), np.zeros((1, 1, 1), complex), np.zeros((0, 2)),
+    np.arange(2), np.array([True]), np.array("certified"), np.array(["x"]),
+    np.array([{"theta": 0.1, "beta_l": 1.0, "gap": 1.0}]), np.array([np.zeros(2)], dtype=object),
 ])
 
 
@@ -769,10 +779,9 @@ _REPORT_LEAVES = st.sampled_from([
 @given(data=st.data())
 def test_compiled_schema_agrees_with_jsonschema(real_reports, data):
     key, report = data.draw(st.sampled_from(real_reports))
-    assert cli._predicate(key)(report) and cli._validator(key).is_valid(report)
     for _ in range(data.draw(st.integers(1, 3))):
         report = perturb(report, data, data.draw(st.integers(0, 6)), _REPORT_LEAVES)
-    assert cli._predicate(key)(report) == cli._validator(key).is_valid(report), report
+    assert cli._predicate(key)(report) == cli._validator(key).is_valid(cli._plain(report)), report
 
 
 _TYPE_CASES = [
@@ -810,6 +819,18 @@ def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
             assert pred(v) == reference.is_valid(v), (schema, v)
 
 
+def _as_arrays(v) -> list:
+    """v as a float64 array and, when its last axis has length 2, as the
+    complex128 array of those pairs; none when v is not a nest of numbers."""
+    try:
+        a = np.array(v, dtype=np.float64)
+    except (TypeError, ValueError):
+        return []
+    if a.ndim and a.shape[-1] == 2:
+        return [a, np.ascontiguousarray(a).view(np.complex128)[..., 0]]
+    return [a]
+
+
 @pytest.mark.parametrize("schema, depth", [
     (cli._COMPLEX_VEC, 0), (cli._MATRIX, 1), (_ELEMENTS, 2),
     ({"type": "array", "items": cli._COMPLEX_VEC, "minItems": 1}, 1),
@@ -827,8 +848,9 @@ def test_one_pass_pair_check_agrees_with_the_per_item_predicate(schema, depth):
         assert pred(v) == want, v
         if isinstance(v, list) and len(v) >= schema.get("minItems", 0):
             assert all(map(per_item, v)) == want, v
-            # The one-pass check is sufficient: what it accepts is valid.
-            assert not cli._number_pairs(v, depth) or want, v
+        # An array is checked in one pass, from its dtype, ndim and length.
+        for a in _as_arrays(v):
+            assert pred(a) == reference.is_valid(cli._plain(a)), a
 
 
 def test_one_pass_pair_check_is_only_for_plain_chains():
@@ -869,7 +891,7 @@ def _grids(draw):
 
 
 _WRITER_VALUES = st.recursive(
-    st.none() | st.booleans() | _WRITER_NUMBERS | _WRITER_TEXT | _grids(),
+    st.none() | st.booleans() | _WRITER_NUMBERS | _WRITER_TEXT | _grids() | _grids().map(np.array),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
                   | st.dictionaries(_WRITER_TEXT, kids, max_size=4)),
     max_leaves=16,
@@ -879,7 +901,7 @@ _WRITER_VALUES = st.recursive(
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(value=_WRITER_VALUES)
 def test_writer_writes_what_the_json_module_writes(value):
-    assert cli._dumps(value, "\n") == _stdlib_dumps(value)
+    assert cli._dumps(value, "\n") == _stdlib_dumps(cli._plain(value))
 
 
 def _float_edges() -> list:
@@ -964,6 +986,124 @@ def test_writer_writes_hard_float_grids_as_the_json_module_does():
         _nest(big, [cli._ORJSON_MIN, 2]))
 
 
+def _array_cases(floats: np.ndarray) -> list:
+    """floats as float64 and complex128 arrays of one, two and three axes,
+    with a non-contiguous and a read-only view of each."""
+    n = floats.size - floats.size % 8
+    out = []
+    for a in (floats[:n], floats[:n].view(np.complex128)):
+        m = a.size
+        for shape in ((m,), (2, m // 2), (m // 4, 2, 2)):
+            grid = a.reshape(shape)
+            frozen = grid.copy()
+            frozen.flags.writeable = False
+            out += [grid, grid[..., ::2], grid.T, frozen]
+    return out
+
+
+def test_array_writer_writes_what_the_json_module_writes_of_its_lists():
+    rng = np.random.default_rng(2323)
+    edges = np.array(_float_edges() + rng.permutation(_float_edges()).tolist())
+    bits = np.array(_random_finite_floats(10**6 + 10**3, 2424))
+    assert bits.size > 10**6
+    for a in [bits] + _array_cases(
+            np.concatenate([edges, bits[:4096]])):
+        assert not a.flags.c_contiguous or cli._direct(a)
+        assert cli._dumps(a, "\n") == _stdlib_dumps(cli._plain(a)), (a.dtype, a.shape)
+    # Nested in a report, at other indents; and arrays written through _plain:
+    # a zero-length axis, no axis, and other dtypes.
+    others = [np.zeros(0), np.zeros((3, 0)), np.zeros((2, 0, 2), complex), np.array(1.5),
+              np.array(-0.5j), np.arange(5), np.array([[True], [False]]),
+              np.array([0.5, "x", None, [1, 2]], dtype=object),
+              np.array([np.zeros(2), np.ones(3)], dtype=object), np.arange(3.0, dtype=">f8"),
+              np.arange(3.0, dtype=np.float32), np.full((cli._ORJSON_MIN, 2), 1.7e308)]
+    for a in others + _array_cases(edges):
+        value = {"g": a, "h": [a, {"i": a}]}
+        assert cli._dumps(value, "\n") == _stdlib_dumps(cli._plain(value)), (a.dtype, a.shape)
+    assert not any(map(cli._direct, others[:5]))
+
+
+def test_orjson_writes_numpy_floats_as_it_writes_python_floats():
+    import orjson
+
+    level = np.array(_random_finite_floats(10**6, 2525) + _float_edges())
+    assert (orjson.dumps(level, option=orjson.OPT_SERIALIZE_NUMPY)
+            == orjson.dumps(level.tolist()))
+
+
+_CHECK_SCHEMAS = [
+    cli._REAL_VEC, cli._COMPLEX, cli._COMPLEX_VEC, cli._MATRIX, _ELEMENTS, cli._NUM, cli._INT,
+    {"type": "array"}, {"type": ["array", "null"], "items": cli._INT},
+    {"type": ["number", "null"]}, {"enum": [1, 0.5, "x"]}, {"items": cli._NUM},
+    {"type": "array", "items": cli._NUM, "enum": [0.5]},
+    {"type": "array", "items": cli._NUM, "minItems": 2, "maxItems": 3},
+    {"type": "array", "items": cli._COMPLEX_VEC, "minItems": 1},
+    *cli.SCHEMAS.values(),
+]
+_CHECK_ARRAYS = [
+    *(np.zeros(shape) for shape in [(), (1,), (2,), (3,), (2, 2), (3, 2), (2, 3, 3),
+                                    (1, 3, 3, 2), (4, 2, 2, 2), (2, 2, 2, 2, 2)]),
+    *(np.full(shape, 0.5j) for shape in [(), (1,), (2,), (3,), (2, 2), (3, 2, 2), (1, 2, 2, 2)]),
+    np.array([np.nan, 1.0]), np.ones((4, 3))[:, ::2], np.arange(2.0, dtype=">f8"),
+    np.arange(2.0, dtype=np.float32), np.arange(2, dtype=np.complex64),
+    np.arange(2), np.arange(6).reshape(3, 2), np.array(1), np.array([True, False]),
+    np.array(True), np.array([[0.5, 1.0]], dtype=object), np.array(0.5, dtype=object),
+    np.array([np.zeros(2), np.ones(2)], dtype=object), np.array([None, "x"], dtype=object),
+    np.array("x"), np.array(["x", "y"]),
+    np.zeros(0), np.zeros((0, 2)), np.zeros((2, 0, 2), complex), np.zeros((3, 0)),
+]
+
+
+def test_array_check_agrees_with_jsonschema_on_its_lists():
+    for schema in _CHECK_SCHEMAS:
+        pred = cli._compile(schema)
+        reference = jsonschema.Draft202012Validator(schema)
+        for a in _CHECK_ARRAYS:
+            assert pred(a) == reference.is_valid(cli._plain(a)), (schema, a)
+            assert pred([a]) == reference.is_valid(cli._plain([a])), (schema, a)
+
+
+def _array_paths(value, path=()) -> list:
+    """The path of every ndarray in a report."""
+    if isinstance(value, np.ndarray):
+        return [path]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _array_paths(v, path + (k,))]
+    return []
+
+
+def _get(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def test_non_finite_entry_of_any_report_array_writes_nothing(monkeypatch, capsys, tmp_path):
+    argvs = _report_argvs(tmp_path)
+    reports = {}
+    for argv in argvs:
+        config = cli.parse_args(argv)
+        reports[cli._schema_key(config)] = argv, cli._HANDLERS[config.subcommand](config)[1]
+    fields = {(key, path) for key, (_, report) in reports.items()
+              for path in _array_paths(report)}
+    assert {path[-1] for _, path in fields} == {
+        "alpha", "delta", "elements", "hermiticity", "min_eigenvalues", "state_schmidt"}
+    out = tmp_path / "report.json"
+    for key, path in sorted(fields):
+        argv, report = reports[key]
+        for bad in (float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan"))):
+            a = _get(report, path).copy()
+            if a.dtype.kind != "c" and isinstance(bad, complex):
+                continue
+            a.flat[-1] = bad
+            broken = set_at(report, path, a)
+            monkeypatch.setitem(cli._HANDLERS, argv[0], lambda config, r=broken: (0, r))
+            assert cli.main(argv + ["--output", str(out)]) == 2, (key, path, bad)
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("steercert: error: report is not strict JSON")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_povm_element_is_a_domain_error_not_null(bad):
     import orjson
@@ -972,7 +1112,8 @@ def test_non_finite_povm_element_is_a_domain_error_not_null(bad):
     config = cli.parse_args(["povm", "build", "--kind", "covariant", "--d", "5"])
     _, report = cli._run_povm(config)
     assert len(report["elements"]) * 5 * 5 * 2 >= cli._ORJSON_MIN
-    report["elements"][3][2][4][1] = bad
+    report["elements"] = report["elements"].copy()
+    report["elements"][3, 2, 4] = complex(report["elements"][3, 2, 4].real, bad)
     with pytest.raises(sc.DomainError, match="report is not strict JSON"):
         cli._render(_json_config("povm-build"), report)
 
@@ -1011,7 +1152,7 @@ def _json_config(key: str) -> argparse.Namespace:
 
 def test_every_report_renders_as_the_json_module_writes_it(real_reports):
     for key, report in real_reports:
-        assert cli._render(_json_config(key), report) == _stdlib_dumps(report) + "\n", key
+        assert cli._render(_json_config(key), report) == _stdlib_dumps(cli._plain(report)) + "\n", key
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
@@ -1019,8 +1160,8 @@ def test_every_report_renders_as_the_json_module_writes_it(real_reports):
 @pytest.mark.parametrize("key,path", [
     ("bounds", ["gamma"]),
     ("bounds", ["alpha", 0]),
-    ("bounds", ["delta", 1, 0]),
-    ("povm-build", ["elements", 0, 1, 1, 0]),
+    ("bounds", ["delta", 1]),
+    ("povm-build", ["elements", 0, 1, 1]),
     ("povm-build", ["validation", "hermiticity", 2]),
     ("sweep", ["rows", 1, "gap"]),
 ])
@@ -1055,11 +1196,32 @@ def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path)
         with pytest.raises(jsonschema.ValidationError) as info:
             cli.main(argv)
         want = jsonschema.exceptions.best_match(
-            cli._validator("bounds").iter_errors(seen[-1]))
+            cli._validator("bounds").iter_errors(cli._plain(seen[-1])))
         assert type(info.value) is type(want) and info.value.message == want.message
         assert info.value.message == "'wide' is not of type 'number'"
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+def test_failing_report_is_named_from_its_lists(real_reports):
+    # jsonschema judges _plain(report), so it names the field at fault, not
+    # an array it does not know as a JSON array.
+    named = 0
+    for key, report in real_reports:
+        if any(isinstance(v, np.ndarray) and v.size > 1000 for v in report.values()):
+            continue  # jsonschema takes most of a second on one d=12 build
+        for field in report:
+            for bad in ("wide", True, [True], {"a": 1}):
+                broken = {**report, field: bad}
+                want = jsonschema.exceptions.best_match(
+                    cli._validator(key).iter_errors(cli._plain(broken)))
+                if want is None:
+                    continue
+                with pytest.raises(jsonschema.ValidationError) as info:
+                    cli._render(_json_config(key), broken)
+                assert info.value.message == want.message, (key, field, bad)
+                named += 1
+    assert named > 100
 
 
 _FAILING_REPORT_CHILD = """
@@ -1085,7 +1247,7 @@ except Exception as e:
 import jsonschema
 
 want = jsonschema.exceptions.best_match(
-    jsonschema.Draft202012Validator(cli.SCHEMAS["bounds"]).iter_errors(reports[-1]))
+    jsonschema.Draft202012Validator(cli.SCHEMAS["bounds"]).iter_errors(cli._plain(reports[-1])))
 try:
     cli.no_such_name
     missing = None

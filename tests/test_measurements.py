@@ -103,6 +103,25 @@ def test_observable_to_povm_rejects_negative():
         sc.observable_to_povm(bad)
 
 
+def test_observable_to_povm_refuses_a_slightly_negative_element():
+    # N_0 has least eigenvalue -1e-7: within reach of a clip to zero, but
+    # no POVM's element, so it is refused rather than repaired.
+    p = [-1e-7, 0.5 + 5e-8, 0.5 + 5e-8]
+    elements = np.array([np.diag([pa, 1.0 / 3.0]) for pa in p], dtype=complex)
+    g = sc.povm_to_observable(sc.Povm(elements))
+    assert np.linalg.eigvalsh(elements[0])[0] == -1e-7
+    with pytest.raises(sc.InvalidObservableError, match="element 0"):
+        sc.observable_to_povm(g)
+
+
+def test_observable_to_povm_returns_the_hermitian_parts_unclipped():
+    rng = np.random.default_rng(7)
+    for d in (2, 3, 5):
+        p = sc.random_povm(d, d, rng)
+        els = sc.observable_to_povm(sc.povm_to_observable(p)).elements
+        assert np.array_equal(els, np.conj(els).transpose(0, 2, 1))
+
+
 def test_fourier_round_trip_random_povms():
     rng = np.random.default_rng(42)
     for _ in range(200):

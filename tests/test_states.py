@@ -53,6 +53,22 @@ def test_ideal_realization_structure():
     assert np.allclose(r.alice_observables[1], sc.generalized_pauli(3, "X"), atol=1e-12)
 
 
+def test_realization_is_not_changed_by_edits_to_the_callers_observables():
+    r0 = sc.ideal_realization(sc.maximally_entangled(3))
+    caller = [np.array(a) for a in r0.alice_observables]
+    r = sc.Realization(r0.state, caller, r0.bob_observables)
+    caller[0][:] = 5.0 * np.eye(3)  # unitarity and A^3 = 1 were checked at construction
+    assert np.array_equal(r.alice_observables[0], sc.generalized_pauli(3, "Z"))
+    assert abs(sc.evaluate(sc.functional_coefficients(sc.maximally_entangled(3)), r) - 3.0) < 1e-12
+
+
+def test_realization_alice_observables_are_read_only():
+    r = sc.ideal_realization(sc.maximally_entangled(3))
+    for a in r.alice_observables + sc.dress_realization(r, 2, 2, seed=1).alice_observables:
+        with pytest.raises(ValueError):
+            a[0, 0] = 5.0
+
+
 def test_ideal_realization_d2_value():
     f = sc.functional_coefficients(sc.maximally_entangled(2))
     r = sc.ideal_realization(sc.maximally_entangled(2))
