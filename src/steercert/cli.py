@@ -778,8 +778,12 @@ def _float_reprs(level) -> list:
 
 
 def _reprs(values: list) -> list:
-    """The repr of each value, as an f-string's !r writes it."""
-    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+    """The repr of each value, as an f-string's !r writes it; a NaN or an
+    infinity raises ValueError, as in _number."""
+    bad = [] if math.isfinite(sum(values)) else [x for x in values if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad[0]!r}")
+    if set(map(type, values)) == {float}:
         return _float_reprs(values)
     return list(map(repr, values))
 
@@ -860,7 +864,9 @@ def _render(config: argparse.Namespace, report: dict) -> str:
         error = jsonschema.exceptions.best_match(_validator(key).iter_errors(_plain(report)))
         if error is not None:
             raise error
-    if config.subcommand == "sweep" and config.format == "csv":
+    try:
+        if config.subcommand != "sweep" or config.format != "csv":
+            return _dumps(report, "\n") + "\n"
         rows = report["rows"]
         lines = [
             f"# steercert {report['tool_version']} seed={report['seed']} "
@@ -873,11 +879,8 @@ def _render(config: argparse.Namespace, report: dict) -> str:
             columns = [_reprs([row[k] for row in block]) for k in ("theta", "beta_l", "gap")]
             lines.append("\n".join(map(",".join, zip(*columns))))
         return "\n".join(lines) + "\n"
-    try:
-        text = _dumps(report, "\n")
-    except ValueError as e:
+    except ValueError as e:  # a NaN or an infinity, in JSON or CSV
         raise DomainError(f"report is not strict JSON: {e}") from None
-    return text + "\n"
 
 
 def run(config: argparse.Namespace) -> int:

@@ -110,15 +110,15 @@ class Ket:
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate hermiticity, positivity and unit trace; returns the array."""
+    """Validate hermiticity, positivity and unit trace, failing closed on NaN."""
     a = as_complex_matrix(rho)
-    if np.linalg.norm(a - dagger(a)) > tol * max(1.0, np.linalg.norm(a)):
+    if not np.linalg.norm(a - dagger(a)) <= tol * max(1.0, np.linalg.norm(a)):
         raise DomainError("density matrix is not Hermitian")
     tr = np.trace(a).real
-    if abs(tr - 1.0) > max(tol, 1e-9) * 10:
+    if not abs(tr - 1.0) <= max(tol, 1e-9) * 10:
         raise DomainError(f"density matrix trace {tr} is not 1")
     wmin = float(np.min(np.linalg.eigvalsh((a + dagger(a)) / 2)))
-    if wmin < -max(tol, 1e-9) * 10:
+    if not wmin >= -max(tol, 1e-9) * 10:
         raise DomainError(f"density matrix has eigenvalue {wmin}")
     return a
 

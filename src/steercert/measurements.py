@@ -141,16 +141,16 @@ class Povm:
 class GeneralizedObservable:
     """Fourier picture of a d-outcome measurement.
 
-    operators[k] = B_k = sum_a omega^{ka} N_a. Construction enforces
-    B_0 = 1, the conjugate pairing B_{d-k} = B_k^dag and ||B_k||_op <= 1,
-    which hold for every valid POVM but do not by themselves imply
-    projectivity; see is_projective.
+    operators[k] = B_k = sum_a omega^{ka} N_a, a read-only copy of the array
+    given. Construction enforces B_0 = 1, the conjugate pairing
+    B_{d-k} = B_k^dag and ||B_k||_op <= 1, which hold for every valid POVM
+    but do not by themselves imply projectivity; see is_projective.
     """
 
     operators: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.operators, dtype=np.complex128)
+        a = np.array(self.operators, dtype=np.complex128)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise SizeError(f"expected (d, dim, dim) operators, got {a.shape}")
         d = a.shape[0]
@@ -167,6 +167,7 @@ class GeneralizedObservable:
             if 2 * k <= d and (np.linalg.norm(a[k], ord=2)
                                + np.linalg.norm(a[d - k] - dagger(a[k])) > 1.0 + 1e-9):
                 raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
+        a.flags.writeable = False
         object.__setattr__(self, "operators", a)
 
     @property

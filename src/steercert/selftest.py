@@ -5,7 +5,9 @@ itself, projectivity of Bob's observables, the stabilizer relations
 that pin the state, the twisted commutation relation between Bob's two
 observables on the state support, and positivity of the diagonal
 operator whose spectrum gamma * sum_i alpha_i / alpha_l certifies the
-Schmidt coefficients. certify() checks all of them at one tolerance and
+Schmidt coefficients. The value and the stabilizer relations come from
+the same local terms, so certify() applies each term to the state once
+(steering._walk_terms). It checks every identity at one tolerance and
 returns a verdict: failures are data. Only malformed input raises (a
 tolerance outside (0, 1), fewer than two observables on a side), and
 every check fails closed, so a NaN residual is a failure.
@@ -18,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .linalg import apply_local, dagger, range_basis
+from .linalg import dagger, range_basis
 from .measurements import (
     generalized_pauli, is_projective, omega, root_powers, unitary_observable_povm,
 )
 from .states import Realization
-from .steering import SteeringFunctional, _terms, evaluate
+from .steering import SteeringFunctional, _walk_terms
 
 VERDICT_TOL = 1e-7
 
@@ -33,18 +35,10 @@ def stabilizer_residuals(f: SteeringFunctional, r: Realization):
 
     per_k[k-1] measures (A_0^k (x) B_{k|0})|psi> = |psi> for k = 1..d-1;
     s_residual measures the combined relation built from the second
-    setting and the delta coefficients. Both come from the functional's
-    own terms, applied to the state.
+    setting and the delta coefficients. Both come from the walk that also
+    gives the value, steering._walk_terms.
     """
-    psi = r.state
-    ket = psi.amplitudes.reshape(psi.factor_dims[0], psi.factor_dims[1], -1)
-    per_k = []
-    s_vec = -ket
-    for (coef, a, b), *s_terms in _terms(f, r):
-        per_k.append(np.linalg.norm(coef * apply_local(a, b, psi) - ket))
-        for coef, a, b in s_terms:
-            s_vec += coef * apply_local(a, b, psi)
-    return np.array(per_k), float(np.linalg.norm(s_vec))
+    return _walk_terms(f, r)[1:]
 
 
 def commutation_residual(r: Realization, tol: float = VERDICT_TOL) -> float:
@@ -70,11 +64,9 @@ def commutation_residual(r: Realization, tol: float = VERDICT_TOL) -> float:
 
 def _commutation_residual(r: Realization) -> float:
     """commutation_residual without its projectivity precondition check."""
-    d = r.d
-    b0 = r.bob_observables[0].operators[1]
-    b1 = r.bob_observables[1].operators[1]
+    b0, b1 = (g.operators[1] for g in r.bob_observables[:2])
     da, db = r.state.factor_dims[0], r.state.factor_dims[1]
-    comm = b0 @ b1 - (1.0 / omega(d)) * b1 @ b0
+    comm = b0 @ b1 - (1.0 / omega(r.d)) * b1 @ b0
     return float(np.linalg.norm(comm @ r.state.amplitudes.reshape(da, db, -1)))
 
 
@@ -139,26 +131,23 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance {tol} is outside (0, 1)")
     failures: list[str] = []
-    value = evaluate(f, r)
+    value, per_k, s_res = _walk_terms(f, r)
     gap = f.d - value
     if not gap <= tol:
         failures.append(f"value_gap {gap:.3e} > {tol:.1e}")
     proj = []
-    proj_ok = True
     for i, g in enumerate(r.bob_observables[:2]):
         ok, res = is_projective(g, tol)
         worst = max(res.values())
         proj.append((ok, worst))
         if not ok:
-            proj_ok = False
             failures.append(f"Bob observable {i} projectivity residual {worst:.3e}")
-    per_k, s_res = stabilizer_residuals(f, r)
     if not np.max(per_k) <= tol:
         failures.append(f"stabilizer residual {np.max(per_k):.3e} > {tol:.1e}")
     if not s_res <= tol:
         failures.append(f"s_residual {s_res:.3e} > {tol:.1e}")
     comm = None
-    if proj_ok:
+    if all(ok for ok, _ in proj):
         comm = _commutation_residual(r)
         if not comm <= tol:
             failures.append(f"commutation residual {comm:.3e} > {tol:.1e}")
@@ -200,8 +189,7 @@ def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
     if db % d != 0:
         raise ContractError(f"Bob dimension {db} is not a multiple of {d}")
     mult = db // d
-    b0 = r.bob_observables[0].operators[1]
-    b1 = r.bob_observables[1].operators[1]
+    b0, b1 = (g.operators[1] for g in r.bob_observables[:2])
     projs = unitary_observable_povm(b0, d, tol).elements
     # eigenvalue omega^-a of B_0 plays the role of Z* on sector a
     sectors = [projs[(-a) % d] for a in range(d)]

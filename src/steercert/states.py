@@ -10,13 +10,13 @@ statements allow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, DomainError, SizeError
 from .linalg import Ket, dagger, haar_unitary
-from .measurements import GeneralizedObservable, generalized_pauli
+from .measurements import GeneralizedObservable, _powers, generalized_pauli
 
 
 def schmidt_rows(alpha) -> np.ndarray:
@@ -78,12 +78,14 @@ class Realization:
     present, is an eavesdropper's and is traced out by every statistic.
     Alice observables must be unitary with A^d = 1 (d = Bob's outcome
     count), so their spectra are d-th roots of unity; alice_observables
-    is a list of read-only copies of the arrays given.
+    is a list of read-only copies of the arrays given, and alice_powers[i]
+    the read-only stack A_i^0..A_i^(d-1) formed while A_i^d = 1 is checked.
     """
 
     state: Ket
     alice_observables: list
     bob_observables: list
+    alice_powers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.state.factor_dims) not in (2, 3):
@@ -92,17 +94,17 @@ class Realization:
             raise SizeError("need at least one Bob observable")
         d = self.bob_observables[0].d
         da, db = self.state.factor_dims[0], self.state.factor_dims[1]
-        alice = [np.array(a, dtype=np.complex128) for a in self.alice_observables]
+        alice, powers = [np.array(a, dtype=np.complex128) for a in self.alice_observables], []
         for i, a in enumerate(alice):
-            a.flags.writeable = False
             if a.shape != (da, da):
                 raise SizeError(f"Alice observable {i} shape {a.shape} != {(da, da)}")
             if not np.allclose(a @ dagger(a), np.eye(da), rtol=0.0, atol=1e-9):
                 raise ContractError(f"Alice observable {i} is not unitary")
-            if not np.allclose(
-                np.linalg.matrix_power(a, d), np.eye(da), rtol=0.0, atol=1e-9
-            ):
+            chain = np.stack(list(_powers(a, d)))
+            if not np.allclose(chain[-1] @ a, np.eye(da), rtol=0.0, atol=1e-9):
                 raise ContractError(f"Alice observable {i}^{d} != identity")
+            a.flags.writeable = chain.flags.writeable = False
+            powers.append(chain)
         for i, g in enumerate(self.bob_observables):
             if not isinstance(g, GeneralizedObservable):
                 raise ContractError(f"Bob observable {i} is not a GeneralizedObservable")
@@ -112,6 +114,7 @@ class Realization:
                 raise SizeError(f"Bob observable {i} dim {g.dim} != {db}")
         object.__setattr__(self, "alice_observables", alice)
         object.__setattr__(self, "bob_observables", list(self.bob_observables))
+        object.__setattr__(self, "alice_powers", tuple(powers))
 
     @property
     def d(self) -> int:

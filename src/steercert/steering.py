@@ -5,7 +5,9 @@ For Schmidt coefficients alpha the functional
     sum_{k=1}^{d-1} <A_0^k B_{k|0}> + gamma <A_1^k B_{k|1}> + delta_k <A_0^k>
 
 with A_0 = Z, A_1 = X reaches d exactly on the ideal realization and is
-bounded away from d for every LHS assemblage. The exact LHS bound is the
+bounded away from d for every LHS assemblage. On a realization, one walk
+(_walk_terms) applies each of its 3(d-1) local terms to the state once and
+gives the value and the self-testing residuals. The exact LHS bound is the
 max over Bob's deterministic responses of the best hidden-state value; the
 paper's closed-form upper bound is
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .linalg import apply_local
-from .measurements import _powers, unitary_observable_povm
+from .measurements import unitary_observable_povm
 from .states import Realization, SchmidtVector, schmidt_rows
 
 
@@ -51,13 +53,13 @@ class SteeringFunctional:
         dl = np.array(self.delta, dtype=np.complex128).reshape(-1)
         if dl.size != self.sv.d:
             raise SizeError(f"delta has length {dl.size}, expected {self.sv.d}")
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if abs(dl[0] + 1.0) > 1e-12:
+        if not 0.0 < self.gamma < np.inf:
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
+        if not abs(dl[0] + 1.0) <= 1e-12:
             raise DomainError(f"delta_0 = {dl[0]} != -1")
         d = self.sv.d
         for k in range(1, d):
-            if abs(dl[d - k] - np.conj(dl[k])) > 1e-12:
+            if not abs(dl[d - k] - np.conj(dl[k])) <= 1e-12:
                 raise DomainError(f"delta_{d - k} != conj(delta_{k})")
         dl.flags.writeable = False
         object.__setattr__(self, "delta", dl)
@@ -113,35 +115,38 @@ def quantum_maximum(f: SteeringFunctional) -> float:
     return float(f.d)
 
 
-def _terms(f: SteeringFunctional, r: Realization):
-    """The functional's local terms, one group of three for each k = 1..d-1.
+def _walk_terms(f: SteeringFunctional, r: Realization):
+    """Apply each term (coefficient, A, B) of the functional to the state once.
 
-    Each group is ((1, A_0^k, B_{k|0}), (gamma, A_1^k, B_{k|1}),
-    (delta_k, A_0^k, 1_B)) as (coefficient, Alice matrix, Bob matrix); the
-    first term alone is a stabilizer of the ideal state, the other two
-    together make the S relation.
+    For k = 1..d-1: (1, A_0^k, B_{k|0}), a stabilizer of the ideal state, and
+    (gamma, A_1^k, B_{k|1}), (delta_k, A_0^k, 1_B), which make the S relation.
+    Returns the value, then selftest.stabilizer_residuals' (per_k, s_residual).
     """
     if r.d != f.d:
         raise SizeError(f"realization has {r.d} outcomes, functional {f.d}")
     if len(r.alice_observables) < 2 or len(r.bob_observables) < 2:
         raise SizeError("the functional needs 2 Alice and 2 Bob observables")
-    alice = zip(*(_powers(a, f.d) for a in r.alice_observables[:2]))
-    next(alice)  # k = 0, the identity, is no term
+    psi, amps = r.state, r.state.amplitudes
+    ket = amps.reshape(psi.factor_dims[0], psi.factor_dims[1], -1)
+    a0, a1 = r.alice_powers[:2]
     b0, b1 = r.bob_observables[0].operators, r.bob_observables[1].operators
     eye_b = np.eye(b0.shape[1])
-    for k, (a0k, a1k) in enumerate(alice, start=1):
-        yield (1.0, a0k, b0[k]), (f.gamma, a1k, b1[k]), (f.delta[k], a0k, eye_b)
+    value, per_k, s_vec = 0, [], -ket
+    for k in range(1, f.d):
+        terms = (1.0, a0[k], b0[k]), (f.gamma, a1[k], b1[k]), (f.delta[k], a0[k], eye_b)
+        for i, (coef, a, b) in enumerate(terms):
+            v = apply_local(a, b, psi)
+            value = value + coef * np.vdot(amps, v)
+            if i == 0:
+                per_k.append(np.linalg.norm(coef * v - ket))
+            else:
+                s_vec += coef * v
+    return float(value.real), np.array(per_k), float(np.linalg.norm(s_vec))
 
 
 def evaluate(f: SteeringFunctional, r: Realization) -> float:
     """<psi| functional (x) 1_E |psi> for the realization, Eve traced out."""
-    psi = r.state.amplitudes
-    val = sum(
-        coef * np.vdot(psi, apply_local(a, b, r.state))
-        for group in _terms(f, r)
-        for coef, a, b in group
-    )
-    return float(val.real)
+    return _walk_terms(f, r)[0]
 
 
 @dataclass(frozen=True)

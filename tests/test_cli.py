@@ -1136,12 +1136,27 @@ def test_sweep_csv_is_one_repr_per_field(n):
 def test_sweep_csv_writes_other_numbers_by_their_repr():
     config = cli.parse_args(["sweep", "--d", "2", "--theta-grid", "40"])
     _, report = cli._run_sweep(config)
-    report["rows"][3]["gap"] = float("nan")
     report["rows"][5]["beta_l"] = 2
     report["rows"][7]["theta"] = np.float64(0.5)
     text = cli._render(config, report)
     assert text == _sweep_csv_reference(report)
-    assert ",nan\n" in text and ",2," in text
+    assert ",2," in text
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "np.nan"])
+@pytest.mark.parametrize("n", [3, 40])
+def test_sweep_csv_refuses_a_non_finite_field_and_writes_nothing(monkeypatch, capsys, tmp_path,
+                                                                 bad, n):
+    argv = ["sweep", "--d", "2", "--theta-grid", str(n)]
+    _, report = cli._run_sweep(cli.parse_args(argv))
+    report["rows"][1]["gap"] = bad
+    monkeypatch.setitem(cli._HANDLERS, "sweep", lambda config: (0, report))
+    out = tmp_path / "s.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("steercert: error: report is not strict JSON")
 
 
 def _json_config(key: str) -> argparse.Namespace:

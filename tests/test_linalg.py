@@ -33,6 +33,17 @@ def test_check_density_matrix():
         sc.check_density_matrix(np.diag([0.6, 0.6]))
 
 
+def test_check_density_matrix_refuses_nan():
+    with pytest.raises(sc.DomainError):
+        sc.check_density_matrix(np.full((2, 2), np.nan))
+
+
+def test_check_density_matrix_refuses_inf():
+    # inf - inf is NaN in the hermiticity residual and in the trace
+    with pytest.raises(sc.DomainError):
+        sc.check_density_matrix(np.diag([np.inf, -np.inf]))
+
+
 def test_apply_local_matches_tensor():
     rng = np.random.default_rng(29)
     for dims in ((2, 3), (3, 2, 4)):

@@ -196,3 +196,15 @@ def test_generalized_observable_rejects_norm_above_one_at_any_k(k, scale):
         ops[3] = ops[1].conj().T
     with pytest.raises(sc.ContractError):
         sc.GeneralizedObservable(ops)
+
+
+def test_generalized_observable_is_not_changed_by_edits_to_the_callers_array():
+    z = sc.generalized_pauli(3, "Z")
+    ops = np.stack([np.eye(3), z.conj(), z])
+    g = sc.GeneralizedObservable(ops)
+    assert sc.is_projective(g)[0]
+    ops[1] = ops[2] = 5.0 * np.eye(3)  # B_{d-k} = B_k^dag and ||B_k|| <= 1 were checked
+    assert np.array_equal(g.operators[1], z.conj())
+    assert sc.is_projective(g)[0]
+    with pytest.raises(ValueError):
+        g.operators[1, 0, 0] = 5.0

@@ -240,6 +240,25 @@ def test_certify_checks_projectivity_once_per_observable(monkeypatch):
     assert [id(g) for g in checked] == [id(g) for g in r.bob_observables[:2]]
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_certify_applies_each_term_once(monkeypatch, d):
+    import steercert.selftest as selftest
+    import steercert.steering as steering
+
+    calls = []
+
+    def counting(a, b, psi):
+        calls.append(1)
+        return sc.apply_local(a, b, psi)
+
+    for module in (steering, selftest):
+        monkeypatch.setattr(module, "apply_local", counting, raising=False)
+    sv = sc.random_schmidt_vector(d, np.random.default_rng(d))
+    r = sc.dress_realization(sc.ideal_realization(sv), 2, 2, seed=d)
+    assert sc.certify(sc.functional_coefficients(sv), r).certified
+    assert len(calls) == 3 * (d - 1)
+
+
 def test_certify_dim_4096_is_matrix_free():
     # one dense operator on dim_A * dim_B = 4096 would take 256 MiB
     rng = np.random.default_rng(8)

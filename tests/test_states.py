@@ -197,3 +197,18 @@ def test_schmidt_rows_refuse_any_bad_row():
             sc.states.schmidt_rows(stack)
     with pytest.raises(sc.DomainError, match="two Schmidt"):
         sc.states.schmidt_rows(np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_realization_keeps_alice_powers_read_only_and_bit_equal_to_the_chain(d):
+    from steercert.measurements import _powers
+
+    r = sc.ideal_realization(sc.random_schmidt_vector(d, np.random.default_rng(d)))
+    for real in (r, sc.dress_realization(r, 2, 2, seed=d)):
+        assert len(real.alice_powers) == len(real.alice_observables) == 2
+        for a, kept in zip(real.alice_observables, real.alice_powers):
+            chain = np.stack(list(_powers(a, d)))
+            assert kept.shape == chain.shape == (d, d, d)
+            assert kept.tobytes() == chain.tobytes()
+            with pytest.raises(ValueError):
+                kept[1, 0, 0] = 5.0

@@ -322,6 +322,67 @@ def test_functional_is_not_changed_by_edits_to_the_callers_delta():
         f.delta[1] = 7.0
 
 
+def test_functional_refuses_nan_delta():
+    with pytest.raises(sc.DomainError):
+        sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [np.nan, 0.1, 0.1])
+
+
+def test_functional_refuses_inf_delta():
+    # inf - conj(inf) is NaN in the pairing residual
+    with pytest.raises(sc.DomainError):
+        sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [-1.0, np.inf, np.inf])
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_functional_refuses_a_gamma_that_is_not_positive_and_finite(gamma):
+    # an infinite gamma used to construct, and the LHS bound then raised LinAlgError
+    delta = sc.functional_coefficients(sc.maximally_entangled(3)).delta
+    with pytest.raises(sc.DomainError, match="gamma"):
+        sc.SteeringFunctional(sc.maximally_entangled(3), gamma, delta)
+
+
+def _two_walkers(f, r):
+    """evaluate and stabilizer_residuals as two walks over the terms, each
+    with its own chain of Alice's powers."""
+    from steercert.measurements import _powers
+
+    def terms():
+        alice = zip(*(_powers(a, f.d) for a in r.alice_observables[:2]))
+        next(alice)
+        b0, b1 = r.bob_observables[0].operators, r.bob_observables[1].operators
+        eye_b = np.eye(b0.shape[1])
+        for k, (a0k, a1k) in enumerate(alice, start=1):
+            yield (1.0, a0k, b0[k]), (f.gamma, a1k, b1[k]), (f.delta[k], a0k, eye_b)
+
+    psi = r.state
+    value = sum(coef * np.vdot(psi.amplitudes, sc.apply_local(a, b, psi))
+                for group in terms() for coef, a, b in group)
+    ket = psi.amplitudes.reshape(psi.factor_dims[0], psi.factor_dims[1], -1)
+    per_k, s_vec = [], -ket
+    for (coef, a, b), *s_terms in terms():
+        per_k.append(np.linalg.norm(coef * sc.apply_local(a, b, psi) - ket))
+        for coef, a, b in s_terms:
+            s_vec += coef * sc.apply_local(a, b, psi)
+    return float(value.real), np.array(per_k), float(np.linalg.norm(s_vec))
+
+
+def test_one_walk_equals_the_two_walkers_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for d in range(2, 9):
+        f, dressed, tampered = tampered_dressed(d, rng)
+        honest = sc.ideal_realization(f.sv)
+        swapped = sc.Realization(dressed.state, dressed.alice_observables,
+                                 dressed.bob_observables[::-1])
+        for r in (honest, dressed, tampered, swapped):
+            value, per_k, s_res = _two_walkers(f, r)
+            got_k, got_s = sc.stabilizer_residuals(f, r)
+            assert sc.evaluate(f, r) == value
+            assert got_k.tobytes() == per_k.tobytes() and got_s == s_res
+            rep = sc.certify(f, r)
+            assert (rep.value, rep.s_residual) == (value, s_res)
+            assert rep.stabilizer_residuals.tobytes() == per_k.tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32, 64])
 def test_stacked_kernel_equals_one_row_calls_bit_for_bit(d):
     rng = np.random.default_rng(1000 + d)
