@@ -3,10 +3,12 @@
 The functional sum_{k=1,2} sum_{x,y} lambda_k omega^{kxy} <A_x^k B_y^k>
 with lambda_1 = exp(-i pi/18) has deterministic bound 6 sqrt(3) cos(pi/9);
 quantum strategies beat it, and a see-saw over order-3 observables finds
-the maximum. A maximal violation certifies Alice's observables only up to
-a block structure Z_3 (x) 1 and X_3 (x) Q + X_3^T (x) (1-Q); the extended
-check verifies that the steering certificate still works verbatim for
-such dressed observables.
+the maximum. The see-saw runs all its seeded restarts in lockstep: each
+step is one stacked numpy call over the restarts still running, and
+every restart keeps the bits it has when run alone. A maximal violation
+certifies Alice's observables only up to a block structure Z_3 (x) 1 and
+X_3 (x) Q + X_3^T (x) (1-Q); the extended check verifies that the
+steering certificate still works verbatim for such dressed observables.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ def _bell_scalars(lam1) -> np.ndarray:
 def _bell_sum(alice_pairs, bob_pairs, scalars) -> np.ndarray:
     """sum_xyk scalars[x, y, k] A_x^{k+1} (x) B_y^{k+1} as one matrix.
 
-    alice_pairs holds the pairs (A_x, A_x^2) and bob_pairs (B_y, B_y^2).
-    One broadcast product forms all 18 terms, each laid out as
-    np.multiply.outer(A, B), with indices (i, i', j, j'). One product
+    alice_pairs holds the pairs (A_x, A_x^2) and bob_pairs (B_y, B_y^2),
+    shape (..., 3, 2, dim, dim); leading axes, such as the see-saw's
+    restart axis, are kept, and each leading index gets the bits of its
+    pairs alone. One broadcast product forms all 18 terms, each laid out
+    as np.multiply.outer(A, B), with indices (i, i', j, j'). One product
     scales them, and one reduction sums them in (x, y, k) order, starting
     from 0.0. A last transpose puts the sum in np.kron's (i, j, i', j')
     order. Each step rounds as the sum of np.kron terms added into a zero
@@ -54,12 +58,12 @@ def _bell_sum(alice_pairs, bob_pairs, scalars) -> np.ndarray:
     order: A before B, the scalar before the product. The 18 terms are
     held at once, 18 times the operator's memory.
     """
-    a, b = np.array(alice_pairs), np.array(bob_pairs)
-    da, db = a.shape[-1], b.shape[-1]
-    terms = a.reshape(3, 1, 2, da * da, 1) * b.reshape(1, 3, 2, 1, db * db)
+    a, b = np.asarray(alice_pairs), np.asarray(bob_pairs)
+    lead, da, db = a.shape[:-4], a.shape[-1], b.shape[-1]
+    terms = a.reshape(*lead, 3, 1, 2, da * da, 1) * b.reshape(*lead, 1, 3, 2, 1, db * db)
     np.multiply(scalars[:, :, :, None, None], terms, out=terms)
-    op = np.add.reduce(terms.reshape(18, da, da, db, db), axis=0, initial=0.0)
-    return op.transpose(0, 2, 1, 3).reshape(da * db, da * db)
+    op = np.add.reduce(terms.reshape(*lead, 18, da, da, db, db), axis=-5, initial=0.0)
+    return op.swapaxes(-3, -2).reshape(*lead, da * db, da * db)
 
 
 def bell_value(r: Realization) -> float:
@@ -127,38 +131,22 @@ def _schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, q
 
 
-@functools.cache
-def _gesdd(n: int):
-    """LAPACK zgesdd and the lwork that zgesdd_lwork gives for order n."""
-    from scipy.linalg import get_lapack_funcs  # only the see-saw needs it; kept off the CLI import
-
-    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.complex128)
-    work, _ = gesdd_lwork(n, n)
-    return gesdd, int(work.real)
-
-
-def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, s, vh) of a square matrix, m = u diag(s) vh.
-
-    LAPACK zgesdd is called with full u and vh, as np.linalg.svd(m) calls
-    it, so the bits are svd's, without its per-call wrapper. As in svd, a
-    non-finite entry or a failed decomposition raises LinAlgError.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if not np.isfinite(m).all():
-        raise np.linalg.LinAlgError("SVD of a matrix with infs or NaNs")
-    gesdd, lwork = _gesdd(m.shape[0])
-    u, s, vh, info = gesdd(m, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (zgesdd info {info})")
-    return u, s, vh
-
-
 def _project_order3(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary whose spectrum sits on the cube roots of unity."""
-    t, q = _schur(u)
-    ks = np.round(np.angle(np.diag(t)) * 3.0 / (2.0 * np.pi)).astype(int) % 3
-    return (q * omega(3) ** ks) @ dagger(q)
+    """Nearest unitary whose spectrum sits on the cube roots of unity.
+
+    Takes a 3 x 3 matrix or a (..., 3, 3) stack and rounds each matrix.
+    zgees has no stacked form, so _schur runs once per matrix; each Schur
+    vector matrix is kept Fortran-ordered, as zgees returns it, and the
+    rest of the step runs on the whole stack.
+    """
+    flat = u.reshape(-1, 3, 3)
+    diag = np.empty(flat.shape[:2], dtype=np.complex128)
+    q = np.empty(flat.shape, dtype=np.complex128).swapaxes(-1, -2)
+    for i, m in enumerate(flat):
+        t, q[i] = _schur(m)
+        diag[i] = np.diag(t)
+    ks = np.round(np.angle(diag) * 3.0 / (2.0 * np.pi)).astype(int) % 3
+    return ((q * omega(3) ** ks[:, None, :]) @ dagger(q)).reshape(u.shape)
 
 
 def _random_order3(rng: np.random.Generator) -> np.ndarray:
@@ -170,91 +158,117 @@ def _random_order3(rng: np.random.Generator) -> np.ndarray:
 
 
 def _polar_rounded(m: np.ndarray) -> np.ndarray:
-    u, _, vh = _svd(m)
+    """Polar factor of each matrix of a (..., 3, 3) stack, rounded to order 3.
+
+    One stacked SVD gives every polar factor; a non-finite entry raises
+    LinAlgError before it.
+    """
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("SVD of a matrix with infs or NaNs")
+    u, _, vh = np.linalg.svd(m)
     return _project_order3(dagger(vh) @ dagger(u))
 
 
-def _plain_value(psi, alice_pairs, bob_pairs, scalars) -> tuple[float, np.ndarray]:
-    """psi's value under the Bell operator of the pairs, and that operator."""
-    op = _bell_sum(alice_pairs, bob_pairs, scalars)
-    return float(np.real(np.conj(psi) @ op @ psi)), op
+def _with_squares(obs: np.ndarray) -> np.ndarray:
+    """(..., 3, 3, 3) observables as (..., 3, 2, 3, 3) pairs (U, U @ U)."""
+    return np.stack((obs, obs @ obs), axis=-3)
 
 
-def _seesaw_single(ss, iters: int, lam1):
-    """One restart; returns (value, state, alice, bobs, history).
+def _seesaw(seeds, iters: int, lam1) -> list:
+    """Run every restart of seeds in lockstep.
 
-    State update is exact; observable updates propose the polar factor
-    of the linear coefficient matrix rounded to an order-3 spectrum and
-    are accepted only when they do not decrease the value, so the
-    per-sweep history is monotone by construction. Each observable is
-    held with its square, and the Bell scalars are formed once. The Bell
+    Returns, per restart, (value, psi, alice, bobs, history).
+
+    A restart draws its six starting observables from its own seed. State
+    update is exact; observable updates propose the polar factor of the
+    linear coefficient matrix rounded to an order-3 spectrum and are
+    accepted only when they do not decrease the value, so the per-sweep
+    history is monotone by construction. The observables (held with their
+    squares), the Bell operator and the value carry a leading restart
+    axis, and each step is one stacked call over the live restarts: eigh
+    for the state, one SVD per side for the polar factors, _bell_sum and
+    a quadratic form for each trial, whose acceptance is a mask. The Bell
     operator of the current observables is kept from the trial that set
-    them, so a sweep starts without rebuilding it."""
-    rng = np.random.default_rng(ss)
+    them. A restart whose value has not risen by 1e-15 over five sweeps
+    leaves the batch. Each stacked call works matrix by matrix with the
+    memory layout of one restart alone, so a restart's bits do not depend
+    on the others.
+    """
     w = omega(3)
     scalars = _bell_scalars(lam1)
-    alice_pairs = [(a, a @ a) for a in (_random_order3(rng) for _ in range(3))]
-    bob_pairs = [(b, b @ b) for b in (_random_order3(rng) for _ in range(3))]
-    op = _bell_sum(alice_pairs, bob_pairs, scalars)
-    cur = -np.inf
-    history: list[float] = []
-    for _ in range(iters):
+    start = np.array([[_random_order3(rng) for _ in range(6)]
+                      for rng in map(np.random.default_rng, seeds)])
+    alice, bob = _with_squares(start[:, :3]), _with_squares(start[:, 3:])
+    op = _bell_sum(alice, bob, scalars)
+    live = np.arange(len(seeds))
+    hist = np.empty((len(seeds), iters))
+    runs = [None] * len(seeds)
+
+    def trials(pairs, new, bell):
+        """Propose new[:, x] for x = 0, 1, 2 in turn, each kept by a
+        restart whose value it does not lower. pairs, op and cur are
+        updated in place; bell maps trial pairs to their Bell operators.
+        """
+        new = _with_squares(new)
+        for x in range(3):
+            trial = pairs.copy()
+            trial[:, x] = new[:, x]
+            trial_op = bell(trial)
+            v = np.real(bra @ trial_op @ ket)[:, 0, 0]
+            ok = v >= cur
+            pairs[ok], op[ok], cur[ok] = trial[ok], trial_op[ok], v[ok]
+
+    for sweep in range(iters):
         vals, vecs = np.linalg.eigh(op)
-        psi = vecs[:, -1]
-        cur = float(vals[-1])
-        p = psi.reshape(3, 3)
+        psi, cur = vecs[:, :, -1], vals[:, -1]
+        bra, ket = np.conj(psi)[:, None, :], psi[:, :, None]
+        p = psi.reshape(-1, 3, 3)
         # Alice's updates leave Bob fixed and Bob's leave Alice fixed, so
         # each side's coefficient matrices are formed once per sweep.
-        ks = [p @ b.T @ np.conj(p).T for b, _ in bob_pairs]
-        for x in range(3):
-            m = lam1 * sum(w ** (x * y) * ks[y] for y in range(3))
-            a = _polar_rounded(m)
-            trial = alice_pairs.copy()
-            trial[x] = (a, a @ a)
-            v, trial_op = _plain_value(psi, trial, bob_pairs, scalars)
-            if v >= cur:
-                alice_pairs, cur, op = trial, v, trial_op
-        ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a, _ in alice_pairs]
-        for y in range(3):
-            n = lam1 * sum(w ** (x * y) * ls[x] for x in range(3))
-            b = _polar_rounded(n)
-            trial = bob_pairs.copy()
-            trial[y] = (b, b @ b)
-            v, trial_op = _plain_value(psi, alice_pairs, trial, scalars)
-            if v >= cur:
-                bob_pairs, cur, op = trial, v, trial_op
-        history.append(cur)
-        if len(history) > 5 and history[-1] - history[-6] < 1e-15:
+        ks = p[:, None] @ bob[:, :, 0].swapaxes(-1, -2) @ dagger(p)[:, None]
+        m = np.stack([lam1 * sum(w ** (x * y) * ks[:, y] for y in range(3))
+                      for x in range(3)], axis=1)
+        trials(alice, _polar_rounded(m), lambda t: _bell_sum(t, bob, scalars))
+        ls = np.einsum("lia,lxij,ljb->lxba", np.conj(p), alice[:, :, 0], p)
+        n = np.stack([lam1 * sum(w ** (x * y) * ls[:, x] for x in range(3))
+                      for y in range(3)], axis=1)
+        trials(bob, _polar_rounded(n), lambda t: _bell_sum(alice, t, scalars))
+        hist[live, sweep] = cur
+        if sweep + 1 == iters:
+            done = np.ones(live.size, dtype=bool)
+        elif sweep >= 5:
+            done = cur - hist[live, sweep - 5] < 1e-15
+        else:
+            continue
+        for j in np.flatnonzero(done):
+            runs[live[j]] = (float(cur[j]), psi[j].copy(), list(alice[j, :, 0].copy()),
+                             list(bob[j, :, 0].copy()), hist[live[j], :sweep + 1].tolist())
+        keep = ~done
+        live, alice, bob, op = live[keep], alice[keep], bob[keep], op[keep]
+        if not live.size:
             break
-    alice = [a for a, _ in alice_pairs]
-    bobs = [b for b, _ in bob_pairs]
-    return cur, psi, alice, bobs, history
+    return runs
 
 
 def seesaw_details(seed: int = 42, restarts: int = 32, iters: int = 150):
     """Best (value, realization, sweeps used) over seeded random restarts.
 
-    Restarts are independent and run one after another in the calling
-    thread; no thread-count setting is read. The best value wins, ties
-    broken by the lowest restart index, and the sweep count is the
-    winner's.
+    The restarts run in lockstep in the calling thread (_seesaw); each
+    gives the bits it gives when run alone, and no thread-count setting
+    is read. The best value wins, ties broken by the lowest restart
+    index, and the sweep count is the winner's.
     """
     if restarts < 1 or iters < 1:
         raise DomainError("restarts and iters must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-
-    def run(idx):
-        val, psi, alice, bobs, history = _seesaw_single(seeds[idx], iters, LAMBDA1)
-        return val, idx, psi, alice, bobs, len(history)
-
-    best = max((run(i) for i in range(restarts)), key=lambda o: (o[0], -o[1]))
-    val, _, psi, alice, bobs, used = best
+    runs = _seesaw(np.random.SeedSequence(seed).spawn(restarts), iters, LAMBDA1)
+    best = max(range(restarts), key=lambda i: (runs[i][0], -i))
+    val, psi, alice, bobs, history = runs[best]
     r = Realization(
         state=Ket(psi, (3, 3)),
         alice_observables=alice,
         bob_observables=[GeneralizedObservable.from_unitary(b, 3) for b in bobs],
     )
-    return val, r, used
+    return val, r, len(history)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def _validate_factors(dim: int, factor_dims) -> tuple[int, ...]:

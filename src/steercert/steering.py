@@ -120,7 +120,9 @@ def _walk_terms(f: SteeringFunctional, r: Realization):
 
     For k = 1..d-1: (1, A_0^k, B_{k|0}), a stabilizer of the ideal state, and
     (gamma, A_1^k, B_{k|1}), (delta_k, A_0^k, 1_B), which make the S relation.
-    Returns the value, then selftest.stabilizer_residuals' (per_k, s_residual).
+    A delta_k term applies A_0^k alone to the amplitudes; no identity on Bob
+    is formed. Returns the value, then selftest.stabilizer_residuals'
+    (per_k, s_residual).
     """
     if r.d != f.d:
         raise SizeError(f"realization has {r.d} outcomes, functional {f.d}")
@@ -130,12 +132,13 @@ def _walk_terms(f: SteeringFunctional, r: Realization):
     ket = amps.reshape(psi.factor_dims[0], psi.factor_dims[1], -1)
     a0, a1 = r.alice_powers[:2]
     b0, b1 = r.bob_observables[0].operators, r.bob_observables[1].operators
-    eye_b = np.eye(b0.shape[1])
+    flat = amps.reshape(psi.factor_dims[0], -1)
     value, per_k, s_vec = 0, [], -ket
     for k in range(1, f.d):
-        terms = (1.0, a0[k], b0[k]), (f.gamma, a1[k], b1[k]), (f.delta[k], a0[k], eye_b)
-        for i, (coef, a, b) in enumerate(terms):
-            v = apply_local(a, b, psi)
+        terms = ((1.0, apply_local(a0[k], b0[k], psi)),
+                 (f.gamma, apply_local(a1[k], b1[k], psi)),
+                 (f.delta[k], (a0[k] @ flat).reshape(ket.shape)))
+        for i, (coef, v) in enumerate(terms):
             value = value + coef * np.vdot(amps, v)
             if i == 0:
                 per_k.append(np.linalg.norm(coef * v - ket))

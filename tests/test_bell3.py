@@ -109,8 +109,9 @@ def test_schur_is_scipys_on_seesaw_polar_factors(monkeypatch):
         return schur(u)
 
     monkeypatch.setattr(b3, "_schur", recording)
-    *_, history = b3._seesaw_single(np.random.SeedSequence(5), 30, sc.LAMBDA1)
-    assert len(seen) == 6 * len(history)
+    runs = b3._seesaw(np.random.SeedSequence(5).spawn(3), 30, sc.LAMBDA1)
+    # one Schur form per proposed observable: six per sweep of each restart
+    assert len(seen) == 6 * sum(len(history) for *_, history in runs)
     monkeypatch.undo()
     for i, u in enumerate(seen):
         assert same_schur(u), i
@@ -137,53 +138,16 @@ def test_schur_raises_when_lapack_fails(monkeypatch):
         b3._schur(random_order3(3, np.random.default_rng(0)))
 
 
-def same_svd(m):
-    """_svd(m) equals np.linalg.svd(m) bit for bit."""
-    return all(same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b))
-               for a, b in zip(b3._svd(m), np.linalg.svd(m)))
-
-
-def test_svd_is_numpys_bit_for_bit():
-    rng = np.random.default_rng(616)
-    for trial in range(500):
-        assert same_svd(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), trial
-
-
-def test_svd_is_numpys_on_seesaw_polar_inputs(monkeypatch):
-    seen = []
-    svd = b3._svd
-
-    def recording(m):
-        seen.append(m.copy())
-        return svd(m)
-
-    monkeypatch.setattr(b3, "_svd", recording)
-    *_, history = b3._seesaw_single(np.random.SeedSequence(5), 30, sc.LAMBDA1)
-    assert len(seen) == 6 * len(history)
-    monkeypatch.undo()
-    for i, m in enumerate(seen):
-        assert same_svd(m), i
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_svd_refuses_non_finite_input(bad):
+    # the polar step refuses before its stacked SVD, for one matrix or a stack
     m = np.eye(3, dtype=complex)
     m[1, 2] = bad
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-        b3._svd(m)
-    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         b3._polar_rounded(m)
-
-
-def test_svd_raises_when_lapack_fails(monkeypatch):
-    gesdd, lwork = b3._gesdd(3)
-
-    def failing(*args, **kwargs):
-        return (*gesdd(*args, **kwargs)[:-1], 2)
-
-    monkeypatch.setattr(b3, "_gesdd", lambda n: (failing, lwork))
-    with pytest.raises(np.linalg.LinAlgError, match="zgesdd info 2"):
-        b3._svd(np.eye(3, dtype=complex))
+    stack = np.stack([np.eye(3, dtype=complex), m, np.eye(3, dtype=complex)])
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        b3._polar_rounded(stack)
 
 
 @pytest.mark.parametrize("args, value, iterations", [
@@ -214,11 +178,87 @@ def test_seesaw_reaches_quantum_maximum():
 
 
 def test_seesaw_history_monotone():
-    ss = np.random.SeedSequence(5)
-    *_, history = b3._seesaw_single(ss, 60, sc.LAMBDA1)
-    hist = np.array(history)
-    assert np.all(np.diff(hist) >= -1e-12)
-    assert hist[-1] <= 6 * np.sqrt(3) + 1e-9
+    for *_, history in b3._seesaw(np.random.SeedSequence(5).spawn(4), 60, sc.LAMBDA1):
+        hist = np.array(history)
+        assert np.all(np.diff(hist) >= -1e-12)
+        assert hist[-1] <= 6 * np.sqrt(3) + 1e-9
+
+
+def same_run(a, b):
+    """Two see-saw restarts agree bit for bit: value, state, observables, history."""
+    (va, psia, alicea, bobsa, hista), (vb, psib, aliceb, bobsb, histb) = a, b
+    return (same_bits(np.array([va]), np.array([vb])) and same_bits(psia, psib)
+            and all(map(same_bits, alicea + bobsa, aliceb + bobsb))
+            and same_bits(np.array(hista), np.array(histb)))
+
+
+def test_each_restart_is_the_same_run_alone_bit_for_bit():
+    # spawn(n) gives every n the same first children, so restart i is the
+    # same seed in each batch
+    for seed in range(10):
+        alone = [b3._seesaw([ss], 150, sc.LAMBDA1)[0]
+                 for ss in np.random.SeedSequence(seed).spawn(8)]
+        for n in range(1, 9):
+            runs = b3._seesaw(np.random.SeedSequence(seed).spawn(n), 150, sc.LAMBDA1)
+            assert len(runs) == n
+            for i, run in enumerate(runs):
+                assert same_run(run, alone[i]), (seed, n, i)
+
+
+def seesaw_one_restart(ss, iters, lam1):
+    """The per-restart see-saw loop, as it ran before the lockstep.
+
+    Bell operators are the np.kron sum of conftest, polar factors come
+    from np.linalg.svd and scipy.linalg.schur, one matrix at a time.
+    """
+    rng = np.random.default_rng(ss)
+    w = sc.omega(3)
+
+    def polar_rounded(m):
+        u, _, vh = np.linalg.svd(m)
+        t, q = scipy.linalg.schur(sc.dagger(vh) @ sc.dagger(u), output="complex")
+        ks = np.round(np.angle(np.diag(t)) * 3.0 / (2.0 * np.pi)).astype(int) % 3
+        return (q * w ** ks) @ sc.dagger(q)
+
+    def value(psi, alice_pairs, bob_pairs):
+        op = bell_operator_reference([a for a, _ in alice_pairs], bob_pairs, lam1)
+        return float(np.real(np.conj(psi) @ op @ psi)), op
+
+    alice_pairs = [(a, a @ a) for a in (b3._random_order3(rng) for _ in range(3))]
+    bob_pairs = [(b, b @ b) for b in (b3._random_order3(rng) for _ in range(3))]
+    _, op = value(np.zeros(9), alice_pairs, bob_pairs)
+    history = []
+    for _ in range(iters):
+        vals, vecs = np.linalg.eigh(op)
+        psi, cur = vecs[:, -1], float(vals[-1])
+        p = psi.reshape(3, 3)
+        ks = [p @ b.T @ np.conj(p).T for b, _ in bob_pairs]
+        for x in range(3):
+            a = polar_rounded(lam1 * sum(w ** (x * y) * ks[y] for y in range(3)))
+            trial = alice_pairs.copy()
+            trial[x] = (a, a @ a)
+            v, trial_op = value(psi, trial, bob_pairs)
+            if v >= cur:
+                alice_pairs, cur, op = trial, v, trial_op
+        ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a, _ in alice_pairs]
+        for y in range(3):
+            b = polar_rounded(lam1 * sum(w ** (x * y) * ls[x] for x in range(3)))
+            trial = bob_pairs.copy()
+            trial[y] = (b, b @ b)
+            v, trial_op = value(psi, alice_pairs, trial)
+            if v >= cur:
+                bob_pairs, cur, op = trial, v, trial_op
+        history.append(cur)
+        if len(history) > 5 and history[-1] - history[-6] < 1e-15:
+            break
+    return cur, psi.copy(), [a for a, _ in alice_pairs], [b for b, _ in bob_pairs], history
+
+
+@pytest.mark.parametrize("seed, restarts, iters", [(1, 3, 150), (3, 4, 150), (9, 3, 4)])
+def test_lockstep_is_the_per_restart_loop_bit_for_bit(seed, restarts, iters):
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    for i, run in enumerate(b3._seesaw(seeds, iters, sc.LAMBDA1)):
+        assert same_run(run, seesaw_one_restart(seeds[i], iters, sc.LAMBDA1)), i
 
 
 def test_seesaw_details_reports_iterations():

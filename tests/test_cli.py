@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,38 @@ def test_certify_roundtrip(tmp_path):
     r = run_cli("certify", "--realization", str(path), "--alpha", "[0.8,0.36,0.48]")
     assert r.returncode == 1
     assert json.loads(r.stdout)["verdict"] == "failed"
+
+
+# (Schmidt weights, junk dim, Eve dim, dressing seed, Bob's observables
+# swapped, sha256 of the certify report with tool_version blanked)
+_DRESSED_CERTIFY_REPORTS = [
+    ((4, 3, 2, 1), 2, 3, 11, False,
+     "a2458a42bd174d1eb4333489d15a476ab805133ea5e752ef6c5709e646d7c1e3"),
+    ((6, 5, 4, 3, 2, 1), 1, 4, 5, False,
+     "d7293d21fe82e2e766040a474ff0a883dad969fa995c4aa87a225fa2da058116"),
+    ((5, 1, 3, 2, 4), 3, 2, 8, True,
+     "a43188e821874692396c668727238ef5d795e6a4fd0c221c013f53c7789b77dc"),
+    ((8, 7, 6, 5, 4, 3, 2, 1), 2, 2, 3, True,
+     "64aca0be77b32cf35c6f7d06235ccfab587ea56d80bad1a4abf82d1537957639"),
+]
+
+
+@pytest.mark.parametrize("weights, junk, eve, seed, swapped, digest", _DRESSED_CERTIFY_REPORTS)
+def test_certify_reports_of_dressed_devices_with_eve_are_pinned(
+        tmp_path, capsys, weights, junk, eve, seed, swapped, digest):
+    # d >= 4 with an Eve register and non-zero delta_k: every residual and
+    # the value keep their bits, signed zeros included
+    alpha = np.sqrt(np.array(weights, dtype=float) / sum(weights))
+    r = sc.dress_realization(sc.ideal_realization(sc.SchmidtVector(alpha)), junk, eve, seed=seed)
+    blob = {**realization_to_json(r), "alpha": alpha.tolist()}
+    if swapped:
+        blob["bob_observables"].reverse()
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["certify", "--realization", str(path)]) == (1 if swapped else 0)
+    text = capsys.readouterr().out.replace(f'"tool_version": "{sc.__version__}"',
+                                           '"tool_version": ""')
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_certify_missing_alpha(tmp_path):
@@ -648,6 +681,19 @@ def test_sweep_grid_outside_one_to_the_cap_is_usage_error(monkeypatch, capsys):
     for n in (0, -1, cli._MAX_THETA_GRID + 1, 10**11):
         assert cli.main(["sweep", "--d", "2", "--theta-grid", str(n)]) == 2
         assert "--theta-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, cap", [("--restarts", cli._MAX_RESTARTS),
+                                       ("--iters", cli._MAX_ITERS)])
+def test_bell3_restarts_and_iters_outside_one_to_the_cap_are_usage_errors(
+        monkeypatch, capsys, flag, cap):
+    def refuse(*a, **k):
+        raise AssertionError("a restart was spawned")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    for n in (0, -1, cap + 1, 10**11):
+        assert cli.main(["bell3", flag, str(n)]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage():
