@@ -25,7 +25,13 @@ flags, goes through one parser, _load_json: orjson, imported only by the
 subcommands that read JSON. Input must be strict JSON: a NaN or Infinity
 literal is malformed, and so is nesting deeper than _MAX_DEPTH, which is
 refused before orjson sees it. The numbers in it are read by the one
-strict walk of serialize, which refuses a boolean among them.
+strict walk of serialize, which refuses a boolean among them. The depth
+check's pass over the bytes (_json_scan) also tells whether every scalar
+outside object keys is a number: no t, f or n outside strings, and as
+many colons as strings. Only the file readers (certify, povm check,
+randomness --povm FILE) hand that verdict on, and only when it holds
+does the walk skip its per-leaf type test; a flag's value, and any value
+a caller parsed itself, is always typed leaf by leaf.
 
 Reports are written by _dumps, whose bytes are exactly those of
 json.dumps(_plain(report), sort_keys=True, separators=(",", ": "),
@@ -202,7 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     _add_common(p)
 
-    p = subs.add_parser("certify", help="run the certification checks on a realization file")
+    p = subs.add_parser(
+        "certify", help="run the certification checks on a realization file",
+        description="Run the certification checks on a realization file. --tolerance "
+        "must be below d - beta_l_upper for the Schmidt vector: at or above it, "
+        "value_gap <= tolerance would pass a value that a local-hidden-state model "
+        "reaches, so such a tolerance exits 2.",
+    )
     p.add_argument("--realization", required=True)
     p.add_argument("--alpha", default=None)
     _add_common(p)
@@ -295,35 +307,47 @@ def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
 # deep nesting instead of raising, so deeper files never reach it.
 _MAX_DEPTH = 64
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
-_NOT_STRUCTURAL = bytes(b for b in range(256) if b not in b'"[]{}')
-_SQUARE = bytes.maketrans(b"{}", b"[]")
+# The scan keeps quotes, brackets, colons and the first letters of the
+# literals true, false and null; a number has none of these letters.
+_NOT_SCANNED = bytes(b for b in range(256) if b not in b'"[]{}:tfn')
+_SCAN_MAP = bytes.maketrans(b"{}tf", b"[]nn")
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
 _DEPTH_STEP[ord("[")], _DEPTH_STEP[ord("]")] = 1, -1
 
 
-def _json_depth(raw: bytes) -> int:
-    """The deepest nesting of brackets outside the JSON strings of raw.
+def _json_scan(raw: bytes) -> tuple[int, bool]:
+    """The deepest nesting of brackets outside the JSON strings of raw, and
+    whether every scalar of raw outside object keys is a number.
 
     Escape pairs go first, so every remaining quote opens or closes a
     string; nothing backtracks, so the time is linear in len(raw) whatever
     the bytes are. Up to the first byte where a JSON parser stops, the
-    strings found here are the parser's, so on malformed input the figure
+    strings found here are the parser's, so on malformed input the depth
     is never below the depth the parser reaches.
+
+    The second figure is meant for valid JSON, where it is exact: outside
+    strings, no t, f or n means no true, false or null, and each key is
+    followed by one colon, so as many colons as strings means that every
+    string is a key. On malformed input it is meaningless, and the parser
+    refuses the input anyway.
     """
     if b"\\" in raw:
         raw = _ESCAPE.sub(b"", raw)
+    pieces = raw.translate(_SCAN_MAP, _NOT_SCANNED).split(b'"')
     # Quotes alternate opening and closing, so the even pieces lie outside strings.
-    brackets = b"".join(raw.translate(_SQUARE, _NOT_STRUCTURAL).split(b'"')[::2])
-    if brackets.count(b"[") > _MAX_DEPTH:
-        step = _DEPTH_STEP[np.frombuffer(brackets, dtype=np.uint8)]
-        return int(np.cumsum(step, dtype=np.int64).max(initial=0))
+    outside = b"".join(pieces[::2])
+    numeric = b"n" not in outside and outside.count(b":") == (len(pieces) - 1) // 2
+    if outside.count(b"[") > _MAX_DEPTH:
+        step = _DEPTH_STEP[np.frombuffer(outside, dtype=np.uint8)]
+        return int(np.cumsum(step, dtype=np.int64).max(initial=0)), numeric
     # So few openers are walked in Python, and a flag never reaches numpy.
-    runs = brackets.split(b"[")  # every run after the first follows an opener
+    # Every run after the first follows an opener.
+    runs = outside.translate(None, b":n").split(b"[")
     depth, deepest = -len(runs[0]), 0
     for closers in runs[1:]:
         deepest = max(deepest, depth + 1)
         depth += 1 - len(closers)
-    return deepest
+    return deepest, numeric
 
 
 @contextlib.contextmanager
@@ -344,19 +368,21 @@ def _gc_paused():
 
 
 def _load_json(raw: bytes, what: str):
-    """The value of strict JSON bytes nested at most _MAX_DEPTH deep."""
+    """The value of strict JSON bytes nested at most _MAX_DEPTH deep, and
+    whether every scalar in it outside object keys is a number (_json_scan)."""
     import orjson  # only the subcommands that read JSON need it
 
-    if _json_depth(raw) > _MAX_DEPTH:
+    depth, numeric = _json_scan(raw)
+    if depth > _MAX_DEPTH:
         raise UsageError(f"{what}: malformed JSON (nested deeper than {_MAX_DEPTH})")
     try:
-        return orjson.loads(raw)
+        return orjson.loads(raw), numeric
     except orjson.JSONDecodeError as e:
         raise UsageError(f"{what}: malformed JSON ({e.msg})") from e
 
 
 def _load_json_file(path: str):
-    """The value of a strict JSON file, parsed by _load_json."""
+    """The value of a strict JSON file and its scan's verdict, by _load_json."""
     with open(path, "rb") as fh:
         return _load_json(fh.read(), path)
 
@@ -364,12 +390,17 @@ def _load_json_file(path: str):
 def _load_povm_file(path: str) -> Povm:
     """The POVM of a file; the collector stays paused until its tree is freed."""
     with _gc_paused():
-        return povm_from_json(_load_json_file(path))
+        data, numeric = _load_json_file(path)
+        return povm_from_json(data, numeric=numeric)
 
 
 def _load_flag(text: str, flag: str):
-    """A flag's JSON value; a lone surrogate (an undecodable argv byte) is malformed."""
-    return _load_json(text.encode("utf-8", "surrogatepass"), flag)
+    """A flag's JSON value; a lone surrogate (an undecodable argv byte) is malformed.
+
+    Its numbers are read by the strict walk alone, so the scan's verdict is
+    dropped.
+    """
+    return _load_json(text.encode("utf-8", "surrogatepass"), flag)[0]
 
 
 def _parse_fiducial(text: str, flag: str) -> np.ndarray:
@@ -388,8 +419,8 @@ def _seeded_fiducial(config: argparse.Namespace) -> np.ndarray:
 
 def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     with _gc_paused():
-        data = _load_json_file(config.realization)
-        r = realization_from_json(data)
+        data, numeric = _load_json_file(config.realization)
+        r = realization_from_json(data, numeric=numeric)
         alpha = config.alpha
         if alpha is None and "alpha" in data:
             alpha = real_vector_from_json(data["alpha"], f"{config.realization}: alpha")
@@ -528,9 +559,10 @@ def _run_bell3(config: argparse.Namespace) -> tuple[int, dict]:
     return 0, report
 
 
-# Rows of the largest sweep. A grid of 10**6 angles already takes 7-13 s
-# and about 600 MB in process on a two-vCPU machine, nearly all of it the
-# report's rows; a larger grid is refused before anything is allocated.
+# Rows of the largest sweep. A grid of 10**6 angles already takes, in a
+# fresh process on a two-vCPU machine, 4.7 s and 507 MB as CSV and 13.9 s
+# and 601 MB as JSON, nearly all of it the report's rows; a larger grid
+# is refused before anything is allocated.
 _MAX_THETA_GRID = 10**6
 
 

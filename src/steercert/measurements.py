@@ -11,12 +11,15 @@ arithmetic is mod d.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidObservableError, SizeError
 from .linalg import DEFAULT_TOL, as_complex_matrix, dagger
+
+_EPS = math.ulp(1.0)  # float64 machine epsilon
 
 
 def omega(d: int) -> complex:
@@ -137,6 +140,24 @@ class Povm:
         return sv
 
 
+def _gram_excess(b: np.ndarray) -> float:
+    """An upper bound on ||B||_op^2 - 1 from the Gram matrix, with no SVD.
+
+    ||B||_op^2 = lambda_max(B^dag B) <= 1 + ||B^dag B - 1||_F. Each
+    computed entry of B^dag B is within sqrt(2) gamma_(n+2) of the
+    matching entry of |B|^T |B| (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.6), whose Frobenius norm is at most
+    ||B||_F^2. So the returned figure adds r = 4 (n + 2) eps ||B||_F^2,
+    which covers that roundoff with room for the norm's own. The bound is
+    near 0 only for a near-unitary B; for any other, callers fall back on
+    the SVD.
+    """
+    gram = dagger(b) @ b
+    n = gram.shape[0]
+    r = 4 * (n + 2) * _EPS * gram.trace().real
+    return float(np.linalg.norm(gram - np.eye(n))) + r
+
+
 @dataclass(frozen=True)
 class GeneralizedObservable:
     """Fourier picture of a d-outcome measurement.
@@ -163,10 +184,14 @@ class GeneralizedObservable:
             if not np.allclose(a[d - k], dagger(a[k]), atol=1e-9):
                 raise ContractError(f"B_{d - k} != B_{k}^dag")
             # ||B_{d-k}||_op <= ||B_k||_op + ||B_{d-k} - B_k^dag||_F, so one
-            # SVD per conjugate pair bounds both norms.
-            if 2 * k <= d and (np.linalg.norm(a[k], ord=2)
-                               + np.linalg.norm(a[d - k] - dagger(a[k])) > 1.0 + 1e-9):
-                raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
+            # norm per conjugate pair bounds both. The Gram bound decides it
+            # without an SVD when it passes (NaN does not), and the SVD
+            # when it does not.
+            if 2 * k <= d:
+                dev = np.linalg.norm(a[d - k] - dagger(a[k]))
+                if (not math.sqrt(1.0 + _gram_excess(a[k])) + dev <= 1.0 + 1e-9
+                        and np.linalg.svd(a[k], compute_uv=False)[0] + dev > 1.0 + 1e-9):
+                    raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
         a.flags.writeable = False
         object.__setattr__(self, "operators", a)
 

@@ -30,6 +30,7 @@ EXTREMAL_TOL = 1e-8
 
 # Phase exponent tables with the Sidon property mod d^2-d+1.
 DEFAULT_PHASE_TABLES = {
+    2: (0, 1),
     3: (0, 1, 3),
     4: (0, 1, 3, 9),
     5: (0, 1, 4, 14, 16),
@@ -59,7 +60,7 @@ class PhaseTable:
 
 def default_phase_table(d: int) -> PhaseTable:
     if d not in DEFAULT_PHASE_TABLES:
-        raise DomainError(f"no built-in phase table for d={d} (have 3..6)")
+        raise DomainError(f"no built-in phase table for d={d} (have 2..6)")
     return PhaseTable(d, DEFAULT_PHASE_TABLES[d])
 
 

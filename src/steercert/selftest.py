@@ -9,8 +9,9 @@ Schmidt coefficients. The value and the stabilizer relations come from
 the same local terms, so certify() applies each term to the state once
 (steering._walk_terms). It checks every identity at one tolerance and
 returns a verdict: failures are data. Only malformed input raises (a
-tolerance outside (0, 1), fewer than two observables on a side), and
-every check fails closed, so a NaN residual is a failure.
+tolerance outside (0, 1) or too loose to exclude every LHS model, fewer
+than two observables on a side), and every check fails closed, so a NaN
+residual is a failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .measurements import (
     generalized_pauli, is_projective, omega, root_powers, unitary_observable_povm,
 )
 from .states import Realization
-from .steering import SteeringFunctional, _walk_terms
+from .steering import SteeringFunctional, _walk_terms, lhs_bound_paper_upper
 
 VERDICT_TOL = 1e-7
 
@@ -124,17 +125,30 @@ class CertReport:
 def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> CertReport:
     """Run every check the maximal-violation argument needs, at one tol.
 
+    A tol at or above d - beta_l_upper raises DomainError: the value test
+    value_gap <= tol would then pass a value that an LHS model reaches.
+    Below it, a value within tol of d is above beta_l_upper; that is also
+    checked, so roundoff cannot certify a value at the LHS bound.
+
     The commutation residual is only evaluated when both Bob observables
     pass projectivity (its precondition); the verdict is already failed
     in that case and the field is reported as None.
     """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance {tol} is outside (0, 1)")
+    beta_l = lhs_bound_paper_upper(f).value
+    if not tol < f.d - beta_l:
+        raise DomainError(
+            f"tolerance {tol} is at or above d - beta_l_upper = {f.d - beta_l:.6g}, where "
+            "value_gap <= tolerance cannot tell a quantum device from an LHS model"
+        )
     failures: list[str] = []
     value, per_k, s_res = _walk_terms(f, r)
     gap = f.d - value
     if not gap <= tol:
         failures.append(f"value_gap {gap:.3e} > {tol:.1e}")
+    elif not value > beta_l:  # a NaN value has already failed on its gap
+        failures.append(f"value {value!r} is not above beta_l_upper {beta_l!r}")
     proj = []
     for i, g in enumerate(r.bob_observables[:2]):
         ok, res = is_projective(g, tol)

@@ -6,9 +6,15 @@ pair knows that format: array_to_json writes it, and array_from_json
 reads it. Every array of numbers, complex or real, is read by one strict
 walk of the parsed value (_numbers): each level must be JSON arrays of
 one length, and each leaf a JSON number; a boolean, null, text or an
-object is refused, never read as 0.0 or 1.0. The loaders then rebuild
-the validated dataclasses, re-running their invariant checks. The
-loaders take parsed JSON values, not text. A malformed value raises
+object is refused, never read as 0.0 or 1.0. The walk tests each leaf's
+type unless its caller passes numeric=True, which only the command
+line's file readers do, and only when their scan of the file's bytes
+found no true, false, null or string value outside object keys; then a
+leaf can only be a number, a list or an object, and np.fromiter refuses
+the last two itself. A value parsed by anyone else always gets the
+per-leaf test. The loaders then rebuild the validated dataclasses,
+re-running their invariant checks. The loaders take parsed JSON values,
+not text. A malformed value raises
 DomainError (or the error of the dataclass it fails to build), never a
 bare Python exception.
 """
@@ -32,11 +38,15 @@ def array_to_json(a) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _numbers(data, depth: int, what: str) -> np.ndarray:
+def _numbers(data, depth: int, what: str, numeric: bool = False) -> np.ndarray:
     """The float64 array of `depth` levels of nested JSON arrays of numbers.
 
     Each level must be lists all of one length, and each leaf a finite int
-    or float; Python's bool is an int, but true is not a number.
+    or float; Python's bool is an int, but true is not a number. With
+    numeric, the caller has proven from the bytes the value was parsed
+    from that it holds no true, false, null or string value, so the leaves
+    are not typed one by one: np.fromiter reads them, and a list or object
+    among them makes it raise TypeError or ValueError.
     """
     level, shape = [data], []
     for k in range(depth):
@@ -47,7 +57,7 @@ def _numbers(data, depth: int, what: str) -> np.ndarray:
         shape.append(len(level[0]) if level else 0)
     # level holds the innermost lists; the leaves are read from them twice
     # rather than gathered into one more list.
-    if set(map(type, chain.from_iterable(level))) - {float, int}:
+    if not numeric and set(map(type, chain.from_iterable(level))) - {float, int}:
         raise DomainError(f"{what}: an entry is not a JSON number")
     try:
         leaves = chain.from_iterable(level)
@@ -56,6 +66,8 @@ def _numbers(data, depth: int, what: str) -> np.ndarray:
             return a
     except OverflowError:  # a Python int beyond the largest double
         pass
+    except (TypeError, ValueError):  # a list or object leaf, on the numeric path
+        raise DomainError(f"{what}: an entry is not a JSON number") from None
     raise DomainError(f"{what}: non-finite entries")
 
 
@@ -64,13 +76,14 @@ def real_vector_from_json(data, what: str = "array") -> np.ndarray:
     return _numbers(data, 1, what)
 
 
-def array_from_json(data, ndim: int, what: str = "array") -> np.ndarray:
+def array_from_json(data, ndim: int, what: str = "array", numeric: bool = False) -> np.ndarray:
     """The complex128 array with `ndim` axes written by array_to_json.
 
     _numbers reads the [re, im] pairs, viewed as complex, so every entry is
-    bit-exact; any other shape raises DomainError naming `what`.
+    bit-exact; any other shape raises DomainError naming `what`. numeric is
+    _numbers' own.
     """
-    a = _numbers(data, ndim + 1, what)
+    a = _numbers(data, ndim + 1, what, numeric)
     if a.shape[-1] != 2:
         raise DomainError(f"{what}: expected {ndim} axes of [re, im] pairs, got shape {a.shape}")
     return a.view(np.complex128)[..., 0]
@@ -91,11 +104,15 @@ def _field(obj, key: str):
     return obj[key]
 
 
-def povm_from_json(data) -> Povm:
-    """A POVM file: the list of elements, bare or as {"elements": [...]}."""
+def povm_from_json(data, *, numeric: bool = False) -> Povm:
+    """A POVM file: the list of elements, bare or as {"elements": [...]}.
+
+    numeric is _numbers' own: only a caller that has scanned the bytes of
+    data sets it.
+    """
     if isinstance(data, dict):
         data = _field(data, "elements")
-    return Povm(array_from_json(data, 3, "POVM elements"))
+    return Povm(array_from_json(data, 3, "POVM elements", numeric))
 
 
 def realization_to_json(r: Realization) -> dict:
@@ -111,13 +128,18 @@ def realization_to_json(r: Realization) -> dict:
     }
 
 
-def realization_from_json(data) -> Realization:
+def realization_from_json(data, *, numeric: bool = False) -> Realization:
+    """A realization file, as realization_to_json writes it.
+
+    numeric is _numbers' own: only a caller that has scanned the bytes of
+    data sets it.
+    """
     state = _field(data, "state")
-    amplitudes = array_from_json(_field(state, "amplitudes"), 1, "state.amplitudes")
+    amplitudes = array_from_json(_field(state, "amplitudes"), 1, "state.amplitudes", numeric)
     dims = _field(state, "factor_dims")
     if not (isinstance(dims, list) and all(type(n) is int for n in dims)):
         raise DomainError(f"state.factor_dims: expected a list of integers, got {dims!r}")
-    alice = array_from_json(_field(data, "alice_observables"), 3, "alice_observables")
+    alice = array_from_json(_field(data, "alice_observables"), 3, "alice_observables", numeric)
     bob = _field(data, "bob_observables")
     if not isinstance(bob, list):
         raise DomainError("bob_observables: expected a list of objects")
@@ -126,7 +148,7 @@ def realization_from_json(data) -> Realization:
         alice_observables=list(alice),
         bob_observables=[
             GeneralizedObservable(array_from_json(
-                _field(g, "operators"), 3, f"bob_observables[{i}].operators"
+                _field(g, "operators"), 3, f"bob_observables[{i}].operators", numeric
             ))
             for i, g in enumerate(bob)
         ],

@@ -130,6 +130,34 @@ def test_certify_reports_of_dressed_devices_with_eve_are_pinned(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_certify_refuses_a_tolerance_an_lhs_model_passes(tmp_path, capsys):
+    # alpha = (0.8, 0.6) has beta_L = 1.6. The mixture (1-p)|psi_alpha><psi_alpha|
+    # + p|11><11| at p = 0.315, purified by Eve, has value 1.5968 < beta_L.
+    sv, p = sc.SchmidtVector(np.array([0.8, 0.6])), 0.315
+    ideal = sc.ideal_realization(sv)
+    psi = np.zeros((2, 2, 2), dtype=complex)
+    psi[:, :, 0] = np.sqrt(1 - p) * sc.schmidt_state(sv).amplitudes.reshape(2, 2)
+    psi[1, 1, 1] = np.sqrt(p)
+    mixture = sc.Realization(sc.Ket(psi.ravel(), (2, 2, 2)), ideal.alice_observables,
+                             ideal.bob_observables)
+    honest = sc.dress_realization(ideal, 2, 2, seed=6)
+    paths = {}
+    for name, r in (("mixture", mixture), ("honest", honest)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**realization_to_json(r), "alpha": [0.8, 0.6]}))
+    for tol, code in (("0.999", 2), ("0.5", 2), ("0.4", 2), ("0.39", 1)):
+        assert cli.main(["certify", "--realization", str(paths["mixture"]),
+                         "--tolerance", tol]) == code, tol
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert "at or above d - beta_l_upper" in captured.err
+        else:
+            assert json.loads(captured.out)["verdict"] == "failed"
+    assert cli.main(["certify", "--realization", str(paths["honest"]), "--tolerance", "0.39"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
+
+
 def test_certify_missing_alpha(tmp_path):
     r0 = sc.ideal_realization(sc.maximally_entangled(2))
     path = tmp_path / "r.json"
@@ -270,6 +298,21 @@ _BAD_REALIZATIONS = {
     "nan_literal": lambda b: set_at(b, ("state", "amplitudes", 0), [float("nan"), 0.0]),
     "infinity_literal": lambda b: set_at(b, ("alice_observables", 0, 0, 0),
                                          [float("inf"), 0.0]),
+    # A string value or a null sends the file to the per-leaf walk; keys
+    # alone, or a list leaf, leave it on the scan-proven walk. Either way
+    # the message is the per-leaf walk's (_WALK_ERRORS).
+    "text_amplitude": lambda b: set_at(b, ("state", "amplitudes", 0), ["0.5", 0.0]),
+    "object_bob_pair": lambda b: set_at(b, ("bob_observables", 0, "operators", 1, 0, 0),
+                                        {"0.5": 0, "1.5": 0}),
+    "list_leaf": lambda b: set_at(b, ("state", "amplitudes", 0), [[0.5], 0.0]),
+    "null_bob_entry": lambda b: set_at(b, ("bob_observables", 1, "operators", 1, 0, 1),
+                                       [0.0, None]),
+}
+_WALK_ERRORS = {
+    "text_amplitude": "state.amplitudes: an entry is not a JSON number",
+    "object_bob_pair": "bob_observables[0].operators: not a rectangular JSON array of depth 4",
+    "list_leaf": "state.amplitudes: an entry is not a JSON number",
+    "null_bob_entry": "bob_observables[1].operators: an entry is not a JSON number",
 }
 _BAD_POVMS = {
     "ragged": lambda p: set_at(p, ("elements", 1), p["elements"][1][:-1]),
@@ -319,6 +362,8 @@ def test_malformed_file_is_usage_error(tmp_path, capsys, command, name, make):
         assert "missing key 'elements'" in captured.err
     if name.endswith("_literal"):
         assert "malformed JSON" in captured.err
+    if command == "certify" and name in _WALK_ERRORS:
+        assert captured.err == f"steercert: error: {_WALK_ERRORS[name]}\n"
 
 
 _FILE_ARGVS = {
@@ -346,6 +391,15 @@ def test_hostile_file_exits_2_in_a_fresh_process(tmp_path, command, name):
     assert r.stdout == "" and r.stderr.startswith("steercert: error: ")
 
 
+def _numbers_only(value) -> bool:
+    """No bool, no null and no string anywhere in value but as object keys."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return type(value) in (int, float)
+
+
 def _nesting(value) -> int:
     if isinstance(value, dict):
         value = list(value.values())
@@ -354,7 +408,10 @@ def _nesting(value) -> int:
     return 0
 
 
-_BRACKETY = st.text(alphabet='[]{}"\\a\n\u00e9')
+# Strings hold brackets, quotes, escapes, colons and the literals' letters,
+# which the scan must not count outside strings.
+_BRACKETY = (st.text(alphabet='[]{}"\\a\n\u00e9:tfn')
+             | st.sampled_from(["true", "null", ":", '\\"', '":false,"']))
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
                  | st.floats(allow_nan=False, allow_infinity=False) | _BRACKETY)
 _JSON_VALUES = st.recursive(
@@ -368,7 +425,7 @@ _JSON_VALUES = st.recursive(
 @given(value=_JSON_VALUES, ascii_only=st.booleans())
 def test_json_depth_is_the_nesting_of_valid_json(value, ascii_only):
     text = json.dumps(value, ensure_ascii=ascii_only, allow_nan=False).encode()
-    assert cli._json_depth(text) == _nesting(value), text
+    assert cli._json_scan(text) == (_nesting(value), _numbers_only(value)), text
 
 
 @pytest.mark.parametrize("text,depth", [
@@ -377,11 +434,11 @@ def test_json_depth_is_the_nesting_of_valid_json(value, ascii_only):
     (b'["\\"]]]', 1),
 ])
 def test_json_depth_of_malformed_text(text, depth):
-    assert cli._json_depth(text) == depth
+    assert cli._json_scan(text)[0] == depth
 
 
 def test_json_depth_of_a_realization_file():
-    assert cli._json_depth(json.dumps(_realization_blob()).encode()) == 7
+    assert cli._json_scan(json.dumps(_realization_blob()).encode()) == (7, True)
     assert cli._MAX_DEPTH >= 7
 
 
@@ -396,7 +453,7 @@ _HARD_FLOATS = (
 def _load_both(path, text):
     """The file loader's value of text and the json module's, as float64 bits."""
     path.write_text(text)
-    loaded, expected = cli._load_json_file(str(path)), json.loads(text)
+    loaded, expected = cli._load_json_file(str(path))[0], json.loads(text)
     return (np.array(loaded, dtype=np.float64).view(np.int64).tolist(),
             np.array(expected, dtype=np.float64).view(np.int64).tolist())
 
@@ -420,9 +477,19 @@ def test_loader_reads_floats_bit_for_bit(tmp_path_factory, values, fmt):
 def test_loader_reads_integers_below_2_to_64_exactly(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(f"[{-2**63}, {2**64 - 1}, {2**64}]")
-    small, large, huge = cli._load_json_file(str(path))
+    (small, large, huge), numeric = cli._load_json_file(str(path))
+    assert numeric
     assert (small, large) == (-2**63, 2**64 - 1)
     assert type(huge) is float and huge == float(2**64)
+
+
+def test_povm_file_with_integer_entries_reads_bit_for_bit(tmp_path):
+    ints = [[[[1, 0], [2**53 + 1, -3]], [[-2**63, 0], [2**64 - 1, 7]]]]
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"elements": ints}))
+    assert cli._load_json_file(str(path))[1]  # read by the scan-proven walk
+    got = cli._load_povm_file(str(path)).elements.view(np.int64).ravel()
+    assert got.tolist() == np.array(ints, np.float64).view(np.int64).ravel().tolist()
 
 
 def test_loader_restores_the_collector(tmp_path):
@@ -433,7 +500,7 @@ def test_loader_restores_the_collector(tmp_path):
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert cli._load_json_file(str(good)) == [[1.0, 2.0]]
+            assert cli._load_json_file(str(good)) == ([[1.0, 2.0]], True)
             assert gc.isenabled() == enabled
             with pytest.raises(cli.UsageError, match="malformed JSON"):
                 cli._load_json_file(str(bad))
@@ -449,9 +516,9 @@ def test_file_readers_build_arrays_with_the_collector_paused(monkeypatch, tmp_pa
     assert cli.main(["povm", "build", "--kind", "partial", "--d", "3", "--output", str(povm)]) == 0
     paused = []
     for name in ("realization_from_json", "povm_from_json"):
-        def reader(data, _original=getattr(cli, name)):
+        def reader(data, _original=getattr(cli, name), **kwargs):
             paused.append(not gc.isenabled())
-            return _original(data)
+            return _original(data, **kwargs)
         monkeypatch.setattr(cli, name, reader)
     runs = [
         (["certify", "--realization", str(realization)], 0),
@@ -585,6 +652,13 @@ def test_povm_check_catches_tamper(tmp_path):
     r = run_cli("povm", "check", "--povm", str(out))
     assert r.returncode == 1
     assert not json.loads(r.stdout)["validation"]["passed"]
+
+
+def test_randomness_builtin_partial_at_d_2(capsys):
+    # (0, 1) mod 3 is a perfect difference set, so d = 2 has a partial POVM.
+    assert cli.main(["randomness", "--d", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert abs(rep["min_entropy_bits"] - 2.0) < 1e-9 and rep["uniform"] is True
 
 
 def test_randomness_builtin_partial():

@@ -1,10 +1,12 @@
 """Generalized Pauli operators and the POVM/observable Fourier pair."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import steercert as sc
-from steercert.measurements import root_powers
+from steercert.measurements import _gram_excess, root_powers
 
 
 def comp_basis_povm(d):
@@ -208,3 +210,85 @@ def test_generalized_observable_is_not_changed_by_edits_to_the_callers_array():
     assert sc.is_projective(g)[0]
     with pytest.raises(ValueError):
         g.operators[1, 0, 0] = 5.0
+
+
+def _svd_only_accepts(ops) -> bool:
+    """The norm test by SVD alone: ||B_k||_op + ||B_{d-k} - B_k^dag||_F <= 1 + 1e-9."""
+    d = len(ops)
+    return all(np.linalg.svd(ops[k], compute_uv=False)[0]
+               + np.linalg.norm(ops[d - k] - ops[k].conj().T) <= 1.0 + 1e-9
+               for k in range(1, d // 2 + 1))
+
+
+def _accepts(ops) -> bool:
+    try:
+        sc.GeneralizedObservable(ops)
+    except sc.ContractError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, 1e-6])
+def test_norm_pretest_agrees_with_the_svd_on_scaled_unitaries(delta):
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8):
+        for _ in range(4):
+            b = (1.0 + delta) * sc.haar_unitary(n, rng)
+            for ops in (np.stack([np.eye(n), b, b.conj().T]),
+                        # d = 2: B_1 must be Hermitian, so a scaled reflection
+                        np.stack([np.eye(n), (b + b.conj().T) / np.linalg.norm(
+                            b + b.conj().T, 2) * (1.0 + delta)])):
+                assert _accepts(ops) == _svd_only_accepts(ops), (n, delta)
+
+
+def test_norm_pretest_agrees_with_the_svd_on_contractions():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 5):
+        for scale in (0.5, 0.999, 1.0, 1.0 + 1e-9, 1.001):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            b = scale * m / np.linalg.norm(m, 2)
+            ops = np.stack([np.eye(n), b, b @ b, b.conj().T])
+            ops[2] = (ops[2] + ops[2].conj().T) / 2  # d = 4 pairs B_2 with itself
+            assert _accepts(ops) == _svd_only_accepts(ops), (n, scale)
+
+
+def _exact_gram_residual_squared(b) -> Fraction:
+    """||B^dag B - 1||_F^2 in exact rational arithmetic on b's doubles."""
+    n = b.shape[0]
+    re = [[Fraction(x) for x in row] for row in b.real.tolist()]
+    im = [[Fraction(x) for x in row] for row in b.imag.tolist()]
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            g_re = sum(re[k][i] * re[k][j] + im[k][i] * im[k][j] for k in range(n))
+            g_im = sum(re[k][i] * im[k][j] - im[k][i] * re[k][j] for k in range(n))
+            total += (g_re - (i == j)) ** 2 + g_im ** 2
+    return total
+
+
+def test_gram_excess_bounds_the_exact_residual():
+    # On a near-unitary B the computed residual is all roundoff, and is
+    # below the exact one about half the time; the allowance covers it.
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        b = sc.haar_unitary(n, rng)
+        assert Fraction(_gram_excess(b)) ** 2 >= _exact_gram_residual_squared(b)
+
+
+def test_unitary_observable_takes_no_svd(monkeypatch):
+    d, junk = 8, 16
+    rng = np.random.default_rng(34)
+    v = sc.haar_unitary(d * junk, rng)
+    u = v @ np.kron(sc.generalized_pauli(d, "X"), np.eye(junk)) @ v.conj().T
+    powers = sc.GeneralizedObservable.from_unitary(u, d).operators
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    sc.GeneralizedObservable(powers)
+    assert calls == []
+    # B_k / 2 for k >= 1 is decided by the SVD, once per conjugate pair
+    halved = powers / 2
+    halved[0] = powers[0]
+    sc.GeneralizedObservable(halved)
+    assert len(calls) == d // 2

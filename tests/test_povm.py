@@ -16,9 +16,8 @@ def test_default_phase_tables_pass_sidon():
 
 
 def test_default_phase_table_domain():
-    with pytest.raises(sc.DomainError):
-        sc.default_phase_table(2)
-    with pytest.raises(sc.DomainError):
+    # No projective plane of order 6 exists, so no table for d = 7 does.
+    with pytest.raises(sc.DomainError, match=r"no built-in phase table for d=7 \(have 2\.\.6\)"):
         sc.default_phase_table(7)
 
 
