@@ -21,17 +21,14 @@ The argparse parser is built once per process. parse_args checks --seed,
 with --alpha decoded into an array; the handlers read its attributes.
 
 Every JSON input, a realization or POVM file or the --alpha and --fiducial
-flags, goes through one parser, _load_json: orjson, imported only by the
-subcommands that read JSON. Input must be strict JSON: a NaN or Infinity
-literal is malformed, and so is nesting deeper than _MAX_DEPTH, which is
-refused before orjson sees it. The numbers in it are read by the one
-strict walk of serialize, which refuses a boolean among them. The depth
-check's pass over the bytes (_json_scan) also tells whether every scalar
-outside object keys is a number: no t, f or n outside strings, and as
-many colons as strings. Only the file readers (certify, povm check,
-randomness --povm FILE) hand that verdict on, and only when it holds
-does the walk skip its per-leaf type test; a flag's value, and any value
-a caller parsed itself, is always typed leaf by leaf.
+flags, is parsed by orjson, imported only by the subcommands that read
+JSON. Input must be strict JSON: a NaN or Infinity literal is malformed,
+and so is nesting deeper than _MAX_DEPTH, which is refused before orjson
+sees it (_json_scan). A file (certify, povm check, randomness --povm
+FILE) is read by _load_json_file, which parses each rectangular array of
+floats flat, with no nested lists, once its bracket skeleton matches its
+shape's. Every array of numbers then goes through the one strict walk of
+serialize, which refuses a boolean among them.
 
 Reports are written by _dumps, whose bytes are exactly those of
 json.dumps(_plain(report), sort_keys=True, separators=(",", ": "),
@@ -368,39 +365,114 @@ def _gc_paused():
 
 
 def _load_json(raw: bytes, what: str):
-    """The value of strict JSON bytes nested at most _MAX_DEPTH deep, and
-    whether every scalar in it outside object keys is a number (_json_scan)."""
+    """The value of strict JSON bytes nested at most _MAX_DEPTH deep."""
     import orjson  # only the subcommands that read JSON need it
 
-    depth, numeric = _json_scan(raw)
-    if depth > _MAX_DEPTH:
+    if _json_scan(raw)[0] > _MAX_DEPTH:
         raise UsageError(f"{what}: malformed JSON (nested deeper than {_MAX_DEPTH})")
     try:
-        return orjson.loads(raw), numeric
+        return orjson.loads(raw)
     except orjson.JSONDecodeError as e:
         raise UsageError(f"{what}: malformed JSON ({e.msg})") from e
 
 
+_SPACES = re.compile(rb"[ \t\n\r]*")
+_NOT_DOT = b"0123456789+-eE \t\n\r"
+_BLANK = bytes.maketrans(b"[]", b"  ")
+
+
+def _flat_shape(body: bytes) -> tuple | None:
+    """The shape of body, a rectangular array of floats, if it can be read flat.
+
+    Less digits, signs, exponents and white space, body must be the skeleton
+    of a shape with 2 to _MAX_DEPTH axes, none of length 0, read from the
+    first element at each level: brackets, commas and a point per number."""
+    skeleton = body.translate(None, _NOT_DOT)
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 2 <= depth <= _MAX_DEPTH:
+        return None
+    # The first array m levels above the leaves ends at the first run of m
+    # closers; n items of skeleton length w take n * (w + 1) + 1 bytes.
+    shape, canonical, end = [], b".", 0
+    for closers in range(1, depth + 1):
+        end = skeleton.find(b"]" * closers, end)
+        n, rest = divmod(end + 2 * closers - depth - 1, len(canonical) + 1)
+        if end < 0 or rest or n < 1:
+            return None
+        shape.append(n)
+        canonical = b"[" + b",".join([canonical] * n) + b"]"
+    return tuple(reversed(shape)) if skeleton == canonical else None
+
+
+def _put(value, arrays: list):
+    """value with each string in it, a marker, replaced by the array it numbers."""
+    if type(value) is str:
+        return arrays[int(value)]
+    if type(value) in (dict, list):
+        for key, item in (value.items() if type(value) is dict else enumerate(value)):
+            value[key] = _put(item, arrays)
+    return value
+
+
 def _load_json_file(path: str):
-    """The value of a strict JSON file and its scan's verdict, by _load_json."""
+    """The value of a strict JSON file: each array _flat_shape takes becomes a
+    float64 ndarray, read flat. If the rest has no literal and no string value
+    (_json_scan, each array as brackets of its depth), orjson parses it with a
+    marker string in each array's place; else _load_json reads the file."""
+    import orjson
+
     with open(path, "rb") as fh:
-        return _load_json(fh.read(), path)
+        raw = fh.read()
+    spans = []  # candidates: the file's value, or one after a colon, up to
+    # the next quote, brace or colon. One inside a string (there are no
+    # escapes) leaves the marker text malformed, and orjson refuses it.
+    colon = -1 if b"\\" not in raw else len(raw)
+    while colon < len(raw):
+        start = _SPACES.match(raw, colon + 1).end()
+        if raw[start:start + 1] == b'"':  # a string value: the verdict is no
+            return _load_json(raw, path)
+        colon = raw.find(b":", start)
+        stop = colon = len(raw) if colon < 0 else colon
+        for mark in b'"{}':
+            at = raw.find(mark, start, stop)
+            stop = stop if at < 0 else at
+        end = raw.rfind(b"]", start, stop) + 1
+        if end > start and raw[start] == ord("["):
+            spans.append((start, end))
+    found = [(shape, a, b) for a, b in spans if (shape := _flat_shape(raw[a:b])) is not None]
+    if not found:
+        return _load_json(raw, path)
+
+    def document(fills) -> bytes:
+        ends = [0] + [end for *_, end in found]
+        parts = (raw[last:start] + fill for last, (_, start, _), fill in zip(ends, found, fills))
+        return b"".join(parts) + raw[ends[-1]:]
+
+    depth, numeric = _json_scan(document(b"[" * len(s) + b"]" * len(s) for s, *_ in found))
+    if depth > _MAX_DEPTH or not numeric:
+        return _load_json(raw, path)
+    try:
+        value = orjson.loads(document(b'"%d"' % n for n in range(len(found))))
+        # Blanked brackets leave a flat JSON array, one number at each point
+        # (a digit out of place makes two), read as in place: the walk's bits.
+        arrays = []
+        for shape, start, end in found:
+            numbers = orjson.loads(b"[" + raw[start:end].translate(_BLANK) + b"]")
+            arrays.append(np.fromiter(numbers, np.float64, count=len(numbers)).reshape(shape))
+        return _put(value, arrays)
+    except ValueError:  # orjson's JSONDecodeError among them
+        return _load_json(raw, path)
 
 
 def _load_povm_file(path: str) -> Povm:
     """The POVM of a file; the collector stays paused until its tree is freed."""
     with _gc_paused():
-        data, numeric = _load_json_file(path)
-        return povm_from_json(data, numeric=numeric)
+        return povm_from_json(_load_json_file(path))
 
 
 def _load_flag(text: str, flag: str):
-    """A flag's JSON value; a lone surrogate (an undecodable argv byte) is malformed.
-
-    Its numbers are read by the strict walk alone, so the scan's verdict is
-    dropped.
-    """
-    return _load_json(text.encode("utf-8", "surrogatepass"), flag)[0]
+    """A flag's JSON value; a lone surrogate (an undecodable argv byte) is malformed."""
+    return _load_json(text.encode("utf-8", "surrogatepass"), flag)
 
 
 def _parse_fiducial(text: str, flag: str) -> np.ndarray:
@@ -419,8 +491,8 @@ def _seeded_fiducial(config: argparse.Namespace) -> np.ndarray:
 
 def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     with _gc_paused():
-        data, numeric = _load_json_file(config.realization)
-        r = realization_from_json(data, numeric=numeric)
+        data = _load_json_file(config.realization)
+        r = realization_from_json(data)
         alpha = config.alpha
         if alpha is None and "alpha" in data:
             alpha = real_vector_from_json(data["alpha"], f"{config.realization}: alpha")

@@ -180,18 +180,28 @@ class GeneralizedObservable:
         eye = np.eye(a.shape[1])
         if not np.allclose(a[0], eye, atol=1e-9):
             raise ContractError("B_0 must be the identity")
-        for k in range(1, d):
-            if not np.allclose(a[d - k], dagger(a[k]), atol=1e-9):
-                raise ContractError(f"B_{d - k} != B_{k}^dag")
+        # np.allclose(a[d-k], a[k]^dag) and (a[k], a[d-k]^dag) hold iff |D| <=
+        # 1e-9 + 1e-5 min(|a[k]^dag|, |a[d-k]|), D = a[d-k] - a[k]^dag; inf or NaN
+        # fails. A failing pair raises as a loop of both over k = 1..d-1 would.
+        late = None
+        for k in range(1, d // 2 + 1):
+            b_dag = dagger(a[k])
+            diff = a[d - k] - b_dag
+            scale = np.abs(b_dag) if 2 * k == d else np.minimum(np.abs(b_dag), np.abs(a[d - k]))
+            if not np.all(np.abs(diff) <= 1e-9 + 1e-5 * scale):
+                if not np.allclose(a[d - k], b_dag, atol=1e-9):
+                    raise ContractError(f"B_{d - k} != B_{k}^dag")
+                late = k
             # ||B_{d-k}||_op <= ||B_k||_op + ||B_{d-k} - B_k^dag||_F, so one
             # norm per conjugate pair bounds both. The Gram bound decides it
             # without an SVD when it passes (NaN does not), and the SVD
             # when it does not.
-            if 2 * k <= d:
-                dev = np.linalg.norm(a[d - k] - dagger(a[k]))
-                if (not math.sqrt(1.0 + _gram_excess(a[k])) + dev <= 1.0 + 1e-9
-                        and np.linalg.svd(a[k], compute_uv=False)[0] + dev > 1.0 + 1e-9):
-                    raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
+            dev = np.linalg.norm(diff)
+            if (not math.sqrt(1.0 + _gram_excess(a[k])) + dev <= 1.0 + 1e-9
+                    and np.linalg.svd(a[k], compute_uv=False)[0] + dev > 1.0 + 1e-9):
+                raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
+        if late is not None:
+            raise ContractError(f"B_{late} != B_{d - late}^dag")
         a.flags.writeable = False
         object.__setattr__(self, "operators", a)
 

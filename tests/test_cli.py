@@ -4,12 +4,15 @@ import argparse
 import gc
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import steercert as sc
 import steercert.cli as cli
 from conftest import perturb, set_at
-from steercert.serialize import array_to_json, realization_to_json
+from steercert.serialize import _numbers, array_to_json, realization_to_json
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -298,9 +301,9 @@ _BAD_REALIZATIONS = {
     "nan_literal": lambda b: set_at(b, ("state", "amplitudes", 0), [float("nan"), 0.0]),
     "infinity_literal": lambda b: set_at(b, ("alice_observables", 0, 0, 0),
                                          [float("inf"), 0.0]),
-    # A string value or a null sends the file to the per-leaf walk; keys
-    # alone, or a list leaf, leave it on the scan-proven walk. Either way
-    # the message is the per-leaf walk's (_WALK_ERRORS).
+    # A string value or a null sends the whole file to the walk; a list or
+    # object leaf leaves only its own array to it. Either way the message is
+    # the walk's (_WALK_ERRORS).
     "text_amplitude": lambda b: set_at(b, ("state", "amplitudes", 0), ["0.5", 0.0]),
     "object_bob_pair": lambda b: set_at(b, ("bob_observables", 0, "operators", 1, 0, 0),
                                         {"0.5": 0, "1.5": 0}),
@@ -377,6 +380,10 @@ _HOSTILE_FILES = {
     # An unterminated string of escaped quotes: a backtracking string scan
     # restarts at every quote and takes quadratic time.
     "escaped_quotes": b'"' + b'\\"' * 500_000,
+    # A million rows that pass the skeleton check up to the end: a ragged
+    # last row, or a digit too many in it, which the skeleton does not show.
+    "ragged_last_row": b"[" + b"[0.5]," * 1_000_000 + b"[0.5,0.5]]",
+    "digit_after_last_row": b"[" + b"[0.5]," * 1_000_000 + b"[0.5]5]",
 }
 
 
@@ -453,7 +460,7 @@ _HARD_FLOATS = (
 def _load_both(path, text):
     """The file loader's value of text and the json module's, as float64 bits."""
     path.write_text(text)
-    loaded, expected = cli._load_json_file(str(path))[0], json.loads(text)
+    loaded, expected = cli._load_json_file(str(path)), json.loads(text)
     return (np.array(loaded, dtype=np.float64).view(np.int64).tolist(),
             np.array(expected, dtype=np.float64).view(np.int64).tolist())
 
@@ -477,8 +484,7 @@ def test_loader_reads_floats_bit_for_bit(tmp_path_factory, values, fmt):
 def test_loader_reads_integers_below_2_to_64_exactly(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(f"[{-2**63}, {2**64 - 1}, {2**64}]")
-    (small, large, huge), numeric = cli._load_json_file(str(path))
-    assert numeric
+    small, large, huge = cli._load_json_file(str(path))
     assert (small, large) == (-2**63, 2**64 - 1)
     assert type(huge) is float and huge == float(2**64)
 
@@ -487,7 +493,6 @@ def test_povm_file_with_integer_entries_reads_bit_for_bit(tmp_path):
     ints = [[[[1, 0], [2**53 + 1, -3]], [[-2**63, 0], [2**64 - 1, 7]]]]
     path = tmp_path / "ints.json"
     path.write_text(json.dumps({"elements": ints}))
-    assert cli._load_json_file(str(path))[1]  # read by the scan-proven walk
     got = cli._load_povm_file(str(path)).elements.view(np.int64).ravel()
     assert got.tolist() == np.array(ints, np.float64).view(np.int64).ravel().tolist()
 
@@ -500,7 +505,7 @@ def test_loader_restores_the_collector(tmp_path):
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert cli._load_json_file(str(good)) == ([[1.0, 2.0]], True)
+            assert cli._load_json_file(str(good)).tolist() == [[1.0, 2.0]]
             assert gc.isenabled() == enabled
             with pytest.raises(cli.UsageError, match="malformed JSON"):
                 cli._load_json_file(str(bad))
@@ -538,6 +543,163 @@ def test_file_readers_build_arrays_with_the_collector_paused(monkeypatch, tmp_pa
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
     assert len(paused) == 2 * len(runs) and all(paused)
+
+
+def _bits(value):
+    """value as plain lists, each float as its bit pattern: equal iff bit-equal."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if type(value) is float:
+        return ("float", struct.unpack("<q", struct.pack("<d", value))[0])
+    return (type(value).__name__, value)
+
+
+def _walks(value) -> list:
+    """What the typed walk makes of value and of each member, at depths 1 to 4."""
+    out = []
+    for v in [value, *(value.values() if isinstance(value, dict) else ())]:
+        for depth in range(1, 5):
+            try:
+                out.append(_numbers(v, depth, "v").view(np.int64).tolist())
+            except sc.DomainError as e:
+                out.append(str(e))
+    return out
+
+
+def _read_both(path, raw: bytes):
+    """The file reader's result on raw and orjson's, each with the walks."""
+    path.write_bytes(raw)
+    try:
+        value = cli._load_json_file(str(path))
+    except cli.UsageError as e:
+        new = str(e)
+    else:
+        new = (_bits(value), _walks(value))
+    try:
+        value = orjson.loads(raw)
+    except orjson.JSONDecodeError as e:
+        old = f"{path}: malformed JSON ({e.msg})"
+    else:
+        old = (_bits(value), _walks(value))
+    return new, old
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBERS = _FLOATS | st.integers(-2**70, 2**70) | st.sampled_from([-0.0, 2**53 + 1, 1e-7])
+
+
+@st.composite
+def _number_arrays(draw):
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = math.prod(shape)
+    flat = draw(st.lists(draw(st.sampled_from([_FLOATS, _NUMBERS])), min_size=n, max_size=n))
+    return np.array(flat, dtype=object).reshape(shape).tolist()
+
+
+_KEYS = st.text(alphabet="[]{}:,e1 a", max_size=4)
+_DOCUMENTS = _number_arrays() | st.dictionaries(
+    _KEYS,
+    _number_arrays() | st.builds(lambda a: {"operators": a}, _number_arrays())
+    | st.lists(_NUMBERS, max_size=3) | st.none() | st.booleans() | _KEYS,
+    max_size=3,
+)
+
+
+def _digits17(value) -> str:
+    """value as JSON with every float written by %.17g."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_digits17(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_digits17, value)) + "]"
+    return "%.17g" % value if type(value) is float else json.dumps(value)
+
+
+_FORMATS = {
+    "dumps": json.dumps,
+    "indent": lambda v: json.dumps(v, indent=2),
+    "compact": lambda v: json.dumps(v, separators=(",", ":")),
+    "tabs": lambda v: json.dumps(v, separators=(",\t", ":\r\n")).replace("[", "[\n "),
+    "digits17": _digits17,
+}
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    """raw with one bracket, comma, digit or quote dropped or added."""
+    if mutation is None:
+        return raw
+    kind, where = mutation
+    if kind == "drop":
+        at = [i for i, b in enumerate(raw) if b in b'[],"0123456789']
+        if not at:
+            return raw
+        i = at[int(where * len(at)) % len(at)]
+        return raw[:i] + raw[i + 1:]
+    i = int(where * (len(raw) + 1)) % (len(raw) + 1)
+    return raw[:i] + kind.encode() + raw[i:]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(doc=_DOCUMENTS, fmt=st.sampled_from(sorted(_FORMATS)),
+       mutation=st.none() | st.tuples(st.sampled_from(["drop", "[", "]", ",", "7", '"']),
+                                      st.floats(0, 1)))
+def test_file_reader_matches_orjson_and_the_walk(tmp_path_factory, doc, fmt, mutation):
+    raw = _mutate(_FORMATS[fmt](doc).encode(), mutation)
+    new, old = _read_both(tmp_path_factory.getbasetemp() / "doc.json", raw)
+    assert new == old, raw
+
+
+_NAMED_FILES = {
+    "ragged": b"[[1,2],[3]]",
+    "empty_row": b"[[]]",
+    "empty_entry": b"[[1,,2]]",
+    "no_comma": b"[[1 2]]",
+    "leading_zero": b"[[01]]",
+    "bare_point": b"[[1.]]",
+    "bare_minus": b"[[-]]",
+    "overflow": b"[[1e400]]",
+    "duplicate_keys": b'{"a": [[1.5, 2.5]], "a": [[3.5], [4.5]]}',
+    "odd_keys": b'{"[": [[0.5]], "a:b": [[1.5, 2.5]], "12": [[-0.0]], "e": [[1e-7]], "1e5:[": [[2.5]]}',
+    # Numbers out of place: before an opener, after a closer, outside the array.
+    "number_before_opener": b"[[1.5,2.5],-3.5[,4.5]]",
+    "number_after_closer": b"[[1.5,2.5]3,[4.5,5.5]]",
+    "number_before_array": b'{"a": 5 [[1.5]]}',
+    "number_after_array": b'{"a": [[1.5]] 5}',
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_FILES)
+def test_file_reader_matches_orjson_on_named_cases(tmp_path, name):
+    new, old = _read_both(tmp_path / f"{name}.json", _NAMED_FILES[name])
+    assert new == old
+
+
+def test_file_reader_reads_arrays_of_floats_flat(tmp_path):
+    path = tmp_path / "keys.json"
+    path.write_bytes(_NAMED_FILES["duplicate_keys"][:-1] + b', "n": [[1.5, 2]], "v": [0.5]}')
+    value = cli._load_json_file(str(path))
+    assert type(value["a"]) is np.ndarray and value["a"].tolist() == [[3.5], [4.5]]
+    # An integer, or a number without a point, leaves its array to the walk;
+    # so does a depth of one.
+    assert value["n"] == [[1.5, 2]] and value["v"] == [0.5]
+    path.write_text(json.dumps(_realization_blob()))
+    value = cli._load_json_file(str(path))
+    assert type(value["alice_observables"]) is np.ndarray
+    assert type(value["bob_observables"][1]["operators"]) is np.ndarray
+
+
+@pytest.mark.parametrize("depth", [63, 64])
+def test_array_at_the_depth_limit_under_an_object(tmp_path, depth):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b'{"a": ' + b"[" * depth + b"0.5" + b"]" * depth + b"}")
+    if depth < cli._MAX_DEPTH:
+        assert cli._load_json_file(str(path))["a"].shape == (1,) * depth
+    else:
+        with pytest.raises(cli.UsageError, match="nested deeper than 64"):
+            cli._load_json_file(str(path))
 
 
 def test_boolean_is_not_a_number(capsys):

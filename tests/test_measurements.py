@@ -292,3 +292,67 @@ def test_unitary_observable_takes_no_svd(monkeypatch):
     halved[0] = powers[0]
     sc.GeneralizedObservable(halved)
     assert len(calls) == d // 2
+
+
+def _two_allclose(ops):
+    """The message of the loop that compared each conjugate pair from both
+    sides, with the same norm test, or None when it accepts."""
+    d = len(ops)
+    for k in range(1, d):
+        if not np.allclose(ops[d - k], ops[k].conj().T, atol=1e-9):
+            return f"B_{d - k} != B_{k}^dag"
+        if 2 * k <= d and (np.linalg.svd(ops[k], compute_uv=False)[0]
+                           + np.linalg.norm(ops[d - k] - ops[k].conj().T) > 1.0 + 1e-9):
+            return f"||B_{k}||_op or ||B_{d - k}||_op > 1"
+    return None
+
+
+def _message(ops):
+    try:
+        sc.GeneralizedObservable(ops)
+    except sc.ContractError as e:
+        return str(e)
+    return None
+
+
+def test_conjugate_pairing_matches_the_two_allclose_loop_at_its_edges():
+    # B_k = U^k / 2 keeps the norm test far from its edge. Entry (0, 1) of
+    # B_{d-k} is moved along its own phase by just under or just over one
+    # side's tolerance, 1e-9 + 1e-5 |B_k^dag|: moving it out raises the
+    # other side's tolerance, and moving it in lowers it, so the two calls
+    # disagree and each can fail alone. Pairs fail together or apart, to
+    # check which message comes first.
+    rng = np.random.default_rng(35)
+    outcomes = set()
+    for d in (3, 4, 5, 6):
+        v = sc.haar_unitary(3, rng)
+        u = v @ np.diag(np.exp(2j * np.pi * rng.integers(0, d, 3) / d)) @ v.conj().T
+        base = sc.GeneralizedObservable.from_unitary(u, d).operators / 2
+        base[0] = np.eye(3)
+        moves = [None] + [(s, f) for s in (1, -1) for f in (1 - 1e-7, 1 + 1e-7, 2.0)]
+        for k in range(1, d // 2 + 1):
+            for other in range(1, d // 2 + 1):
+                for move in moves:
+                    for other_move in (None, (1, 2.0), (-1, 1 - 1e-7)):
+                        ops = base.copy()
+                        for j, m in ((k, move), (other, other_move)):
+                            if m is not None:
+                                z = ops[d - j, 0, 1]
+                                tol = 1e-9 + 1e-5 * abs(ops[j, 1, 0])
+                                ops[d - j, 0, 1] = z + m[0] * m[1] * tol * z / abs(z)
+                        want = _two_allclose(ops)
+                        assert _message(ops) == want, (d, k, move, other, other_move)
+                        outcomes.add(want if want is None else want.split(" ")[0][2:])
+    assert {None, "1", "2", "3", "4"} <= outcomes
+
+
+def test_generalized_observable_refuses_non_finite_operators():
+    # B_1 and B_2 = B_1^dag both hold inf at the same place: np.allclose
+    # counts equal infinities as close, and the old loop accepted this.
+    z = sc.generalized_pauli(3, "Z")
+    for value in (np.inf, complex(0, -np.inf), np.nan):
+        ops = np.stack([np.eye(3), z, z.conj()]).astype(complex)
+        ops[1, 0, 1] = value
+        ops[2, 1, 0] = np.conj(value)
+        with np.errstate(invalid="ignore"), pytest.raises(sc.ContractError):
+            sc.GeneralizedObservable(ops)
