@@ -29,3 +29,7 @@ class NotExtremalError(SteercertError, ValueError):
         super().__init__(message)
         self.rank = rank
         self.expected = expected
+
+
+class UsageError(SteercertError):
+    """A command-line argument or input file is malformed or out of range."""

@@ -1,4 +1,4 @@
-"""JSON encoding of realizations and POVMs.
+"""JSON input: the bytes of files and flags, and the arrays they encode.
 
 A complex array is written as nested lists whose innermost level is an
 [re, im] pair, so files stay language-neutral and diffable. One function
@@ -6,26 +6,35 @@ pair knows that format: array_to_json writes it, and array_from_json
 reads it. Every array of numbers, complex or real, is read by one strict
 walk of the parsed value (_numbers): each level must be JSON arrays of
 one length, and each leaf a JSON number; a boolean, null, text or an
-object is refused, never read as 0.0 or 1.0. The command line's file
-reader parses a rectangular array of floats of two or more levels
-straight into a float64 ndarray, which stands for the JSON lists it was
-read from (its tolist() gives them back exactly); _numbers takes such an
-array of its depth as already read, and every other reader here treats
-it as those lists. The loaders then rebuild the validated dataclasses,
-re-running their invariant checks. The loaders take parsed JSON values,
-not text. A malformed value raises
-DomainError (or the error of the dataclass it fails to build), never a
-bare Python exception.
+object is refused, never read as 0.0 or 1.0. The loaders then rebuild the
+validated dataclasses, re-running their invariant checks. A malformed
+value raises DomainError (or the error of the dataclass it fails to
+build), never a bare Python exception.
+
+Every JSON input of the command line, a realization or POVM file or the
+--alpha and --fiducial flags, is parsed by orjson, imported only when one
+is read. Input must be strict JSON: a NaN or Infinity literal is
+malformed, and so is nesting deeper than _MAX_DEPTH, which is refused
+before orjson sees it (_json_scan); either raises UsageError. A file is
+read by _load_json_file, which parses each rectangular array of floats
+of two or more levels flat, with no nested lists, once its bracket
+skeleton matches its shape's, straight into a float64 ndarray. Such an
+array stands for the JSON lists it was read from (its tolist() gives them
+back exactly); _numbers takes such an array of its depth as already read,
+and every other reader here treats it as those lists.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
+import re
 from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .linalg import Ket
 from .measurements import GeneralizedObservable, Povm
 from .states import Realization
@@ -149,3 +158,197 @@ def realization_from_json(data) -> Realization:
             for i, g in enumerate(bob)
         ],
     )
+
+
+# A realization file nests 7 deep. orjson 3.8 overflows the C stack on
+# deep nesting instead of raising, so deeper files never reach it.
+_MAX_DEPTH = 64
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+# The scan keeps quotes and brackets, each brace as a bracket.
+_NOT_SCANNED = bytes(b for b in range(256) if b not in b'"[]{}')
+_SCAN_MAP = bytes.maketrans(b"{}", b"[]")
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[ord("[")], _DEPTH_STEP[ord("]")] = 1, -1
+
+
+def _json_scan(raw: bytes) -> int:
+    """The deepest nesting of brackets outside the JSON strings of raw.
+
+    Escape pairs go first, so every remaining quote opens or closes a
+    string; nothing backtracks, so the time is linear in len(raw) whatever
+    the bytes are. Up to the first byte where a JSON parser stops, the
+    strings found here are the parser's, so on malformed input the depth
+    is never below the depth the parser reaches.
+    """
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)
+    # Quotes alternate opening and closing, so the even pieces lie outside strings.
+    outside = b"".join(raw.translate(_SCAN_MAP, _NOT_SCANNED).split(b'"')[::2])
+    if outside.count(b"[") > _MAX_DEPTH:
+        step = _DEPTH_STEP[np.frombuffer(outside, dtype=np.uint8)]
+        return int(np.cumsum(step, dtype=np.int64).max(initial=0))
+    # So few openers are walked in Python, and a flag never reaches numpy.
+    # Every run after the first follows an opener.
+    runs = outside.split(b"[")
+    depth, deepest = -len(runs[0]), 0
+    for closers in runs[1:]:
+        deepest = max(deepest, depth + 1)
+        depth += 1 - len(closers)
+    return deepest
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector; its prior state comes back on exit.
+
+    A JSON parse tree has no cycles, and rescanning it while it is built,
+    walked and freed is waste. Each file reader keeps the collector paused
+    from the parse until its arrays are built and the tree is released.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_json(raw: bytes, what: str):
+    """The value of strict JSON bytes nested at most _MAX_DEPTH deep."""
+    import orjson  # only the subcommands that read JSON need it
+
+    if _json_scan(raw) > _MAX_DEPTH:
+        raise UsageError(f"{what}: malformed JSON (nested deeper than {_MAX_DEPTH})")
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError as e:
+        raise UsageError(f"{what}: malformed JSON ({e.msg})") from e
+
+
+_SPACES = re.compile(rb"[ \t\n\r]*")
+_NOT_DOT = b"0123456789+-eE \t\n\r"
+_BLANK = bytes.maketrans(b"[]", b"  ")
+# A realization file has about 8 keys. An array read flat costs about 13 us
+# of Python, where orjson's tree of a small array costs under 1 us, so a
+# file of many more keys, such as one of many small arrays, goes to orjson
+# whole.
+_MAX_FLAT_KEYS = 64
+
+
+def _flat_shape(body: bytes) -> tuple | None:
+    """The shape of body, a rectangular array of floats, if it can be read flat.
+
+    Less digits, signs, exponents and white space, body must be the skeleton
+    of a shape with 2 to _MAX_DEPTH axes, none of length 0, read from the
+    first element at each level: brackets, commas and a point per number."""
+    skeleton = body.translate(None, _NOT_DOT)
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 2 <= depth <= _MAX_DEPTH:
+        return None
+    # The first array m levels above the leaves ends at the first run of m
+    # closers; n items of skeleton length w take n * (w + 1) + 1 bytes.
+    shape, canonical, end = [], b".", 0
+    for closers in range(1, depth + 1):
+        end = skeleton.find(b"]" * closers, end)
+        n, rest = divmod(end + 2 * closers - depth - 1, len(canonical) + 1)
+        if end < 0 or rest or n < 1:
+            return None
+        shape.append(n)
+        canonical = b"[" + b",".join([canonical] * n) + b"]"
+    return tuple(reversed(shape)) if skeleton == canonical else None
+
+
+def _put(value, arrays: list):
+    """value with each marker in it, NUL and a number, replaced by the array
+    it numbers; any other string stays."""
+    if type(value) is str:
+        return arrays[int(value[1:])] if value[:1] == "\0" else value
+    if type(value) in (dict, list):
+        for key, item in (value.items() if type(value) is dict else enumerate(value)):
+            value[key] = _put(item, arrays)
+    return value
+
+
+def _load_json_file(path: str):
+    """The value of a strict JSON file: each array _flat_shape takes becomes a
+    float64 ndarray, read flat, and orjson parses the rest with a marker in
+    each array's place: the string of NUL and the array's number. No string
+    of a file read so starts with NUL, which takes an escape and so a
+    backslash. A file with a backslash, more than _MAX_FLAT_KEYS colons or
+    no array taken, or whose rest orjson refuses, is read by _load_json."""
+    import orjson
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    spans = []  # candidates: the file's value, or one after a colon, up to
+    # the next quote, brace or colon. One inside a string leaves the marker
+    # text malformed, and orjson refuses it.
+    colon = -1 if b"\\" not in raw else len(raw)
+    for _ in range(_MAX_FLAT_KEYS + 1):
+        if colon == len(raw):
+            break
+        start = _SPACES.match(raw, colon + 1).end()
+        colon = raw.find(b":", start)
+        stop = colon = len(raw) if colon < 0 else colon
+        for mark in b'"{}':
+            at = raw.find(mark, start, stop)
+            stop = stop if at < 0 else at
+        end = raw.rfind(b"]", start, stop) + 1
+        if end > start and raw[start] == ord("["):
+            spans.append((start, end))
+    else:  # more than _MAX_FLAT_KEYS colons
+        return _load_json(raw, path)
+    found = [(shape, a, b) for a, b in spans if (shape := _flat_shape(raw[a:b])) is not None]
+    if not found:
+        return _load_json(raw, path)
+
+    def document(fills) -> bytes:
+        ends = [0] + [end for *_, end in found]
+        parts = (raw[last:start] + fill for last, (_, start, _), fill in zip(ends, found, fills))
+        return b"".join(parts) + raw[ends[-1]:]
+
+    if _json_scan(document(b"[" * len(s) + b"]" * len(s) for s, *_ in found)) > _MAX_DEPTH:
+        return _load_json(raw, path)
+    try:
+        value = orjson.loads(document(b'"\\u0000%d"' % n for n in range(len(found))))
+        # Blanked brackets leave a flat JSON array, one number at each point
+        # (a digit out of place makes two), read as in place: the walk's bits.
+        arrays = []
+        for shape, start, end in found:
+            numbers = orjson.loads(b"[" + raw[start:end].translate(_BLANK) + b"]")
+            arrays.append(np.fromiter(numbers, np.float64, count=len(numbers)).reshape(shape))
+        return _put(value, arrays)
+    except ValueError:  # orjson's JSONDecodeError among them
+        return _load_json(raw, path)
+
+
+def load_povm_file(path: str) -> Povm:
+    """The POVM of a file; the collector stays paused until its tree is freed."""
+    with _gc_paused():
+        return povm_from_json(_load_json_file(path))
+
+
+def load_realization_file(path: str, alpha: np.ndarray | None):
+    """The realization of a file and its Schmidt coefficients: alpha when
+    given, else the file's 'alpha' key, else None."""
+    with _gc_paused():
+        data = _load_json_file(path)
+        r = realization_from_json(data)
+        if alpha is None and "alpha" in data:
+            alpha = real_vector_from_json(data["alpha"], f"{path}: alpha")
+        del data
+    return r, alpha
+
+
+def load_flag(text: str, flag: str):
+    """A flag's JSON value; a lone surrogate (an undecodable argv byte) is malformed."""
+    return _load_json(text.encode("utf-8", "surrogatepass"), flag)
+
+
+def fiducial_from_flag(text: str, flag: str) -> np.ndarray:
+    """A fiducial written as real numbers or as [re, im] pairs."""
+    data = load_flag(text, flag)
+    if isinstance(data, list) and data and type(data[0]) is list:
+        return array_from_json(data, 1, flag)
+    return real_vector_from_json(data, flag)

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 import steercert as sc
 import steercert.cli as cli
+import steercert.report as rpt
+import steercert.serialize as serialize
 from conftest import perturb, set_at
+from steercert.errors import UsageError
 from steercert.serialize import _numbers, array_to_json, realization_to_json
 
 
@@ -398,13 +402,14 @@ def test_hostile_file_exits_2_in_a_fresh_process(tmp_path, command, name):
     assert r.stdout == "" and r.stderr.startswith("steercert: error: ")
 
 
-def _numbers_only(value) -> bool:
-    """No bool, no null and no string anywhere in value but as object keys."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return all(map(_numbers_only, value))
-    return type(value) in (int, float)
+def test_file_of_many_small_arrays_exits_2_in_a_fresh_process(tmp_path):
+    # Past _MAX_FLAT_KEYS colons the file goes to orjson whole: a search for
+    # flat arrays per key took seconds on this file.
+    path = tmp_path / "many_keys.json"
+    path.write_text("{" + ", ".join(f'"k{i}": [[0.5]]' for i in range(200_000)) + "}")
+    r = run_cli("povm", "check", "--povm", str(path), timeout=120)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "steercert: error: missing key 'elements'\n"
 
 
 def _nesting(value) -> int:
@@ -432,7 +437,7 @@ _JSON_VALUES = st.recursive(
 @given(value=_JSON_VALUES, ascii_only=st.booleans())
 def test_json_depth_is_the_nesting_of_valid_json(value, ascii_only):
     text = json.dumps(value, ensure_ascii=ascii_only, allow_nan=False).encode()
-    assert cli._json_scan(text) == (_nesting(value), _numbers_only(value)), text
+    assert serialize._json_scan(text) == _nesting(value), text
 
 
 @pytest.mark.parametrize("text,depth", [
@@ -441,12 +446,12 @@ def test_json_depth_is_the_nesting_of_valid_json(value, ascii_only):
     (b'["\\"]]]', 1),
 ])
 def test_json_depth_of_malformed_text(text, depth):
-    assert cli._json_scan(text)[0] == depth
+    assert serialize._json_scan(text) == depth
 
 
 def test_json_depth_of_a_realization_file():
-    assert cli._json_scan(json.dumps(_realization_blob()).encode()) == (7, True)
-    assert cli._MAX_DEPTH >= 7
+    assert serialize._json_scan(json.dumps(_realization_blob()).encode()) == 7
+    assert serialize._MAX_DEPTH >= 7
 
 
 _HARD_FLOATS = (
@@ -460,7 +465,7 @@ _HARD_FLOATS = (
 def _load_both(path, text):
     """The file loader's value of text and the json module's, as float64 bits."""
     path.write_text(text)
-    loaded, expected = cli._load_json_file(str(path)), json.loads(text)
+    loaded, expected = serialize._load_json_file(str(path)), json.loads(text)
     return (np.array(loaded, dtype=np.float64).view(np.int64).tolist(),
             np.array(expected, dtype=np.float64).view(np.int64).tolist())
 
@@ -484,7 +489,7 @@ def test_loader_reads_floats_bit_for_bit(tmp_path_factory, values, fmt):
 def test_loader_reads_integers_below_2_to_64_exactly(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(f"[{-2**63}, {2**64 - 1}, {2**64}]")
-    small, large, huge = cli._load_json_file(str(path))
+    small, large, huge = serialize._load_json_file(str(path))
     assert (small, large) == (-2**63, 2**64 - 1)
     assert type(huge) is float and huge == float(2**64)
 
@@ -493,7 +498,7 @@ def test_povm_file_with_integer_entries_reads_bit_for_bit(tmp_path):
     ints = [[[[1, 0], [2**53 + 1, -3]], [[-2**63, 0], [2**64 - 1, 7]]]]
     path = tmp_path / "ints.json"
     path.write_text(json.dumps({"elements": ints}))
-    got = cli._load_povm_file(str(path)).elements.view(np.int64).ravel()
+    got = serialize.load_povm_file(str(path)).elements.view(np.int64).ravel()
     assert got.tolist() == np.array(ints, np.float64).view(np.int64).ravel().tolist()
 
 
@@ -505,10 +510,10 @@ def test_loader_restores_the_collector(tmp_path):
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert cli._load_json_file(str(good)).tolist() == [[1.0, 2.0]]
+            assert serialize._load_json_file(str(good)).tolist() == [[1.0, 2.0]]
             assert gc.isenabled() == enabled
-            with pytest.raises(cli.UsageError, match="malformed JSON"):
-                cli._load_json_file(str(bad))
+            with pytest.raises(UsageError, match="malformed JSON"):
+                serialize._load_json_file(str(bad))
             assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
@@ -521,10 +526,10 @@ def test_file_readers_build_arrays_with_the_collector_paused(monkeypatch, tmp_pa
     assert cli.main(["povm", "build", "--kind", "partial", "--d", "3", "--output", str(povm)]) == 0
     paused = []
     for name in ("realization_from_json", "povm_from_json"):
-        def reader(data, _original=getattr(cli, name), **kwargs):
+        def reader(data, _original=getattr(serialize, name), **kwargs):
             paused.append(not gc.isenabled())
             return _original(data, **kwargs)
-        monkeypatch.setattr(cli, name, reader)
+        monkeypatch.setattr(serialize, name, reader)
     runs = [
         (["certify", "--realization", str(realization)], 0),
         (["certify", "--realization", str(no_alpha)], 2),
@@ -574,8 +579,8 @@ def _read_both(path, raw: bytes):
     """The file reader's result on raw and orjson's, each with the walks."""
     path.write_bytes(raw)
     try:
-        value = cli._load_json_file(str(path))
-    except cli.UsageError as e:
+        value = serialize._load_json_file(str(path))
+    except UsageError as e:
         new = str(e)
     else:
         new = (_bits(value), _walks(value))
@@ -668,6 +673,7 @@ _NAMED_FILES = {
     "number_after_closer": b"[[1.5,2.5]3,[4.5,5.5]]",
     "number_before_array": b'{"a": 5 [[1.5]]}',
     "number_after_array": b'{"a": [[1.5]] 5}',
+    "many_keys": b"{" + b", ".join(b'"k%d": [[%d.5]]' % (i, i) for i in range(100)) + b"}",
 }
 
 
@@ -680,26 +686,39 @@ def test_file_reader_matches_orjson_on_named_cases(tmp_path, name):
 def test_file_reader_reads_arrays_of_floats_flat(tmp_path):
     path = tmp_path / "keys.json"
     path.write_bytes(_NAMED_FILES["duplicate_keys"][:-1] + b', "n": [[1.5, 2]], "v": [0.5]}')
-    value = cli._load_json_file(str(path))
+    value = serialize._load_json_file(str(path))
     assert type(value["a"]) is np.ndarray and value["a"].tolist() == [[3.5], [4.5]]
     # An integer, or a number without a point, leaves its array to the walk;
     # so does a depth of one.
     assert value["n"] == [[1.5, 2]] and value["v"] == [0.5]
     path.write_text(json.dumps(_realization_blob()))
-    value = cli._load_json_file(str(path))
+    value = serialize._load_json_file(str(path))
     assert type(value["alice_observables"]) is np.ndarray
     assert type(value["bob_observables"][1]["operators"]) is np.ndarray
+
+
+def test_file_reader_reads_flat_beside_strings_and_literals_up_to_a_key_bound(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_bytes(b'{"s": "[[2.5]]", "a": [[0.5]], "t": [true, null], "u": "\\u0000"}')
+    # A backslash sends the whole file to orjson; strings and literals do not.
+    assert type(serialize._load_json_file(str(path))["a"]) is list
+    path.write_bytes(b'{"s": "[[2.5]]", "a": [[0.5]], "t": [true, null], "u": "0"}')
+    value = serialize._load_json_file(str(path))
+    assert type(value["a"]) is np.ndarray
+    assert (value["s"], value["t"], value["u"]) == ("[[2.5]]", [True, None], "0")
+    path.write_bytes(_NAMED_FILES["many_keys"])
+    assert type(serialize._load_json_file(str(path))["k0"]) is list
 
 
 @pytest.mark.parametrize("depth", [63, 64])
 def test_array_at_the_depth_limit_under_an_object(tmp_path, depth):
     path = tmp_path / "deep.json"
     path.write_bytes(b'{"a": ' + b"[" * depth + b"0.5" + b"]" * depth + b"}")
-    if depth < cli._MAX_DEPTH:
-        assert cli._load_json_file(str(path))["a"].shape == (1,) * depth
+    if depth < serialize._MAX_DEPTH:
+        assert serialize._load_json_file(str(path))["a"].shape == (1,) * depth
     else:
-        with pytest.raises(cli.UsageError, match="nested deeper than 64"):
-            cli._load_json_file(str(path))
+        with pytest.raises(UsageError, match="nested deeper than 64"):
+            serialize._load_json_file(str(path))
 
 
 def test_boolean_is_not_a_number(capsys):
@@ -802,7 +821,7 @@ def test_covariant_build_solves_each_eigenproblem_once(monkeypatch, capsys):
     pairs = np.array(rep["elements"])
     validation, extremality, _ = cli._povm_reports(sc.Povm(pairs[..., 0] + 1j * pairs[..., 1]),
                                                    rep["tolerance"])
-    assert (cli._plain(validation), extremality) == (rep["validation"], rep["extremality"])
+    assert (rpt._plain(validation), extremality) == (rep["validation"], rep["extremality"])
 
 
 def test_povm_check_catches_tamper(tmp_path):
@@ -937,7 +956,7 @@ def test_unknown_subcommand_usage():
 
 
 _EXIT_CODES = [
-    (cli.UsageError("no such builtin"), 2, "error"),
+    (UsageError("no such builtin"), 2, "error"),
     (sc.SizeError("shapes differ"), 2, "error"),
     (sc.DomainError("alpha is not finite"), 2, "error"),
     (sc.ContractError("B_0 must be the identity"), 2, "error"),
@@ -1035,10 +1054,10 @@ def real_reports(tmp_path_factory):
         config = cli.parse_args(argv)
         _, report = cli._HANDLERS[config.subcommand](config)
         out.append((cli._schema_key(config), report))
-    assert {key for key, _ in out} == set(cli.SCHEMAS)
+    assert {key for key, _ in out} == set(rpt.SCHEMAS)
     # Checked once here, since jsonschema takes most of a second on a d=12 build.
     for key, report in out:
-        assert cli._predicate(key)(report) and cli._validator(key).is_valid(cli._plain(report))
+        assert rpt._predicate(key)(report) and rpt._validator(key).is_valid(rpt._plain(report))
     return out
 
 
@@ -1063,7 +1082,7 @@ def test_compiled_schema_agrees_with_jsonschema(real_reports, data):
     key, report = data.draw(st.sampled_from(real_reports))
     for _ in range(data.draw(st.integers(1, 3))):
         report = perturb(report, data, data.draw(st.integers(0, 6)), _REPORT_LEAVES)
-    assert cli._predicate(key)(report) == cli._validator(key).is_valid(cli._plain(report)), report
+    assert rpt._predicate(key)(report) == rpt._validator(key).is_valid(rpt._plain(report)), report
 
 
 _TYPE_CASES = [
@@ -1079,7 +1098,7 @@ _PAIR_CASES = [
     [[0.0, 1.0], [[0.0, 1.0], 0.0]], [[0.0, 1.0], []], [[]],
     [[float("nan"), 0.0]], [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0]]],
 ]
-_ELEMENTS = cli.SCHEMAS["povm-build"]["properties"]["elements"]
+_ELEMENTS = rpt.SCHEMAS["povm-build"]["properties"]["elements"]
 
 
 def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
@@ -1091,11 +1110,11 @@ def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
         {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
         {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         {"type": "object", "required": ["a"], "properties": {"a": {"enum": ["x"]}}},
-        cli._COMPLEX_VEC,
-        cli._MATRIX,
+        rpt._COMPLEX_VEC,
+        rpt._MATRIX,
     ]
     for schema in schemas:
-        pred = cli._compile(schema)
+        pred = rpt._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
         for v in _TYPE_CASES + _PAIR_CASES:
             assert pred(v) == reference.is_valid(v), (schema, v)
@@ -1114,13 +1133,13 @@ def _as_arrays(v) -> list:
 
 
 @pytest.mark.parametrize("schema, depth", [
-    (cli._COMPLEX_VEC, 0), (cli._MATRIX, 1), (_ELEMENTS, 2),
-    ({"type": "array", "items": cli._COMPLEX_VEC, "minItems": 1}, 1),
+    (rpt._COMPLEX_VEC, 0), (rpt._MATRIX, 1), (_ELEMENTS, 2),
+    ({"type": "array", "items": rpt._COMPLEX_VEC, "minItems": 1}, 1),
 ])
 def test_one_pass_pair_check_agrees_with_the_per_item_predicate(schema, depth):
-    assert cli._pair_depth(schema["items"]) == depth
-    pred = cli._compile(schema)
-    per_item = cli._compile(schema["items"])
+    assert rpt._array_levels(schema) == (depth + 2, 2)
+    pred = rpt._compile(schema)
+    per_item = rpt._compile(schema["items"])
     reference = jsonschema.Draft202012Validator(schema)
     cases = _TYPE_CASES + _PAIR_CASES
     for _ in range(depth):  # each case also as one item of every level
@@ -1132,15 +1151,18 @@ def test_one_pass_pair_check_agrees_with_the_per_item_predicate(schema, depth):
             assert all(map(per_item, v)) == want, v
         # An array is checked in one pass, from its dtype, ndim and length.
         for a in _as_arrays(v):
-            assert pred(a) == reference.is_valid(cli._plain(a)), a
+            assert pred(a) == reference.is_valid(rpt._plain(a)), a
 
 
 def test_one_pass_pair_check_is_only_for_plain_chains():
-    assert cli._pair_depth({"type": "number"}) is None
-    assert cli._pair_depth({}) is None
-    assert cli._pair_depth({"type": "array", "items": cli._COMPLEX, "minItems": 1}) is None
-    assert cli._pair_depth({"type": ["array"], "items": cli._COMPLEX}) is None
-    assert cli._pair_depth(cli._COMPLEX) == 0
+    def levels(items):
+        return rpt._array_levels({"type": "array", "items": items})
+
+    assert levels({"type": "number"}) == (1, None)
+    assert levels({}) is None
+    assert levels({"type": "array", "items": rpt._COMPLEX, "minItems": 1}) is None
+    assert levels({"type": ["array"], "items": rpt._COMPLEX}) is None
+    assert levels(rpt._COMPLEX) == (2, 2)
 
 
 def _stdlib_dumps(value) -> str:
@@ -1183,7 +1205,7 @@ _WRITER_VALUES = st.recursive(
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(value=_WRITER_VALUES)
 def test_writer_writes_what_the_json_module_writes(value):
-    assert cli._dumps(value, "\n") == _stdlib_dumps(cli._plain(value))
+    assert rpt._dumps(value, "\n") == _stdlib_dumps(rpt._plain(value))
 
 
 def _float_edges() -> list:
@@ -1210,23 +1232,23 @@ def test_float_reprs_are_float_repr_on_random_bit_patterns():
     exponents = np.frexp(np.array(level))[1]
     assert set(exponents.tolist()) >= set(range(-1021, 1025))
     assert np.sum(np.abs(level) < np.finfo(np.float64).tiny) > 100
-    assert cli._float_reprs(level) == list(map(float.__repr__, level))
+    assert rpt._float_reprs(level) == list(map(float.__repr__, level))
 
 
 def test_float_reprs_are_float_repr_over_the_decimal_range():
     rng = np.random.default_rng(1818)
     level = (rng.choice([-1.0, 1.0], 2 * 10**5) * 10.0 ** rng.uniform(-14, 19, 2 * 10**5)).tolist()
-    assert cli._float_reprs(level) == list(map(float.__repr__, level))
+    assert rpt._float_reprs(level) == list(map(float.__repr__, level))
 
 
 def test_float_reprs_at_the_band_edges():
     edges = _float_edges()
-    assert len(edges) >= cli._ORJSON_MIN
+    assert len(edges) >= rpt._ORJSON_MIN
     for level in (edges, edges[::-1], edges * 3, [0.5] * 40 + edges):
-        assert cli._float_reprs(level) == list(map(float.__repr__, level))
+        assert rpt._float_reprs(level) == list(map(float.__repr__, level))
     for x in edges:  # each alone, and each in a list long enough for orjson
-        assert cli._float_reprs([x]) == [repr(x)]
-        assert cli._float_reprs([x] * cli._ORJSON_MIN) == [repr(x)] * cli._ORJSON_MIN
+        assert rpt._float_reprs([x]) == [repr(x)]
+        assert rpt._float_reprs([x] * rpt._ORJSON_MIN) == [repr(x)] * rpt._ORJSON_MIN
 
 
 def test_orjson_writes_float_repr_outside_the_band():
@@ -1236,7 +1258,7 @@ def test_orjson_writes_float_repr_outside_the_band():
 
     level = _random_finite_floats(2 * 10**5, 1919) + _float_edges()
     a = np.abs(np.array(level))
-    outside = ~(((a >= cli._REPR_LOW) & (a < cli._REPR_HIGH)) | (a >= cli._REPR_FROM))
+    outside = ~(((a >= rpt._REPR_LOW) & (a < rpt._REPR_HIGH)) | (a >= rpt._REPR_FROM))
     level = np.array(level)[outside].tolist()
     assert orjson.dumps(level).decode()[1:-1].split(",") == list(map(float.__repr__, level))
 
@@ -1247,11 +1269,11 @@ def test_orjson_writes_float_repr_outside_the_band():
 def test_narrowing_either_edge_of_the_band_breaks_the_text(monkeypatch, name, narrowed):
     # Both edges keep a margin past the first float orjson writes in its
     # own notation: 1e-9 and 1e16, and just below 1e-4.
-    assert cli._REPR_LOW <= 1e-11 and cli._REPR_HIGH >= 1e-4 and cli._REPR_FROM <= 1e15
+    assert rpt._REPR_LOW <= 1e-11 and rpt._REPR_HIGH >= 1e-4 and rpt._REPR_FROM <= 1e15
     level = _float_edges() + [1.5e-9, 9.7e-5, 1.5e16]
-    assert cli._float_reprs(level) == list(map(float.__repr__, level))
-    monkeypatch.setattr(cli, name, narrowed)
-    assert cli._float_reprs(level) != list(map(float.__repr__, level))
+    assert rpt._float_reprs(level) == list(map(float.__repr__, level))
+    monkeypatch.setattr(rpt, name, narrowed)
+    assert rpt._float_reprs(level) != list(map(float.__repr__, level))
 
 
 def test_writer_writes_hard_float_grids_as_the_json_module_does():
@@ -1260,12 +1282,12 @@ def test_writer_writes_hard_float_grids_as_the_json_module_does():
     hard = edges + rng.permutation(edges).tolist() + _random_finite_floats(4096, 2121)
     for shape in ([len(hard)], [2, len(hard) // 2], [len(hard) // 4, 2, 2]):
         grid = _nest(hard[:int(np.prod(shape))], shape)
-        assert cli._dumps(grid, "\n") == _stdlib_dumps(grid), shape
-        assert cli._dumps({"g": grid, "h": [grid]}, "\n") == _stdlib_dumps({"g": grid, "h": [grid]})
+        assert rpt._dumps(grid, "\n") == _stdlib_dumps(grid), shape
+        assert rpt._dumps({"g": grid, "h": [grid]}, "\n") == _stdlib_dumps({"g": grid, "h": [grid]})
     # Finite leaves whose sum overflows go through the per-leaf writer.
-    big = [1.7e308] * 2 * cli._ORJSON_MIN
-    assert cli._dumps(_nest(big, [cli._ORJSON_MIN, 2]), "\n") == _stdlib_dumps(
-        _nest(big, [cli._ORJSON_MIN, 2]))
+    big = [1.7e308] * 2 * rpt._ORJSON_MIN
+    assert rpt._dumps(_nest(big, [rpt._ORJSON_MIN, 2]), "\n") == _stdlib_dumps(
+        _nest(big, [rpt._ORJSON_MIN, 2]))
 
 
 def _array_cases(floats: np.ndarray) -> list:
@@ -1290,19 +1312,19 @@ def test_array_writer_writes_what_the_json_module_writes_of_its_lists():
     assert bits.size > 10**6
     for a in [bits] + _array_cases(
             np.concatenate([edges, bits[:4096]])):
-        assert not a.flags.c_contiguous or cli._direct(a)
-        assert cli._dumps(a, "\n") == _stdlib_dumps(cli._plain(a)), (a.dtype, a.shape)
+        assert not a.flags.c_contiguous or rpt._direct(a)
+        assert rpt._dumps(a, "\n") == _stdlib_dumps(rpt._plain(a)), (a.dtype, a.shape)
     # Nested in a report, at other indents; and arrays written through _plain:
     # a zero-length axis, no axis, and other dtypes.
     others = [np.zeros(0), np.zeros((3, 0)), np.zeros((2, 0, 2), complex), np.array(1.5),
               np.array(-0.5j), np.arange(5), np.array([[True], [False]]),
               np.array([0.5, "x", None, [1, 2]], dtype=object),
               np.array([np.zeros(2), np.ones(3)], dtype=object), np.arange(3.0, dtype=">f8"),
-              np.arange(3.0, dtype=np.float32), np.full((cli._ORJSON_MIN, 2), 1.7e308)]
+              np.arange(3.0, dtype=np.float32), np.full((rpt._ORJSON_MIN, 2), 1.7e308)]
     for a in others + _array_cases(edges):
         value = {"g": a, "h": [a, {"i": a}]}
-        assert cli._dumps(value, "\n") == _stdlib_dumps(cli._plain(value)), (a.dtype, a.shape)
-    assert not any(map(cli._direct, others[:5]))
+        assert rpt._dumps(value, "\n") == _stdlib_dumps(rpt._plain(value)), (a.dtype, a.shape)
+    assert not any(map(rpt._direct, others[:5]))
 
 
 def test_orjson_writes_numpy_floats_as_it_writes_python_floats():
@@ -1314,13 +1336,13 @@ def test_orjson_writes_numpy_floats_as_it_writes_python_floats():
 
 
 _CHECK_SCHEMAS = [
-    cli._REAL_VEC, cli._COMPLEX, cli._COMPLEX_VEC, cli._MATRIX, _ELEMENTS, cli._NUM, cli._INT,
-    {"type": "array"}, {"type": ["array", "null"], "items": cli._INT},
-    {"type": ["number", "null"]}, {"enum": [1, 0.5, "x"]}, {"items": cli._NUM},
-    {"type": "array", "items": cli._NUM, "enum": [0.5]},
-    {"type": "array", "items": cli._NUM, "minItems": 2, "maxItems": 3},
-    {"type": "array", "items": cli._COMPLEX_VEC, "minItems": 1},
-    *cli.SCHEMAS.values(),
+    rpt._REAL_VEC, rpt._COMPLEX, rpt._COMPLEX_VEC, rpt._MATRIX, _ELEMENTS, rpt._NUM, rpt._INT,
+    {"type": "array"}, {"type": ["array", "null"], "items": rpt._INT},
+    {"type": ["number", "null"]}, {"enum": [1, 0.5, "x"]}, {"items": rpt._NUM},
+    {"type": "array", "items": rpt._NUM, "enum": [0.5]},
+    {"type": "array", "items": rpt._NUM, "minItems": 2, "maxItems": 3},
+    {"type": "array", "items": rpt._COMPLEX_VEC, "minItems": 1},
+    *rpt.SCHEMAS.values(),
 ]
 _CHECK_ARRAYS = [
     *(np.zeros(shape) for shape in [(), (1,), (2,), (3,), (2, 2), (3, 2), (2, 3, 3),
@@ -1338,11 +1360,11 @@ _CHECK_ARRAYS = [
 
 def test_array_check_agrees_with_jsonschema_on_its_lists():
     for schema in _CHECK_SCHEMAS:
-        pred = cli._compile(schema)
+        pred = rpt._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
         for a in _CHECK_ARRAYS:
-            assert pred(a) == reference.is_valid(cli._plain(a)), (schema, a)
-            assert pred([a]) == reference.is_valid(cli._plain([a])), (schema, a)
+            assert pred(a) == reference.is_valid(rpt._plain(a)), (schema, a)
+            assert pred([a]) == reference.is_valid(rpt._plain([a])), (schema, a)
 
 
 def _array_paths(value, path=()) -> list:
@@ -1393,11 +1415,11 @@ def test_non_finite_povm_element_is_a_domain_error_not_null(bad):
     assert orjson.dumps([bad]) == b"[null]"  # why orjson never sees one
     config = cli.parse_args(["povm", "build", "--kind", "covariant", "--d", "5"])
     _, report = cli._run_povm(config)
-    assert len(report["elements"]) * 5 * 5 * 2 >= cli._ORJSON_MIN
+    assert len(report["elements"]) * 5 * 5 * 2 >= rpt._ORJSON_MIN
     report["elements"] = report["elements"].copy()
     report["elements"][3, 2, 4] = complex(report["elements"][3, 2, 4].real, bad)
     with pytest.raises(sc.DomainError, match="report is not strict JSON"):
-        cli._render(_json_config("povm-build"), report)
+        rpt.render("povm-build", report)
 
 
 def _sweep_csv_reference(report: dict) -> str:
@@ -1408,21 +1430,22 @@ def _sweep_csv_reference(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 11, 12, 64, cli._CSV_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 12, 64, rpt._CSV_BLOCK + 1])
 def test_sweep_csv_is_one_repr_per_field(n):
     config = cli.parse_args(["sweep", "--d", "2", "--theta-grid", str(n)])
     _, report = cli._run_sweep(config)
-    assert cli._render(config, report) == _sweep_csv_reference(report)
+    assert rpt.render("sweep", report, "csv") == _sweep_csv_reference(report)
 
 
-def test_sweep_csv_writes_other_numbers_by_their_repr():
+def test_sweep_csv_writes_other_numbers_as_floats():
     config = cli.parse_args(["sweep", "--d", "2", "--theta-grid", "40"])
     _, report = cli._run_sweep(config)
     report["rows"][5]["beta_l"] = 2
     report["rows"][7]["theta"] = np.float64(0.5)
-    text = cli._render(config, report)
-    assert text == _sweep_csv_reference(report)
-    assert ",2," in text
+    text = rpt.render("sweep", report, "csv")
+    rows = [{k: float(v) for k, v in row.items()} for row in report["rows"]]
+    assert text == _sweep_csv_reference({**report, "rows": rows})
+    assert ",2.0," in text and "\n0.5," in text
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
@@ -1441,15 +1464,40 @@ def test_sweep_csv_refuses_a_non_finite_field_and_writes_nothing(monkeypatch, ca
     assert captured.err.startswith("steercert: error: report is not strict JSON")
 
 
-def _json_config(key: str) -> argparse.Namespace:
-    """The least namespace _render needs to write a JSON report for schema key."""
-    sub, _, action = key.partition("-")
-    return argparse.Namespace(subcommand=sub, povm_action=action, format="json")
-
-
 def test_every_report_renders_as_the_json_module_writes_it(real_reports):
     for key, report in real_reports:
-        assert cli._render(_json_config(key), report) == _stdlib_dumps(cli._plain(report)) + "\n", key
+        assert rpt.render(key, report) == _stdlib_dumps(rpt._plain(report)) + "\n", key
+
+
+def test_report_alone_writes_every_report_of_the_benchmark(monkeypatch, capsys, tmp_path):
+    # Each handler's report, rendered from the schema key and format its argv
+    # names, with no namespace, is what cli.main wrote; so is the JSON read back.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    handed = []
+
+    def recorded(config, handler):
+        handed.append(handler(config))
+        return handed[-1]
+
+    for name, handler in list(cli._HANDLERS.items()):
+        monkeypatch.setitem(cli._HANDLERS, name, lambda config, h=handler: recorded(config, h))
+    written = 0
+    for workload in inputs.WORKLOADS:
+        for op in inputs.make_plan(workload, 21, str(tmp_path)):
+            argv = op["argv"]
+            handed.clear()
+            code, out = cli.main(argv), capsys.readouterr().out
+            if not handed:  # refused before a report was made
+                continue
+            key = f"povm-{argv[1]}" if argv[0] == "povm" else argv[0]
+            fmt = "csv" if argv[0] == "sweep" else "json"  # the plans' sweep is CSV
+            assert (handed[0][0], rpt.render(key, handed[0][1], fmt)) == (code, out), argv
+            if fmt == "json":
+                assert rpt.render(key, json.loads(out)) == out, argv
+            written += 1
+    assert written >= 40
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
@@ -1465,7 +1513,7 @@ def test_every_report_renders_as_the_json_module_writes_it(real_reports):
 def test_non_finite_report_is_a_domain_error(real_reports, bad, key, path):
     report = set_at(dict(real_reports)[key], path, bad)
     with pytest.raises(sc.DomainError, match="report is not strict JSON"):
-        cli._render(_json_config(key), report)
+        rpt.render(key, report)
 
 
 @pytest.mark.parametrize("schema", [
@@ -1475,7 +1523,7 @@ def test_non_finite_report_is_a_domain_error(real_reports, bad, key, path):
 ])
 def test_compiler_refuses_what_it_cannot_check(schema):
     with pytest.raises(ValueError):
-        cli._compile(schema)
+        rpt._compile(schema)
 
 
 def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path):
@@ -1493,7 +1541,7 @@ def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path)
         with pytest.raises(jsonschema.ValidationError) as info:
             cli.main(argv)
         want = jsonschema.exceptions.best_match(
-            cli._validator("bounds").iter_errors(cli._plain(seen[-1])))
+            rpt._validator("bounds").iter_errors(rpt._plain(seen[-1])))
         assert type(info.value) is type(want) and info.value.message == want.message
         assert info.value.message == "'wide' is not of type 'number'"
     assert capsys.readouterr().out == ""
@@ -1511,11 +1559,11 @@ def test_failing_report_is_named_from_its_lists(real_reports):
             for bad in ("wide", True, [True], {"a": 1}):
                 broken = {**report, field: bad}
                 want = jsonschema.exceptions.best_match(
-                    cli._validator(key).iter_errors(cli._plain(broken)))
+                    rpt._validator(key).iter_errors(rpt._plain(broken)))
                 if want is None:
                     continue
                 with pytest.raises(jsonschema.ValidationError) as info:
-                    cli._render(_json_config(key), broken)
+                    rpt.render(key, broken)
                 assert info.value.message == want.message, (key, field, bad)
                 named += 1
     assert named > 100
@@ -1524,6 +1572,7 @@ def test_failing_report_is_named_from_its_lists(real_reports):
 _FAILING_REPORT_CHILD = """
 import contextlib, io, json, sys
 import steercert.cli as cli
+import steercert.report as rpt
 
 loaded_at_import = "jsonschema" in sys.modules
 reports = []
@@ -1544,7 +1593,8 @@ except Exception as e:
 import jsonschema
 
 want = jsonschema.exceptions.best_match(
-    jsonschema.Draft202012Validator(cli.SCHEMAS["bounds"]).iter_errors(cli._plain(reports[-1])))
+    jsonschema.Draft202012Validator(rpt.SCHEMAS["bounds"]).iter_errors(
+        rpt._plain(reports[-1])))
 try:
     cli.no_such_name
     missing = None
@@ -1556,7 +1606,7 @@ print(json.dumps({
     "message": getattr(raised, "message", repr(raised)),
     "best_match": want.message,
     "stdout": stdout.getvalue(),
-    "attribute_is_module": getattr(cli, "jsonschema") is jsonschema,
+    "attribute_is_module": getattr(cli, "jsonschema") is jsonschema and cli.json is json,
     "missing": missing,
 }))
 """
