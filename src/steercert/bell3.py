@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -47,20 +48,40 @@ def _bell_sum(alice_pairs, bob_pairs, scalars) -> np.ndarray:
     alice_pairs holds the pairs (A_x, A_x^2) and bob_pairs (B_y, B_y^2),
     shape (..., 3, 2, dim, dim); leading axes, such as the see-saw's
     restart axis, are kept, and each leading index gets the bits of its
-    pairs alone. One broadcast product forms all 18 terms, each laid out
-    as np.multiply.outer(A, B), with indices (i, i', j, j'). One product
-    scales them, and one reduction sums them in (x, y, k) order, starting
-    from 0.0. A last transpose puts the sum in np.kron's (i, j, i', j')
-    order. Each step rounds as the sum of np.kron terms added into a zero
-    matrix does, term by term and in the same order, so the two agree bit
-    for bit. numpy's complex multiply is not bitwise commutative (its SIMD
-    kernels use fused multiply-adds), so the operands keep that sum's
-    order: A before B, the scalar before the product. The 18 terms are
-    held at once, 18 times the operator's memory.
+    pairs alone. The sum is _term_sum of the two sides' _terms layouts.
     """
-    a, b = np.asarray(alice_pairs), np.asarray(bob_pairs)
-    lead, da, db = a.shape[:-4], a.shape[-1], b.shape[-1]
-    terms = a.reshape(*lead, 3, 1, 2, da * da, 1) * b.reshape(*lead, 1, 3, 2, 1, db * db)
+    return _term_sum(_terms(alice_pairs, 0), _terms(bob_pairs, 1), scalars)
+
+
+def _terms(pairs, side: int) -> np.ndarray:
+    """(..., 3, 2, dim, dim) pairs laid out for _term_sum's broadcast.
+
+    Alice (side 0) becomes (..., 3, 1, 2, dim^2, 1) and Bob (side 1)
+    (..., 1, 3, 2, 1, dim^2), so their product holds the 18 terms as
+    np.multiply.outer(A, B). The see-saw lays out a fixed side once and
+    reuses it for every trial of the other side.
+    """
+    p = np.asarray(pairs)
+    lead, n = p.shape[:-4], p.shape[-1] ** 2
+    return p.reshape(*lead, 1, 3, 2, 1, n) if side else p.reshape(*lead, 3, 1, 2, n, 1)
+
+
+def _term_sum(a, b, scalars) -> np.ndarray:
+    """sum_xyk scalars[x, y, k] A_x^{k+1} (x) B_y^{k+1} from _terms layouts.
+
+    One broadcast product forms all 18 terms, with indices (i, i', j, j').
+    One product scales them, and one reduction sums them in (x, y, k)
+    order, starting from 0.0. A last transpose puts the sum in np.kron's
+    (i, j, i', j') order. Each step rounds as the sum of np.kron terms
+    added into a zero matrix does, term by term and in the same order, so
+    the two agree bit for bit. numpy's complex multiply is not bitwise
+    commutative (its SIMD kernels use fused multiply-adds), so the
+    operands keep that sum's order: A before B, the scalar before the
+    product. The 18 terms are held at once, 18 times the operator's
+    memory.
+    """
+    lead, da, db = a.shape[:-5], isqrt(a.shape[-2]), isqrt(b.shape[-1])
+    terms = a * b
     np.multiply(scalars[:, :, :, None, None], terms, out=terms)
     op = np.add.reduce(terms.reshape(*lead, 18, da, da, db, db), axis=-5, initial=0.0)
     return op.swapaxes(-3, -2).reshape(*lead, da * db, da * db)
@@ -135,25 +156,33 @@ def _project_order3(u: np.ndarray) -> np.ndarray:
     """Nearest unitary whose spectrum sits on the cube roots of unity.
 
     Takes a 3 x 3 matrix or a (..., 3, 3) stack and rounds each matrix.
-    zgees has no stacked form, so _schur runs once per matrix; each Schur
-    vector matrix is kept Fortran-ordered, as zgees returns it, and the
-    rest of the step runs on the whole stack.
+    zgees has no stacked form, so _schur runs once per matrix, writing
+    into one stack of Schur forms and one of Schur vector matrices, the
+    latter kept Fortran-ordered, as zgees returns them; the rest of the
+    step runs on the whole stack.
     """
     flat = u.reshape(-1, 3, 3)
-    diag = np.empty(flat.shape[:2], dtype=np.complex128)
+    t = np.empty(flat.shape, dtype=np.complex128)
     q = np.empty(flat.shape, dtype=np.complex128).swapaxes(-1, -2)
     for i, m in enumerate(flat):
-        t, q[i] = _schur(m)
-        diag[i] = np.diag(t)
-    ks = np.round(np.angle(diag) * 3.0 / (2.0 * np.pi)).astype(int) % 3
+        t[i], q[i] = _schur(m)
+    angles = np.angle(np.diagonal(t, axis1=-2, axis2=-1))
+    ks = np.round(angles * 3.0 / (2.0 * np.pi)).astype(int) % 3
     return ((q * omega(3) ** ks[:, None, :]) @ dagger(q)).reshape(u.shape)
 
 
-def _random_order3(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random eigenbasis with the full spectrum (1, w, w^2)."""
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_starts(seeds) -> np.ndarray:
+    """Six Haar-random order-3 unitaries per seed, shape (len(seeds), 6, 3, 3).
+
+    Each has a Haar-random eigenbasis and the full spectrum (1, w, w^2).
+    A seed's generator draws one (6, 2, 3, 3) normal array, the real and
+    then the imaginary part of each matrix in turn; one stacked QR and
+    one phase fix then serve every matrix of every seed.
+    """
+    g = np.array([np.random.default_rng(ss).normal(size=(6, 2, 3, 3)) for ss in seeds])
+    q, r = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
     return (q * omega(3) ** np.arange(3)) @ dagger(q)
 
 
@@ -186,37 +215,54 @@ def _seesaw(seeds, iters: int, lam1) -> list:
     history is monotone by construction. The observables (held with their
     squares), the Bell operator and the value carry a leading restart
     axis, and each step is one stacked call over the live restarts: eigh
-    for the state, one SVD per side for the polar factors, _bell_sum and
-    a quadratic form for each trial, whose acceptance is a mask. The Bell
+    for the state, one broadcast product and one SVD per side for the
+    coefficient matrices and their polar factors, _term_sum and a
+    quadratic form for each trial, whose acceptance is a mask. The Bell
     operator of the current observables is kept from the trial that set
     them. A restart whose value has not risen by 1e-15 over five sweeps
     leaves the batch. Each stacked call works matrix by matrix with the
-    memory layout of one restart alone, so a restart's bits do not depend
-    on the others.
+    memory layout of one restart alone, so a restart's bits do not
+    depend on the others.
     """
     w = omega(3)
     scalars = _bell_scalars(lam1)
-    start = np.array([[_random_order3(rng) for _ in range(6)]
-                      for rng in map(np.random.default_rng, seeds)])
-    alice, bob = _with_squares(start[:, :3]), _with_squares(start[:, 3:])
+    # roots[x, y] = w^(xy), each the scalar power that multiplies a term
+    # of the coefficient sums
+    roots = np.array([[w ** (x * y) for y in range(3)] for x in range(3)])[:, :, None, None]
+    alice, bob = np.split(_with_squares(_random_starts(seeds)), 2, axis=1)
     op = _bell_sum(alice, bob, scalars)
     live = np.arange(len(seeds))
     hist = np.empty((len(seeds), iters))
     runs = [None] * len(seeds)
 
-    def trials(pairs, new, bell):
+    def coefficients(ms):
+        """lam1 sum_j w^(ij) ms[:, j] for each i, summed from 0 in j order.
+
+        roots is symmetric, so Alice's matrices (ms = ks, summed over y)
+        and Bob's (ms = ls, summed over x) take the same form.
+        """
+        return lam1 * np.add.reduce(roots * ms[:, None], axis=2, initial=0.0)
+
+    def trials(pairs, new, op, cur, bell):
         """Propose new[:, x] for x = 0, 1, 2 in turn, each kept by a
-        restart whose value it does not lower. pairs, op and cur are
-        updated in place; bell maps trial pairs to their Bell operators.
+        restart whose value it does not lower; bell maps trial pairs to
+        their Bell operators. Returns the updated pairs, op and cur: the
+        trial's arrays when every restart keeps it, else the given ones,
+        written where a restart keeps it.
         """
         new = _with_squares(new)
         for x in range(3):
             trial = pairs.copy()
             trial[:, x] = new[:, x]
             trial_op = bell(trial)
-            v = np.real(bra @ trial_op @ ket)[:, 0, 0]
+            v = (bra @ trial_op @ ket).real[:, 0, 0]
             ok = v >= cur
-            pairs[ok], op[ok], cur[ok] = trial[ok], trial_op[ok], v[ok]
+            kept = np.count_nonzero(ok)
+            if kept == ok.size:
+                pairs, op, cur = trial, trial_op, v
+            elif kept:
+                pairs[ok], op[ok], cur[ok] = trial[ok], trial_op[ok], v[ok]
+        return pairs, op, cur
 
     for sweep in range(iters):
         vals, vecs = np.linalg.eigh(op)
@@ -224,21 +270,24 @@ def _seesaw(seeds, iters: int, lam1) -> list:
         bra, ket = np.conj(psi)[:, None, :], psi[:, :, None]
         p = psi.reshape(-1, 3, 3)
         # Alice's updates leave Bob fixed and Bob's leave Alice fixed, so
-        # each side's coefficient matrices are formed once per sweep.
+        # each side's coefficient matrices and the fixed side's terms are
+        # formed once per sweep.
         ks = p[:, None] @ bob[:, :, 0].swapaxes(-1, -2) @ dagger(p)[:, None]
-        m = np.stack([lam1 * sum(w ** (x * y) * ks[:, y] for y in range(3))
-                      for x in range(3)], axis=1)
-        trials(alice, _polar_rounded(m), lambda t: _bell_sum(t, bob, scalars))
+        bob_terms = _terms(bob, 1)
+        alice, op, cur = trials(alice, _polar_rounded(coefficients(ks)), op, cur,
+                                lambda t: _term_sum(_terms(t, 0), bob_terms, scalars))
         ls = np.einsum("lia,lxij,ljb->lxba", np.conj(p), alice[:, :, 0], p)
-        n = np.stack([lam1 * sum(w ** (x * y) * ls[:, x] for x in range(3))
-                      for y in range(3)], axis=1)
-        trials(bob, _polar_rounded(n), lambda t: _bell_sum(alice, t, scalars))
+        alice_terms = _terms(alice, 0)
+        bob, op, cur = trials(bob, _polar_rounded(coefficients(ls)), op, cur,
+                              lambda t: _term_sum(alice_terms, _terms(t, 1), scalars))
         hist[live, sweep] = cur
         if sweep + 1 == iters:
             done = np.ones(live.size, dtype=bool)
         elif sweep >= 5:
             done = cur - hist[live, sweep - 5] < 1e-15
         else:
+            continue
+        if not done.any():
             continue
         for j in np.flatnonzero(done):
             runs[live[j]] = (float(cur[j]), psi[j].copy(), list(alice[j, :, 0].copy()),

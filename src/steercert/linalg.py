@@ -110,8 +110,14 @@ class Ket:
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate hermiticity, positivity and unit trace, failing closed on NaN."""
+    """Validate finiteness, hermiticity, positivity and unit trace."""
     a = as_complex_matrix(rho)
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        i, j = bad[0]
+        raise DomainError(f"density matrix has {len(bad)} non-finite entries, "
+                          f"the first ({i}, {j}) = {a[i, j]}")
     if not np.linalg.norm(a - dagger(a)) <= tol * max(1.0, np.linalg.norm(a)):
         raise DomainError("density matrix is not Hermitian")
     tr = np.trace(a).real

@@ -53,6 +53,10 @@ class SteeringFunctional:
         dl = np.array(self.delta, dtype=np.complex128).reshape(-1)
         if dl.size != self.sv.d:
             raise SizeError(f"delta has length {dl.size}, expected {self.sv.d}")
+        finite = np.isfinite(dl)
+        if not finite.all():
+            bad = np.flatnonzero(~finite).tolist()
+            raise DomainError(f"delta_k is not finite for k = {bad}")
         if not 0.0 < self.gamma < np.inf:
             raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
         if not abs(dl[0] + 1.0) <= 1e-12:

@@ -205,12 +205,38 @@ def test_each_restart_is_the_same_run_alone_bit_for_bit():
                 assert same_run(run, alone[i]), (seed, n, i)
 
 
-def seesaw_one_restart(ss, iters, lam1):
+def random_start(rng):
+    """One starting observable, drawn as the per-restart loop drew it.
+
+    A Haar-random eigenbasis from the QR of a complex Gaussian matrix,
+    its real then its imaginary part drawn, and the spectrum (1, w, w^2).
+    """
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return (q * sc.omega(3) ** np.arange(3)) @ sc.dagger(q)
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 32])
+def test_stacked_start_is_the_per_matrix_draw_bit_for_bit(restarts):
+    seeds = np.random.SeedSequence(17).spawn(restarts)
+    start = b3._random_starts(seeds)
+    assert start.shape == (restarts, 6, 3, 3)
+    for i, ss in enumerate(seeds):
+        rng = np.random.default_rng(ss)
+        for k in range(6):
+            assert same_bits(start[i, k], random_start(rng)), (i, k)
+
+
+def seesaw_one_restart(ss, iters, lam1, kept=None):
     """The per-restart see-saw loop, as it ran before the lockstep.
 
     Bell operators are the np.kron sum of conftest, polar factors come
     from np.linalg.svd and scipy.linalg.schur, one matrix at a time.
+    If kept is a list, whether each trial was kept is appended to it,
+    six per sweep: Alice's x = 0, 1, 2, then Bob's y = 0, 1, 2.
     """
+    kept = [] if kept is None else kept
     rng = np.random.default_rng(ss)
     w = sc.omega(3)
 
@@ -224,8 +250,8 @@ def seesaw_one_restart(ss, iters, lam1):
         op = bell_operator_reference([a for a, _ in alice_pairs], bob_pairs, lam1)
         return float(np.real(np.conj(psi) @ op @ psi)), op
 
-    alice_pairs = [(a, a @ a) for a in (b3._random_order3(rng) for _ in range(3))]
-    bob_pairs = [(b, b @ b) for b in (b3._random_order3(rng) for _ in range(3))]
+    alice_pairs = [(a, a @ a) for a in (random_start(rng) for _ in range(3))]
+    bob_pairs = [(b, b @ b) for b in (random_start(rng) for _ in range(3))]
     _, op = value(np.zeros(9), alice_pairs, bob_pairs)
     history = []
     for _ in range(iters):
@@ -238,6 +264,7 @@ def seesaw_one_restart(ss, iters, lam1):
             trial = alice_pairs.copy()
             trial[x] = (a, a @ a)
             v, trial_op = value(psi, trial, bob_pairs)
+            kept.append(v >= cur)
             if v >= cur:
                 alice_pairs, cur, op = trial, v, trial_op
         ls = [np.einsum("ia,ij,jb->ba", np.conj(p), a, p) for a, _ in alice_pairs]
@@ -246,6 +273,7 @@ def seesaw_one_restart(ss, iters, lam1):
             trial = bob_pairs.copy()
             trial[y] = (b, b @ b)
             v, trial_op = value(psi, alice_pairs, trial)
+            kept.append(v >= cur)
             if v >= cur:
                 bob_pairs, cur, op = trial, v, trial_op
         history.append(cur)
@@ -259,6 +287,23 @@ def test_lockstep_is_the_per_restart_loop_bit_for_bit(seed, restarts, iters):
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     for i, run in enumerate(b3._seesaw(seeds, iters, sc.LAMBDA1)):
         assert same_run(run, seesaw_one_restart(seeds[i], iters, sc.LAMBDA1)), i
+
+
+def test_lockstep_is_each_restart_alone_when_a_trial_splits_the_batch():
+    # seed 2, two restarts, eight sweeps, both live throughout. Trial 3 is
+    # Bob's y = 0: at sweep 5 restart 1 keeps it and restart 0 refuses it,
+    # at sweep 6 both refuse it, and at sweep 0 both keep every trial, so
+    # the split, none-kept and all-kept paths of the lockstep trial all run.
+    seeds = np.random.SeedSequence(2).spawn(2)
+    logs = [[], []]
+    alone = [seesaw_one_restart(ss, 8, sc.LAMBDA1, log) for ss, log in zip(seeds, logs)]
+    assert [len(history) for *_, history in alone] == [8, 8]
+    kept = np.array(logs).reshape(2, 8, 6)  # restart, sweep, trial
+    assert kept[:, 5, 3].tolist() == [False, True]
+    assert kept[:, 6, 3].tolist() == [False, False]
+    assert kept[:, 0].all()
+    for i, run in enumerate(b3._seesaw(seeds, 8, sc.LAMBDA1)):
+        assert same_run(run, alone[i]), i
 
 
 def test_seesaw_details_reports_iterations():

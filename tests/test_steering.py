@@ -327,9 +327,10 @@ def test_functional_refuses_nan_delta():
         sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [np.nan, 0.1, 0.1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_functional_refuses_inf_delta():
-    # inf - conj(inf) is NaN in the pairing residual
-    with pytest.raises(sc.DomainError):
+    # refused before inf - conj(inf) makes a NaN in the pairing residual
+    with pytest.raises(sc.DomainError, match=r"not finite for k = \[1, 2\]"):
         sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [-1.0, np.inf, np.inf])
 
 
