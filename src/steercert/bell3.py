@@ -135,16 +135,14 @@ def _gees(n: int):
 
 
 def _schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (t, q) of a square matrix, u = q t q^dagger.
+    """Complex Schur form (t, q) of a finite square matrix, u = q t q^dagger.
 
     LAPACK zgees is called as scipy.linalg.schur(u, output="complex")
     calls it (same lwork, no sorting, u left unchanged), so the bits are
-    schur's, without its per-call wrapper. As in schur, a non-finite entry
-    raises ValueError, and a failed decomposition raises LinAlgError.
+    schur's, without its per-call wrapper. Finiteness is not checked
+    here: _project_order3 checks each stack once. A failed decomposition
+    raises LinAlgError.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not np.isfinite(u).all():
-        raise ValueError("array must not contain infs or NaNs")
     gees, lwork = _gees(u.shape[0])
     t, _, _, q, _, info = gees(_no_sort, u, lwork=lwork)
     if info != 0:
@@ -156,12 +154,15 @@ def _project_order3(u: np.ndarray) -> np.ndarray:
     """Nearest unitary whose spectrum sits on the cube roots of unity.
 
     Takes a 3 x 3 matrix or a (..., 3, 3) stack and rounds each matrix.
+    A non-finite entry raises ValueError, as in scipy.linalg.schur.
     zgees has no stacked form, so _schur runs once per matrix, writing
     into one stack of Schur forms and one of Schur vector matrices, the
     latter kept Fortran-ordered, as zgees returns them; the rest of the
     step runs on the whole stack.
     """
     flat = u.reshape(-1, 3, 3)
+    if not np.isfinite(flat).all():
+        raise ValueError("array must not contain infs or NaNs")
     t = np.empty(flat.shape, dtype=np.complex128)
     q = np.empty(flat.shape, dtype=np.complex128).swapaxes(-1, -2)
     for i, m in enumerate(flat):

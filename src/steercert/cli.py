@@ -12,10 +12,11 @@ The argparse parser is built once per process. parse_args checks --seed,
 --tolerance, --d and --alpha and returns the argparse namespace itself,
 with --alpha decoded into an array; the handlers read its attributes.
 
-Exit codes: 0 success, 1 failed verdict, 2 usage error, 3 I/O failure.
-In process, main returns those codes; argparse usage errors and --version
-raise SystemExit, and a report that fails its own schema raises
-jsonschema.ValidationError, since that is a fault of the program.
+Exit codes: 0 success, 1 failed verdict, 2 usage error (an input too
+large for memory among them), 3 I/O failure. In process, main returns
+those codes; argparse usage errors and --version raise SystemExit, and a
+report that fails its own schema raises report.SchemaError, since that
+is a fault of the program.
 """
 
 from __future__ import annotations
@@ -348,8 +349,9 @@ def __getattr__(name: str):
     (PEP 562).
 
     The benchmark's span installer reads these attributes to wrap json.load
-    and jsonschema.validate. The shim goes once that installer wraps
-    report.render instead (ROADMAP item 9b).
+    and jsonschema.validate. The program itself uses neither: jsonschema is
+    a test and benchmark dependency only. The shim goes once that installer
+    wraps report.render instead (ROADMAP item 9b).
     """
     if name in ("json", "jsonschema"):
         return importlib.import_module(name)
@@ -381,6 +383,10 @@ def main(argv=None) -> int:
         return 1
     except (SteercertError, np.linalg.LinAlgError) as e:
         print(f"steercert: error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy names the array it could not allocate
+        print(f"steercert: error: input too large for memory: {str(e) or 'MemoryError'}",
+              file=sys.stderr)
         return 2
     except OSError as e:
         print(f"steercert: i/o error: {e}", file=sys.stderr)

@@ -6,31 +6,28 @@ rows. It takes no command-line state, so any caller that holds a report
 can write it. The text depends only on the report, never on wall time or
 thread count.
 
-A report may hold numpy arrays as they are; an ndarray stands for the
-JSON lists _plain makes of it, with each complex entry an [re, im] pair.
-Each entry of SCHEMAS is compiled once into a plain-Python predicate with
-jsonschema's Draft 2020-12 meanings. It judges a float64 or complex128
+A report holds JSON values and _direct arrays: float64 or complex128
+ndarrays, each standing for its nested lists with every complex entry an
+[re, im] pair. Each entry of SCHEMAS is compiled once into a plain-Python
+check with jsonschema's Draft 2020-12 meanings, which judges a _direct
 array from its dtype, ndim and length against the schema's chain of
-items, without a walk over the entries, and any other array by walking
-_plain of it. Only a report the predicate rejects goes to jsonschema, as
-_plain(report), whose best_match error is raised, and then nothing is
-written. jsonschema is imported only then, so the command line starts
-without it.
+items, without a walk over the entries. A report that fails the check,
+or holds any other value, raises SchemaError naming the part at fault,
+and nothing is written.
 
-JSON is written by _dumps, whose bytes are exactly those of
-json.dumps(_plain(report), sort_keys=True, separators=(",", ": "),
-indent=2, allow_nan=False): it calls the same string escaper and int and
-float reprs. json.dumps with an indent runs the pure-Python encoder, one
-generator step per bracket, comma and number. _dumps instead writes a
-float64 or complex128 array from the array itself, with no nested lists
-between: its floats, each complex entry as re then im, are formatted
-together and joined with separators that depend only on its shape. From
-12 floats up, their digits come from one orjson.dumps of the array, save
-where orjson's notation is not float.__repr__'s (see _REPR_LOW); orjson
-is imported only then. Any other array is written as the lists of
-_plain, and a plain list one item at a time. The CSV writes each column
-of a block of rows as one float64 array, the same way. A NaN or an
-infinity in a report is a DomainError, and nothing is written.
+JSON is written by _dumps, whose bytes are exactly those of json.dumps
+of the report's lists with sort_keys=True, separators=(",", ": "),
+indent=2 and allow_nan=False: it calls the same string escaper and int
+and float reprs. json.dumps with an indent runs the pure-Python encoder,
+one generator step per bracket, comma and number. _dumps instead writes
+a _direct array from the array itself, with no nested lists between: its
+floats are formatted together and joined with separators that depend
+only on its shape. From 12 floats up, their digits come from one
+orjson.dumps of the array, save where orjson's notation is not
+float.__repr__'s (see _REPR_LOW); orjson is imported only then. A plain
+list is written one item at a time. The CSV writes each column of a
+block of rows as one float64 array, the same way. A NaN or an infinity
+in a report is a DomainError, and nothing is written.
 """
 
 from __future__ import annotations
@@ -38,12 +35,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
+import reprlib
 
 import numpy as np
 
 from .errors import DomainError
-from .serialize import array_to_json
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
@@ -53,123 +49,79 @@ _COMPLEX = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 _COMPLEX_VEC = {"type": "array", "items": _COMPLEX}
 _MATRIX = {"type": "array", "items": _COMPLEX_VEC}
 _META = {"tool_version": _STR, "seed": _INT, "tolerance": _NUM}
-_META_REQ = ["tool_version", "seed", "tolerance"]
+
+
+def _object(properties: dict, optional=()) -> dict:
+    """The schema of an object with these properties, each one required
+    unless it is named in optional."""
+    return {"type": "object", "required": [k for k in properties if k not in optional],
+            "properties": properties}
+
 
 SCHEMAS = {
-    "bounds": {
-        "type": "object",
-        "required": ["d", "alpha", "beta_q", "beta_l_exact", "beta_l_upper", "gap",
-                     "gamma", "delta"] + _META_REQ,
-        "properties": {
-            "d": _INT, "alpha": _REAL_VEC, "beta_q": _NUM, "beta_l_exact": _NUM,
-            "beta_l_upper": _NUM, "gap": _NUM, "gamma": _NUM, "delta": _COMPLEX_VEC,
-            "strategy": {"type": ["array", "null"], "items": _INT}, **_META,
-        },
-    },
-    "certify": {
-        "type": "object",
-        "required": ["d", "alpha", "value", "value_gap", "stabilizer_residuals",
-                     "s_residual", "projectivity", "ztilde_min_eig", "verdict",
-                     "failures"] + _META_REQ,
-        "properties": {
-            "d": _INT, "alpha": _REAL_VEC, "value": _NUM, "value_gap": _NUM,
-            "stabilizer_residuals": _REAL_VEC, "s_residual": _NUM,
-            "commutation_residual": {"type": ["number", "null"]},
-            "projectivity": {"type": "array"},
-            "ztilde_min_eig": _NUM,
-            "verdict": {"enum": ["certified", "failed"]},
-            "failures": {"type": "array", "items": _STR}, **_META,
-        },
-    },
-    "povm-build": {
-        "type": "object",
-        "required": ["kind", "d", "n_outcomes", "elements", "validation",
-                     "extremality"] + _META_REQ,
-        "properties": {
-            "kind": {"enum": ["partial", "covariant"]}, "d": _INT,
-            "n_outcomes": _INT, "elements": {"type": "array", "items": _MATRIX},
-            "validation": {"type": "object"}, "extremality": {"type": "object"},
-            **_META,
-        },
-    },
-    "povm-check": {
-        "type": "object",
-        "required": ["n_outcomes", "dim", "validation", "extremality"] + _META_REQ,
-        "properties": {
-            "n_outcomes": _INT, "dim": _INT,
-            "validation": {"type": "object"}, "extremality": {"type": "object"},
-            **_META,
-        },
-    },
-    "randomness": {
-        "type": "object",
-        "required": ["d", "alpha", "povm", "n_outcomes", "outcome_probs",
-                     "guessing_probability", "min_entropy_bits", "uniform"] + _META_REQ,
-        "properties": {
-            "d": _INT, "alpha": _REAL_VEC, "povm": _STR, "n_outcomes": _INT,
-            "outcome_probs": _REAL_VEC, "guessing_probability": _NUM,
-            "min_entropy_bits": _NUM, "uniform": {"type": "boolean"}, **_META,
-        },
-    },
-    "bell3": {
-        "type": "object",
-        "required": ["value", "threshold", "gap", "state_schmidt", "iterations",
-                     "restarts"] + _META_REQ,
-        "properties": {
-            "value": _NUM, "threshold": _NUM, "gap": _NUM,
-            "state_schmidt": _REAL_VEC, "iterations": _INT, "restarts": _INT,
-            **_META,
-        },
-    },
-    "sweep": {
-        "type": "object",
-        "required": ["d", "rows"] + _META_REQ,
-        "properties": {
-            "d": _INT,
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["theta", "beta_l", "gap"],
-                    "properties": {"theta": _NUM, "beta_l": _NUM, "gap": _NUM},
-                },
-            },
-            **_META,
-        },
-    },
+    "bounds": _object({
+        "d": _INT, "alpha": _REAL_VEC, "beta_q": _NUM, "beta_l_exact": _NUM,
+        "beta_l_upper": _NUM, "gap": _NUM, "gamma": _NUM, "delta": _COMPLEX_VEC,
+        "strategy": {"type": ["array", "null"], "items": _INT}, **_META,
+    }, optional=["strategy"]),
+    "certify": _object({
+        "d": _INT, "alpha": _REAL_VEC, "value": _NUM, "value_gap": _NUM,
+        "stabilizer_residuals": _REAL_VEC, "s_residual": _NUM,
+        "commutation_residual": {"type": ["number", "null"]},
+        "projectivity": {"type": "array"}, "ztilde_min_eig": _NUM,
+        "verdict": {"enum": ["certified", "failed"]},
+        "failures": {"type": "array", "items": _STR}, **_META,
+    }, optional=["commutation_residual"]),
+    "povm-build": _object({
+        "kind": {"enum": ["partial", "covariant"]}, "d": _INT, "n_outcomes": _INT,
+        "elements": {"type": "array", "items": _MATRIX},
+        "validation": {"type": "object"}, "extremality": {"type": "object"}, **_META,
+    }),
+    "povm-check": _object({
+        "n_outcomes": _INT, "dim": _INT,
+        "validation": {"type": "object"}, "extremality": {"type": "object"}, **_META,
+    }),
+    "randomness": _object({
+        "d": _INT, "alpha": _REAL_VEC, "povm": _STR, "n_outcomes": _INT,
+        "outcome_probs": _REAL_VEC, "guessing_probability": _NUM,
+        "min_entropy_bits": _NUM, "uniform": {"type": "boolean"}, **_META,
+    }),
+    "bell3": _object({
+        "value": _NUM, "threshold": _NUM, "gap": _NUM, "state_schmidt": _REAL_VEC,
+        "iterations": _INT, "restarts": _INT, **_META,
+    }),
+    "sweep": _object({
+        "d": _INT,
+        "rows": {"type": "array", "items": _object({"theta": _NUM, "beta_l": _NUM, "gap": _NUM})},
+        **_META,
+    }),
 }
 
 
-@functools.cache
-def _validator(key: str):
-    """The validator of SCHEMAS[key], with the schema itself checked once."""
-    import jsonschema  # only a report that fails _predicate needs it
+class SchemaError(Exception):
+    """A report that does not fit its schema, a fault of the program; path
+    leads to the part at fault, as jsonschema's absolute_path does."""
 
-    cls = jsonschema.validators.validator_for(SCHEMAS[key])
-    cls.check_schema(SCHEMAS[key])
-    return cls(SCHEMAS[key])
+    def __init__(self, key: str, path: tuple, reason: str):
+        super().__init__(f"{key} report at /{'/'.join(map(str, path))}: {reason}")
+        self.path, self.reason = path, reason
 
 
 # Draft 2020-12 meanings, as jsonschema's type checker defines them: a bool
 # is neither a number nor an integer, and an integral float is an integer.
-# An ndarray has the type of _plain of it; each test tries that last.
+# A _direct array is an array, as the lists it stands for are.
 _TYPES = {
-    "array": lambda v: isinstance(v, list) or _typed(v, "array"),
-    "boolean": lambda v: isinstance(v, bool) or _typed(v, "boolean"),
+    "array": lambda v: isinstance(v, list) or isinstance(v, np.ndarray) and _direct(v),
+    "boolean": lambda v: isinstance(v, bool),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()) or _typed(v, "integer"),
-    "null": lambda v: v is None or _typed(v, "null"),
+    or (isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
     "number": lambda v: type(v) in (float, int)
-    or (not isinstance(v, bool) and isinstance(v, numbers.Number)) or _typed(v, "number"),
-    "object": lambda v: isinstance(v, dict) or _typed(v, "object"),
-    "string": lambda v: isinstance(v, str) or _typed(v, "string"),
+    or (isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
 }
 _SCALARS = (str, bool, int, float, type(None))
-
-
-def _typed(v, name: str) -> bool:
-    """Whether v is an ndarray whose _plain has JSON type name."""
-    return isinstance(v, np.ndarray) and _TYPES[name](_plain(v))
 
 
 def _same(a, b) -> bool:
@@ -178,40 +130,19 @@ def _same(a, b) -> bool:
             and isinstance(a, str) == isinstance(b, str) and a == b)
 
 
-def _both(first, second):
-    return lambda v: first(v) and second(v)
-
-
-def _either(first, second):
-    return lambda v: first(v) or second(v)
-
-
-def _plain(value):
-    """value with every ndarray in it replaced by the JSON lists it stands for.
-
-    An array becomes nested lists, one level per axis, with each complex
-    entry an [re, im] pair as array_to_json writes it. An ndarray in a
-    report means exactly this, to the schema check and to the writer.
-    """
-    if isinstance(value, np.ndarray):
-        return array_to_json(value) if value.dtype.kind == "c" else _plain(value.tolist())
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return list(map(_plain, value))
-    if isinstance(value, tuple):
-        return tuple(map(_plain, value))
-    return value
+def _or(first, then):
+    """first(v) or then(v): of two type tests, a value of either type; of two
+    checks, the first failure, or None."""
+    return lambda v: first(v) or then(v)
 
 
 _DIRECT = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 def _direct(a: np.ndarray) -> bool:
-    """Whether a is checked and written from its dtype and shape alone.
-
-    True for a float64 or complex128 array with at least one axis and no
-    axis of length 0; any other array goes through _plain.
+    """Whether a is a float64 or complex128 array with at least one axis
+    and no axis of length 0: the only arrays a report may hold, checked
+    and written from their dtype and shape.
     """
     return a.dtype in _DIRECT and a.ndim > 0 and a.size > 0
 
@@ -241,58 +172,89 @@ _KEYWORDS = {"type", "enum", "required", "properties", "items", "minItems", "max
 
 
 def _compile(schema: dict):
-    """A boolean predicate that accepts exactly what jsonschema accepts.
+    """A check against schema: None when a value fits, else (path, reason)
+    of a part that does not, path as in SchemaError.
 
-    Only the keywords SCHEMAS uses are known. Any other keyword, or an enum
-    member that is not a JSON scalar, raises ValueError here, so no part of
-    a schema is skipped unnoticed when a report is checked. An ndarray is
-    judged as _plain of it: from its dtype, ndim and length when _direct
-    and the schema is an item chain (_array_levels), else by walking its
-    lists.
+    Of JSON values, with a _direct array standing for its lists, it
+    accepts what jsonschema accepts; any other value fails it, but dict
+    keys are taken to be str, as jsonschema takes them. Only the
+    keywords SCHEMAS uses are known. Any other keyword, or an enum member
+    that is not a JSON scalar, raises ValueError here, so no part of a
+    schema is skipped unnoticed. A _direct array is judged from its dtype,
+    ndim and length when the schema is an item chain (_array_levels), else
+    by its lists.
     """
     unknown = sorted(schema.keys() - _KEYWORDS)
     if unknown:
         raise ValueError(f"schema keywords {unknown} have no compiled check")
-    checks = []
-    if "type" in schema:
-        names = schema["type"]
-        names = [names] if isinstance(names, str) else names
-        checks.append(functools.reduce(_either, [_TYPES[n] for n in names]))
+    names = schema.get("type", list(_TYPES))
+    names = [names] if isinstance(names, str) else names
+    fits = functools.reduce(_or, [_TYPES[n] for n in names])
+    wanted = ", ".join(map(repr, names))
+    checks = [lambda v: None if fits(v) else ((), f"{reprlib.repr(v)} is not of type {wanted}")]
     if "enum" in schema:
-        members = tuple(schema["enum"])
+        members = list(schema["enum"])
         if not all(isinstance(e, _SCALARS) for e in members):
             raise ValueError(f"enum {members!r}: only JSON scalars have a compiled check")
-        checks.append(lambda v: any(_same(v, e) for e in members))
-    if "required" in schema or "properties" in schema:
-        req = frozenset(schema.get("required", ()))
-        props = [(k, _compile(s)) for k, s in schema.get("properties", {}).items()]
-        checks.append(lambda v: not isinstance(v, dict) or (
-            v.keys() >= req and all([p(v[k]) for k, p in props if k in v])))
-    lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
-    if schema.keys() & {"items", "minItems", "maxItems"}:
-        item = _compile(schema.get("items", {}))
-        checks.append(lambda v: not isinstance(v, list) or (
-            lo <= len(v) <= hi and all(map(item, v))))
-    listed = functools.reduce(_both, checks) if checks else (lambda v: True)
-    if schema.keys() <= {"type"}:
-        return listed  # _TYPES already judge an ndarray as _plain of it
-    levels = _array_levels(schema)
+        checks.append(lambda v: None if any(_same(v, e) for e in members)
+                      else ((), f"{reprlib.repr(v)} is not one of {members!r}"))
+    if "object" in names:
+        required = frozenset(schema.get("required", ()))
+        props = {k: _compile(s) for k, s in schema.get("properties", {}).items()}
 
-    def check(v) -> bool:
+        def fields(v):
+            if not isinstance(v, dict):
+                return None
+            if not v.keys() >= required:
+                return (), f"{min(required - v.keys())!r} is a required property"
+            for k, x in v.items():
+                failure = props.get(k, _ANYTHING)(x)
+                if failure:
+                    return (k, *failure[0]), failure[1]
+            return None
+
+        checks.append(fields)
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    if "array" in names:
+        item = _compile(schema["items"]) if "items" in schema else lambda x: _ANYTHING(x)
+
+        def items(v):
+            if not isinstance(v, list):
+                return None
+            if not lo <= len(v) <= hi:
+                return (), f"{reprlib.repr(v)} has {len(v)} items, not {lo} to {hi}"
+            if any(map(item, v)):  # then find the first failure
+                i, failure = next((i, f) for i, f in enumerate(map(item, v)) if f)
+                return (i, *failure[0]), failure[1]
+            return None
+
+        checks.append(items)
+    listed = functools.reduce(_or, checks)  # the first failure, or None
+    if not schema.keys() & {"items", "minItems", "maxItems", "enum"}:
+        return listed  # the type test judges an ndarray
+    levels = _array_levels(schema) or (0, None)  # no array is 0 levels deep: its lists decide
+
+    def check(v):
         if not isinstance(v, np.ndarray):
             return listed(v)
-        if levels is None or not _direct(v):
-            return listed(_plain(v))
+        if not _direct(v):
+            return (), f"{reprlib.repr(v)} is not a float64 or complex128 array with entries"
         shape = v.shape + (2,) if v.dtype.kind == "c" else v.shape
-        return (len(shape) == levels[0] and levels[1] in (None, shape[-1])
-                and lo <= shape[0] <= hi)
+        if len(shape) == levels[0] and levels[1] in (None, shape[-1]) and lo <= shape[0] <= hi:
+            return None
+        return listed(np.ascontiguousarray(v).view(np.float64).reshape(shape).tolist())
 
     return check
 
 
+# The check of what a schema leaves free: any JSON value. _compile({}) needs
+# it itself, so _compile looks it up only when it checks a value.
+_ANYTHING = _compile({})
+
+
 @functools.cache
-def _predicate(key: str):
-    """SCHEMAS[key] compiled once into a predicate that agrees with _validator."""
+def _check(key: str):
+    """SCHEMAS[key] compiled once."""
     return _compile(SCHEMAS[key])
 
 
@@ -338,7 +300,7 @@ def _float_reprs(level) -> list:
 
 
 def _array(a: np.ndarray, newline: str) -> str:
-    """_dumps(_plain(a), newline) for an array that is _direct.
+    """_dumps of the lists that a _direct array a stands for.
 
     The floats of a, with each complex entry as re then im, are formatted
     together by _float_reprs. The text between two leaves depends only on
@@ -364,12 +326,14 @@ def _array(a: np.ndarray, newline: str) -> str:
 
 
 def _dumps(value, newline: str) -> str:
-    """value as json.dumps(_plain(value), sort_keys=True, separators=(",", ": "),
-    indent=2, allow_nan=False) writes it, byte for byte.
+    """value as json.dumps(value, sort_keys=True, separators=(",", ": "),
+    indent=2, allow_nan=False) writes it, byte for byte, with each _direct
+    array written as the lists it stands for.
 
     Dict keys must be str. newline is a line break plus the indent of the
     line that value starts on. A NaN or an infinity raises ValueError, and
-    a value that is not JSON raises TypeError, as in json.dumps.
+    a value that is not JSON, any other ndarray among them, raises
+    TypeError, as in json.dumps.
     """
     if isinstance(value, str):
         return json.encoder.encode_basestring_ascii(value)
@@ -386,9 +350,9 @@ def _dumps(value, newline: str) -> str:
         fields = (json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, inner)
                   for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(fields) + newline + "}"
-    if isinstance(value, np.ndarray):
-        return _array(value, newline) if _direct(value) else _dumps(_plain(value), newline)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, np.ndarray) and _direct(value):
+        return _array(value, newline)
+    if isinstance(value, list):
         if not value:
             return "[]"
         return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]"
@@ -402,18 +366,13 @@ def render(key: str, report: dict, fmt: str = "json") -> str:
     """The text of report, checked against SCHEMAS[key]: JSON, or with fmt
     "csv" a sweep report's header and rows.
 
-    A report that fails its schema raises jsonschema's error, and one that
-    holds a NaN or an infinity raises DomainError; either way nothing is
+    A report that fails its schema raises SchemaError, and one that holds
+    a NaN or an infinity raises DomainError; either way nothing is
     returned.
     """
-    if not _predicate(key)(report):
-        # The predicate only says whether a report fails; jsonschema names
-        # the error, and stays the judge should the two ever disagree.
-        import jsonschema
-
-        error = jsonschema.exceptions.best_match(_validator(key).iter_errors(_plain(report)))
-        if error is not None:
-            raise error
+    failure = _check(key)(report)
+    if failure:
+        raise SchemaError(key, *failure)
     try:
         if fmt != "csv":
             return _dumps(report, "\n") + "\n"

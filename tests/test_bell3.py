@@ -119,12 +119,14 @@ def test_schur_is_scipys_on_seesaw_polar_factors(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_schur_refuses_non_finite_input(bad):
+    # checked once per stack, before any Schur form: _schur itself takes
+    # the finite polar factors as they are
     u = np.eye(3, dtype=complex)
     u[1, 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        b3._schur(u)
-    with pytest.raises(ValueError, match="infs or NaNs"):
         b3._project_order3(u)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        b3._project_order3(np.stack([np.eye(3, dtype=complex), u]))
 
 
 def test_schur_raises_when_lapack_fails(monkeypatch):

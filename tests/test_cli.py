@@ -1,6 +1,7 @@
 """End-to-end command line checks, via subprocess or cli.main in process."""
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -821,7 +822,7 @@ def test_covariant_build_solves_each_eigenproblem_once(monkeypatch, capsys):
     pairs = np.array(rep["elements"])
     validation, extremality, _ = cli._povm_reports(sc.Povm(pairs[..., 0] + 1j * pairs[..., 1]),
                                                    rep["tolerance"])
-    assert (rpt._plain(validation), extremality) == (rep["validation"], rep["extremality"])
+    assert (_plain(validation), extremality) == (rep["validation"], rep["extremality"])
 
 
 def test_povm_check_catches_tamper(tmp_path):
@@ -980,6 +981,31 @@ def test_exit_code_of_each_error_class(monkeypatch, capsys, exc, code, label):
     assert captured.err == f"steercert: {label}: {exc}\n"
 
 
+def test_input_too_large_for_memory_is_usage_error(capsys):
+    # d = 3000 asks numpy for a 1.15 PiB stack of Weyl operators, more than
+    # any x86-64 address space holds, so the request is refused at once and
+    # nothing is allocated.
+    argv = ["povm", "build", "--kind", "covariant", "--d", "3000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("steercert: error: input too large for memory: Unable to allocate "
+                            "1.15 PiB for an array with shape (3000, 3000, 3000, 3000) and data "
+                            "type complex128\n")
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", captured.err)
+
+
+def test_bare_memory_error_is_named(monkeypatch, capsys):
+    def raises(config):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", raises)
+    assert cli.main(["bounds", "--d", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "steercert: error: input too large for memory: MemoryError\n")
+
+
 def test_main_builds_one_parser(monkeypatch, capsys):
     cli.main(["bounds", "--d", "2"])
     built = []
@@ -1045,6 +1071,56 @@ def _report_argvs(tmp_path):
     ]
 
 
+def _plain(value):
+    """value with every ndarray in it replaced by the JSON lists it stands
+    for: nested lists, one level per axis, each complex entry an [re, im]
+    pair as array_to_json writes it. The reference meaning of a report's
+    arrays, for jsonschema and for the json module."""
+    if isinstance(value, np.ndarray):
+        return array_to_json(value) if value.dtype.kind == "c" else value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_plain, value))
+    return value
+
+
+@functools.cache
+def _validator(key: str):
+    """jsonschema's Draft 2020-12 validator of SCHEMAS[key], the oracle of
+    the compiled check; the schema itself is checked once."""
+    jsonschema.Draft202012Validator.check_schema(rpt.SCHEMAS[key])
+    return jsonschema.Draft202012Validator(rpt.SCHEMAS[key])
+
+
+def _foreign(value) -> bool:
+    """Whether value holds anything but JSON values and float64 or
+    complex128 arrays with entries: another ndarray, a numpy integer or
+    bool, a tuple."""
+    if isinstance(value, dict):
+        return any(map(_foreign, value.values()))
+    if isinstance(value, list):
+        return any(map(_foreign, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype not in (np.float64, np.complex128) or not value.ndim or not value.size
+    return not isinstance(value, (str, bool, int, float, type(None)))
+
+
+def _assert_agrees(check, validator, value):
+    """check(value) fails exactly when jsonschema finds an error in the
+    lists value stands for, and names the path of one of those errors; a
+    value that holds anything else fails it."""
+    failure = check(value)
+    if _foreign(value):
+        assert failure, value
+        return
+    errors = validator.iter_errors(_plain(value))  # lazily, so the first match ends the search
+    if failure is None:
+        assert next(errors, None) is None, value
+    else:
+        assert any(tuple(e.absolute_path) == failure[0] for e in errors), (value, failure)
+
+
 @pytest.fixture(scope="module")
 def real_reports(tmp_path_factory):
     """(schema key, report) of every subcommand, as its handler returns it,
@@ -1057,12 +1133,15 @@ def real_reports(tmp_path_factory):
     assert {key for key, _ in out} == set(rpt.SCHEMAS)
     # Checked once here, since jsonschema takes most of a second on a d=12 build.
     for key, report in out:
-        assert rpt._predicate(key)(report) and rpt._validator(key).is_valid(rpt._plain(report))
+        assert not _foreign(report), key
+        assert rpt._check(key)(report) is None and _validator(key).is_valid(_plain(report))
     return out
 
 
 # Values on both sides of every keyword's meaning: bool against number and
-# integer, integral floats, numpy scalars, enum members and near misses.
+# integer, integral floats, enum members and near misses; and values that
+# no report may hold: numpy integers and bools, a tuple, and arrays other
+# than float64 or complex128 ones with entries.
 _REPORT_LEAVES = st.sampled_from([
     None, True, False, 0, 1, -3, 2.0, 0.5, float("nan"), float("inf"),
     np.float64(2.0), np.float64(0.25), np.int64(3), np.bool_(True),
@@ -1073,16 +1152,33 @@ _REPORT_LEAVES = st.sampled_from([
     np.array([0.5j]), np.array([[0.5j]]), np.zeros((1, 1, 1), complex), np.zeros((0, 2)),
     np.arange(2), np.array([True]), np.array("certified"), np.array(["x"]),
     np.array([{"theta": 0.1, "beta_l": 1.0, "gap": 1.0}]), np.array([np.zeros(2)], dtype=object),
+    (0.0, 1.0), np.arange(2.0, dtype=np.float32),
 ])
+
+
+def _agrees_on_a_mutation(key, report, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        report = perturb(report, data, data.draw(st.integers(0, 6)), _REPORT_LEAVES)
+    _assert_agrees(rpt._check(key), _validator(key), report)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_compiled_schema_agrees_with_jsonschema(real_reports, data):
     key, report = data.draw(st.sampled_from(real_reports))
-    for _ in range(data.draw(st.integers(1, 3))):
-        report = perturb(report, data, data.draw(st.integers(0, 6)), _REPORT_LEAVES)
-    assert rpt._predicate(key)(report) == rpt._validator(key).is_valid(rpt._plain(report)), report
+    _agrees_on_a_mutation(key, report, data)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_compiled_schema_agrees_with_jsonschema_on_plain_reports(real_reports, data):
+    # Each report as its JSON lists, with no array in it but those of the
+    # leaves; but for the d=12 build, whose lists take jsonschema most of a
+    # second, the test above checks as an array.
+    small = [(key, report) for key, report in real_reports
+             if not any(isinstance(v, np.ndarray) and v.size > 1000 for v in report.values())]
+    key, report = data.draw(st.sampled_from(small))
+    _agrees_on_a_mutation(key, _plain(report), data)
 
 
 _TYPE_CASES = [
@@ -1114,10 +1210,10 @@ def test_compiled_type_and_enum_keep_draft_2020_12_meanings():
         rpt._MATRIX,
     ]
     for schema in schemas:
-        pred = rpt._compile(schema)
+        check = rpt._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
         for v in _TYPE_CASES + _PAIR_CASES:
-            assert pred(v) == reference.is_valid(v), (schema, v)
+            _assert_agrees(check, reference, v)
 
 
 def _as_arrays(v) -> list:
@@ -1138,20 +1234,19 @@ def _as_arrays(v) -> list:
 ])
 def test_one_pass_pair_check_agrees_with_the_per_item_predicate(schema, depth):
     assert rpt._array_levels(schema) == (depth + 2, 2)
-    pred = rpt._compile(schema)
+    check = rpt._compile(schema)
     per_item = rpt._compile(schema["items"])
     reference = jsonschema.Draft202012Validator(schema)
     cases = _TYPE_CASES + _PAIR_CASES
     for _ in range(depth):  # each case also as one item of every level
         cases = cases + [[v] for v in cases] + [[v, v] for v in cases]
     for v in cases:
-        want = reference.is_valid(v)
-        assert pred(v) == want, v
-        if isinstance(v, list) and len(v) >= schema.get("minItems", 0):
-            assert all(map(per_item, v)) == want, v
+        _assert_agrees(check, reference, v)
+        if isinstance(v, list) and len(v) >= schema.get("minItems", 0) and not _foreign(v):
+            assert (not any(map(per_item, v))) == reference.is_valid(v), v
         # An array is checked in one pass, from its dtype, ndim and length.
         for a in _as_arrays(v):
-            assert pred(a) == reference.is_valid(rpt._plain(a)), a
+            _assert_agrees(check, reference, a)
 
 
 def test_one_pass_pair_check_is_only_for_plain_chains():
@@ -1195,9 +1290,9 @@ def _grids(draw):
 
 
 _WRITER_VALUES = st.recursive(
-    st.none() | st.booleans() | _WRITER_NUMBERS | _WRITER_TEXT | _grids() | _grids().map(np.array),
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
-                  | st.dictionaries(_WRITER_TEXT, kids, max_size=4)),
+    st.none() | st.booleans() | _WRITER_NUMBERS | _WRITER_TEXT | _grids()
+    | _grids().map(lambda grid: np.array(grid, dtype=np.float64)),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_WRITER_TEXT, kids, max_size=4),
     max_leaves=16,
 )
 
@@ -1205,7 +1300,7 @@ _WRITER_VALUES = st.recursive(
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(value=_WRITER_VALUES)
 def test_writer_writes_what_the_json_module_writes(value):
-    assert rpt._dumps(value, "\n") == _stdlib_dumps(rpt._plain(value))
+    assert rpt._dumps(value, "\n") == _stdlib_dumps(_plain(value))
 
 
 def _float_edges() -> list:
@@ -1312,19 +1407,23 @@ def test_array_writer_writes_what_the_json_module_writes_of_its_lists():
     assert bits.size > 10**6
     for a in [bits] + _array_cases(
             np.concatenate([edges, bits[:4096]])):
-        assert not a.flags.c_contiguous or rpt._direct(a)
-        assert rpt._dumps(a, "\n") == _stdlib_dumps(rpt._plain(a)), (a.dtype, a.shape)
-    # Nested in a report, at other indents; and arrays written through _plain:
-    # a zero-length axis, no axis, and other dtypes.
+        assert rpt._direct(a)
+        assert rpt._dumps(a, "\n") == _stdlib_dumps(_plain(a)), (a.dtype, a.shape)
+    # Nested in a report, at other indents.
+    for a in [np.full((rpt._ORJSON_MIN, 2), 1.7e308)] + _array_cases(edges):
+        value = {"g": a, "h": [a, {"i": a}]}
+        assert rpt._dumps(value, "\n") == _stdlib_dumps(_plain(value)), (a.dtype, a.shape)
+    # No other array stands for JSON lists: a zero-length axis, no axis, or
+    # another dtype is refused, as json.dumps refuses what is not JSON.
     others = [np.zeros(0), np.zeros((3, 0)), np.zeros((2, 0, 2), complex), np.array(1.5),
               np.array(-0.5j), np.arange(5), np.array([[True], [False]]),
               np.array([0.5, "x", None, [1, 2]], dtype=object),
               np.array([np.zeros(2), np.ones(3)], dtype=object), np.arange(3.0, dtype=">f8"),
-              np.arange(3.0, dtype=np.float32), np.full((rpt._ORJSON_MIN, 2), 1.7e308)]
-    for a in others + _array_cases(edges):
-        value = {"g": a, "h": [a, {"i": a}]}
-        assert rpt._dumps(value, "\n") == _stdlib_dumps(rpt._plain(value)), (a.dtype, a.shape)
-    assert not any(map(rpt._direct, others[:5]))
+              np.arange(3.0, dtype=np.float32)]
+    for bad in others + [(0.5, 1.0), np.int64(3), np.bool_(True)]:
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            rpt._dumps({"g": [1.0, {"h": bad}]}, "\n")
+    assert not any(map(rpt._direct, others))
 
 
 def test_orjson_writes_numpy_floats_as_it_writes_python_floats():
@@ -1360,11 +1459,11 @@ _CHECK_ARRAYS = [
 
 def test_array_check_agrees_with_jsonschema_on_its_lists():
     for schema in _CHECK_SCHEMAS:
-        pred = rpt._compile(schema)
+        check = rpt._compile(schema)
         reference = jsonschema.Draft202012Validator(schema)
         for a in _CHECK_ARRAYS:
-            assert pred(a) == reference.is_valid(rpt._plain(a)), (schema, a)
-            assert pred([a]) == reference.is_valid(rpt._plain([a])), (schema, a)
+            _assert_agrees(check, reference, a)
+            _assert_agrees(check, reference, [a])
 
 
 def _array_paths(value, path=()) -> list:
@@ -1466,7 +1565,7 @@ def test_sweep_csv_refuses_a_non_finite_field_and_writes_nothing(monkeypatch, ca
 
 def test_every_report_renders_as_the_json_module_writes_it(real_reports):
     for key, report in real_reports:
-        assert rpt.render(key, report) == _stdlib_dumps(rpt._plain(report)) + "\n", key
+        assert rpt.render(key, report) == _stdlib_dumps(_plain(report)) + "\n", key
 
 
 def test_report_alone_writes_every_report_of_the_benchmark(monkeypatch, capsys, tmp_path):
@@ -1538,49 +1637,56 @@ def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path)
     monkeypatch.setitem(cli._HANDLERS, "bounds", corrupted)
     out = tmp_path / "bounds.json"
     for argv in (["bounds", "--d", "3"], ["bounds", "--d", "3", "--output", str(out)]):
-        with pytest.raises(jsonschema.ValidationError) as info:
+        with pytest.raises(rpt.SchemaError) as info:  # a fault of the program: it leaves main
             cli.main(argv)
-        want = jsonschema.exceptions.best_match(
-            rpt._validator("bounds").iter_errors(rpt._plain(seen[-1])))
-        assert type(info.value) is type(want) and info.value.message == want.message
-        assert info.value.message == "'wide' is not of type 'number'"
+        errors = list(_validator("bounds").iter_errors(_plain(seen[-1])))
+        assert info.value.path in {tuple(e.absolute_path) for e in errors}
+        assert str(info.value) == "bounds report at /gap: 'wide' is not of type 'number'"
     assert capsys.readouterr().out == ""
     assert not out.exists()
+    assert not issubclass(rpt.SchemaError, sc.SteercertError)
 
 
 def test_failing_report_is_named_from_its_lists(real_reports):
-    # jsonschema judges _plain(report), so it names the field at fault, not
-    # an array it does not know as a JSON array.
+    # The check names a path at which jsonschema, judging the report's
+    # lists, finds an error; an array is named as the lists it stands for.
     named = 0
     for key, report in real_reports:
         if any(isinstance(v, np.ndarray) and v.size > 1000 for v in report.values()):
             continue  # jsonschema takes most of a second on one d=12 build
         for field in report:
-            for bad in ("wide", True, [True], {"a": 1}):
+            for bad in ("wide", True, [True], {"a": 1}, np.zeros(3), np.zeros((2, 3), complex)):
                 broken = {**report, field: bad}
-                want = jsonschema.exceptions.best_match(
-                    rpt._validator(key).iter_errors(rpt._plain(broken)))
-                if want is None:
+                errors = list(_validator(key).iter_errors(_plain(broken)))
+                if not errors:
+                    assert rpt.render(key, broken), (key, field, bad)
                     continue
-                with pytest.raises(jsonschema.ValidationError) as info:
+                with pytest.raises(rpt.SchemaError) as info:
                     rpt.render(key, broken)
-                assert info.value.message == want.message, (key, field, bad)
+                paths = {tuple(e.absolute_path) for e in errors}
+                assert info.value.path in paths, (key, field, bad)
+                assert info.value.path[:1] == (field,)
                 named += 1
     assert named > 100
 
 
-_FAILING_REPORT_CHILD = """
+_NO_JSONSCHEMA_CHILD = """
 import contextlib, io, json, sys
+
+sys.modules["jsonschema"] = None  # any import of it now raises ImportError
 import steercert.cli as cli
 import steercert.report as rpt
 
-loaded_at_import = "jsonschema" in sys.modules
-reports = []
+written = []
+for argv in json.loads(sys.argv[1]):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    written.append([code, stdout.getvalue()])
 
 def corrupted(config):
     code, report = cli._run_bounds(config)
-    reports.append({**report, "gap": "wide"})
-    return code, reports[-1]
+    return code, {**report, "gap": "wide"}
 
 cli._HANDLERS["bounds"] = corrupted
 stdout = io.StringIO()
@@ -1588,38 +1694,39 @@ try:
     with contextlib.redirect_stdout(stdout):
         cli.main(["bounds", "--d", "2"])
     raised = None
-except Exception as e:
-    raised = e
-import jsonschema
-
-want = jsonschema.exceptions.best_match(
-    jsonschema.Draft202012Validator(rpt.SCHEMAS["bounds"]).iter_errors(
-        rpt._plain(reports[-1])))
+except rpt.SchemaError as e:
+    raised = [list(e.path), str(e)]
 try:
     cli.no_such_name
     missing = None
 except AttributeError as e:
     missing = str(e)
 print(json.dumps({
-    "loaded_at_import": loaded_at_import,
-    "validation_error": isinstance(raised, jsonschema.ValidationError),
-    "message": getattr(raised, "message", repr(raised)),
-    "best_match": want.message,
+    "written": written,
+    "raised": raised,
     "stdout": stdout.getvalue(),
-    "attribute_is_module": getattr(cli, "jsonschema") is jsonschema and cli.json is json,
+    "json_is_module": cli.json is json,
     "missing": missing,
+    "jsonschema": sys.modules["jsonschema"],
 }))
 """
 
 
-def test_failing_report_imports_jsonschema_on_demand():
-    r = subprocess.run([sys.executable, "-c", _FAILING_REPORT_CHILD],
-                       capture_output=True, text=True, timeout=120)
+def test_cli_runs_without_jsonschema(tmp_path, capsys):
+    argvs = _report_argvs(tmp_path)
+    r = subprocess.run([sys.executable, "-c", _NO_JSONSCHEMA_CHILD, json.dumps(argvs)],
+                       capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout)
-    assert not seen["loaded_at_import"]
-    assert seen["validation_error"], seen["message"]
-    assert seen["message"] == seen["best_match"] == "'wide' is not of type 'number'"
+    assert "jsonschema" in sys.modules  # here it is importable, and imported
+    written = []
+    for argv in argvs:
+        code = cli.main(argv)
+        written.append([code, capsys.readouterr().out])
+    assert seen["written"] == written
+    assert all(out for _, out in written)
+    assert seen["raised"] == [["gap"], "bounds report at /gap: 'wide' is not of type 'number'"]
     assert seen["stdout"] == ""
-    assert seen["attribute_is_module"]
+    assert seen["json_is_module"]
     assert seen["missing"] == "module 'steercert.cli' has no attribute 'no_such_name'"
+    assert seen["jsonschema"] is None
