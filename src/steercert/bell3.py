@@ -418,19 +418,6 @@ class ExtendedCheckReport:
     passed: bool
     failures: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "aux_dim": self.aux_dim,
-            "q_rank": self.q_rank,
-            "branch_weight": self.branch_weight,
-            "value": self.value,
-            "value_residual": self.value_residual,
-            "lhs_bound": self.lhs_bound,
-            "lhs_gap": self.lhs_gap,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
-
 
 def extended_certification_check(
     sv: SchmidtVector, da: DressedAlice, seed: int

@@ -5,8 +5,10 @@ CSV rows unless given --format json) with the {tool_version, seed,
 tolerance} triple included for reproducibility. Each handler returns an
 exit code and a report, which report.render checks against the
 subcommand's own schema and writes; nothing is written when the check
-fails. Every JSON input, a realization or POVM file or the --alpha and
---fiducial flags, is read by serialize.
+fails. A report holds the fields of the library's result dataclass as
+vars() gives them, numpy arrays included, beside the subcommand's inputs
+and the triple. Every JSON input, a realization or POVM file or the
+--alpha and --fiducial flags, is read by serialize.
 
 The argparse parser is built once per process. parse_args checks --seed,
 --tolerance, --d and --alpha and returns the argparse namespace itself,
@@ -157,7 +159,7 @@ def _run_bounds(config: argparse.Namespace) -> tuple[int, dict]:
         "gap": quantum_maximum(f) - exact.value,
         "gamma": f.gamma,
         "delta": f.delta,
-        "strategy": list(map(int, exact.strategy)) if exact.strategy else None,
+        "strategy": list(exact.strategy),
         **_meta(config),
     }
     return 0, report
@@ -176,70 +178,41 @@ def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
     sv = SchmidtVector(alpha)
     f = functional_coefficients(sv)
     rep = certify(f, r, tol=config.tolerance)
-    report = {
-        "d": f.d,
-        "alpha": sv.alpha,
-        **rep.to_dict(),
-        **_meta(config),
-    }
-    return (0 if rep.certified else 1), report
+    return (0 if rep.certified else 1), {"alpha": sv.alpha, **vars(rep), **_meta(config)}
 
 
 def _povm_reports(p: Povm, tol: float) -> tuple[dict, dict, bool]:
-    """p's validation and extremality reports, and whether both pass.
+    """p's validation report (vars of validate_povm's), extremality report
+    and whether both pass.
 
     Both tests read the spectra p caches, so a POVM that covariant_povm
     has already tested solves no eigenproblem again here.
     """
     v = validate_povm(p, tol)
     ok, info = is_extremal_rank_one(p)
-    validation = {
-        "hermiticity": v.hermiticity,
-        "min_eigenvalues": v.min_eigenvalues,
-        "completeness_residual": v.completeness_residual,
-        "failures": list(v.failures),
-        "passed": v.passed,
-    }
     extremality = {
         "extremal": bool(ok),
         "gram_rank": info["gram_rank"],
         "expected_rank": p.n_outcomes,
     }
-    return validation, extremality, bool(v.passed and ok)
+    return vars(v), extremality, bool(v.passed and ok)
 
 
 def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
-    if config.povm_action == "build":
-        d = config.d
+    if config.povm_action == "check":
+        p = load_povm_file(config.povm)
+        report = {"dim": p.dim}
+    else:
         if config.kind == "partial":
-            sv = _schmidt_vector(config)
-            p = partial_povm(sv)
+            p = partial_povm(_schmidt_vector(config))
+        elif config.fiducial:
+            p = covariant_povm(config.d, fiducial_from_flag(config.fiducial, "--fiducial"))
         else:
-            if config.fiducial:
-                nu = fiducial_from_flag(config.fiducial, "--fiducial")
-            else:
-                nu = _seeded_fiducial(config)
-            p = covariant_povm(d, nu)
-        validation, extremality, passed = _povm_reports(p, config.tolerance)
-        report = {
-            "kind": config.kind,
-            "d": d,
-            "n_outcomes": p.n_outcomes,
-            "elements": p.elements,
-            "validation": validation,
-            "extremality": extremality,
-            **_meta(config),
-        }
-        return (0 if passed else 1), report
-    p = load_povm_file(config.povm)
+            p = covariant_povm(config.d, _seeded_fiducial(config))
+        report = {"kind": config.kind, "d": config.d, "elements": p.elements}
     validation, extremality, passed = _povm_reports(p, config.tolerance)
-    report = {
-        "n_outcomes": p.n_outcomes,
-        "dim": p.dim,
-        "validation": validation,
-        "extremality": extremality,
-        **_meta(config),
-    }
+    report.update(n_outcomes=p.n_outcomes, validation=validation, extremality=extremality,
+                  **_meta(config))
     return (0 if passed else 1), report
 
 
@@ -270,7 +243,7 @@ def _run_randomness(config: argparse.Namespace) -> tuple[int, dict]:
         "alpha": sv.alpha,
         "povm": source,
         "n_outcomes": p.n_outcomes,
-        **rep.to_dict(),
+        **vars(rep),
         **_meta(config),
     }
     return 0, report

@@ -71,14 +71,6 @@ class RandomnessReport:
     min_entropy_bits: float
     uniform: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome_probs": [float(q) for q in self.outcome_probs],
-            "guessing_probability": self.guessing_probability,
-            "min_entropy_bits": self.min_entropy_bits,
-            "uniform": self.uniform,
-        }
-
 
 def randomness_report(p: Povm, rho: np.ndarray, tol: float = DEFAULT_TOL) -> RandomnessReport:
     probs = outcome_distribution(p, rho)

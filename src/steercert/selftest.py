@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .linalg import dagger, range_basis
+from .linalg import DEFAULT_TOL, dagger, range_basis
 from .measurements import (
     generalized_pauli, is_projective, omega, root_powers, unitary_observable_povm,
 )
@@ -85,7 +85,10 @@ def ztilde_spectrum(f: SteeringFunctional) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CertReport:
-    """Everything certify() measured, plus the verdict."""
+    """Everything certify() measured, plus the verdict: the certify
+    report's fields as it writes them, so the CLI writes vars() of it.
+    projectivity holds {"projective": bool, "residual": worst residual}
+    per Bob observable."""
 
     d: int
     tolerance: float
@@ -103,24 +106,6 @@ class CertReport:
     def certified(self) -> bool:
         return self.verdict == "certified"
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "tolerance": self.tolerance,
-            "value": self.value,
-            "value_gap": self.value_gap,
-            "stabilizer_residuals": [float(v) for v in self.stabilizer_residuals],
-            "s_residual": self.s_residual,
-            "commutation_residual": self.commutation_residual,
-            "projectivity": [
-                {"projective": bool(ok), "residual": float(res)}
-                for ok, res in self.projectivity
-            ],
-            "ztilde_min_eig": self.ztilde_min_eig,
-            "verdict": self.verdict,
-            "failures": list(self.failures),
-        }
-
 
 def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> CertReport:
     """Run every check the maximal-violation argument needs, at one tol.
@@ -128,7 +113,8 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
     A tol at or above d - beta_l_upper raises DomainError: the value test
     value_gap <= tol would then pass a value that an LHS model reaches.
     Below it, a value within tol of d is above beta_l_upper; that is also
-    checked, so roundoff cannot certify a value at the LHS bound.
+    checked, so roundoff cannot certify a value at the LHS bound. A value
+    above d + DEFAULT_TOL, beyond the trusted Alice's maximum d, fails.
 
     The commutation residual is only evaluated when both Bob observables
     pass projectivity (its precondition); the verdict is already failed
@@ -147,13 +133,15 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
     gap = f.d - value
     if not gap <= tol:
         failures.append(f"value_gap {gap:.3e} > {tol:.1e}")
+    elif not value <= f.d + DEFAULT_TOL:
+        failures.append(f"value {value!r} is above the quantum maximum {f.d}")
     elif not value > beta_l:  # a NaN value has already failed on its gap
         failures.append(f"value {value!r} is not above beta_l_upper {beta_l!r}")
     proj = []
     for i, g in enumerate(r.bob_observables[:2]):
         ok, res = is_projective(g, tol)
         worst = max(res.values())
-        proj.append((ok, worst))
+        proj.append({"projective": ok, "residual": worst})
         if not ok:
             failures.append(f"Bob observable {i} projectivity residual {worst:.3e}")
     if not np.max(per_k) <= tol:
@@ -161,7 +149,7 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
     if not s_res <= tol:
         failures.append(f"s_residual {s_res:.3e} > {tol:.1e}")
     comm = None
-    if all(ok for ok, _ in proj):
+    if all(p["projective"] for p in proj):
         comm = _commutation_residual(r)
         if not comm <= tol:
             failures.append(f"commutation residual {comm:.3e} > {tol:.1e}")

@@ -93,7 +93,14 @@ def _gamma(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     col_j = sum_{i != j} alpha_i/alpha_j = S/alpha_j - 1, S = sum(alpha).
     Each row is summed along its own contiguous axis, so a row of the
     stack gets the same bits as that row alone.
+    Rows whose sum of 1/alpha_i^2, _branch_perron's margin, overflows
+    raise DomainError first, so no numpy warning is printed.
     """
+    with np.errstate(over="ignore"):
+        big = ~np.isfinite(np.vecdot(1.0 / alpha, 1.0 / alpha))
+    if big.any():
+        raise DomainError(f"alpha: smallest coefficient {float(alpha[big].min())!r} is too "
+                          "small: the sum of 1/alpha_i^2 overflows")
     d = alpha.shape[-1]
     col = alpha.sum(axis=-1, keepdims=True) / alpha - 1.0
     return d / col.sum(axis=-1), col
@@ -263,8 +270,9 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     Alice (the default) the bound is max_a lambda_max(Q_a), one eigenvalue
     problem (_branch_perron), reported with the canonical strategy (b0, 0)
     since b1 does not matter. Passing explicit Alice observables (unitary,
-    with omega^a spectra) enumerates all d^2 strategies for dressed
-    scenarios; ties keep the lexicographically first strategy.
+    with omega^a spectra) solves the (d, d, dA, dA) stack of all d^2
+    strategies in one eigvalsh, each matrix as a call on it alone would;
+    ties keep the lexicographically first strategy.
     """
     if alice_observables is None:
         b0, value, _, _ = f._perron
@@ -274,16 +282,11 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     p0, p1 = [unitary_observable_povm(obs, d).elements for obs in alice_observables][:2]
     # -gamma S sum_a P0[a]/alpha_a is the same for every strategy (b0, b1).
     shift = f.gamma * float(alpha.sum()) * np.tensordot(1.0 / alpha, p0, axes=(0, 0))
-    best = -np.inf
-    best_strategy = (0, 0)
-    for b0 in range(d):
-        for b1 in range(d):
-            m = d * p0[(-b0) % d] + f.gamma * d * p1[(-b1) % d] - shift
-            val = float(np.linalg.eigvalsh((m + np.conj(m).T) / 2)[-1])
-            if val > best:
-                best = val
-                best_strategy = (b0, b1)
-    return LhsOptimum(best, strategy=best_strategy)
+    neg = (-np.arange(d)) % d
+    m = d * p0[neg][:, None] + f.gamma * d * p1[neg][None, :] - shift
+    vals = np.linalg.eigvalsh((m + np.conj(m).swapaxes(-1, -2)) / 2)[..., -1]
+    b0, b1 = np.unravel_index(np.argmax(vals), (d, d))
+    return LhsOptimum(float(vals[b0, b1]), strategy=(int(b0), int(b1)))
 
 
 def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:

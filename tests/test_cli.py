@@ -1,6 +1,7 @@
 """End-to-end command line checks, via subprocess or cli.main in process."""
 
 import argparse
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -69,6 +70,24 @@ def test_bounds_custom_alpha():
 def test_bounds_rejects_bad_alpha():
     assert run_cli("bounds", "--d", "2", "--alpha", "[0.5, -0.5]").returncode == 2
     assert run_cli("bounds", "--d", "3", "--alpha", "[0.6, 0.8]").returncode == 2
+
+
+# sha256 of `bounds --d 3 --alpha "[0.8, 0.6, 1e-15]"` with tool_version blanked
+_TINY_ALPHA_BOUNDS = "55cf178d08dc2c7d4eca79479e4c5e7d23ca4ee46a8c8c4a2544ebd1b56d5a07"
+
+
+def test_bounds_refuses_alpha_whose_reciprocal_overflows(tmp_path):
+    out = tmp_path / "bounds.json"
+    for tiny in ("1e-160", "1e-300"):
+        r = run_cli("bounds", "--d", "3", "--alpha", f"[0.8, 0.6, {tiny}]", "--output", str(out))
+        assert r.returncode == 2
+        assert r.stdout == "" and not out.exists()
+        assert r.stderr == (f"steercert: error: alpha: smallest coefficient {tiny} is too "
+                            "small: the sum of 1/alpha_i^2 overflows\n")
+    r = run_cli("bounds", "--d", "3", "--alpha", "[0.8, 0.6, 1e-15]")
+    assert r.returncode == 0 and r.stderr == ""
+    text = r.stdout.replace(f'"tool_version": "{sc.__version__}"', '"tool_version": ""')
+    assert hashlib.sha256(text.encode()).hexdigest() == _TINY_ALPHA_BOUNDS
 
 
 def test_bounds_output_file(tmp_path):
@@ -1490,7 +1509,8 @@ def test_non_finite_entry_of_any_report_array_writes_nothing(monkeypatch, capsys
     fields = {(key, path) for key, (_, report) in reports.items()
               for path in _array_paths(report)}
     assert {path[-1] for _, path in fields} == {
-        "alpha", "delta", "elements", "hermiticity", "min_eigenvalues", "state_schmidt"}
+        "alpha", "delta", "elements", "hermiticity", "min_eigenvalues", "outcome_probs",
+        "stabilizer_residuals", "state_schmidt"}
     out = tmp_path / "report.json"
     for key, path in sorted(fields):
         argv, report = reports[key]
@@ -1623,6 +1643,20 @@ def test_non_finite_report_is_a_domain_error(real_reports, bad, key, path):
 def test_compiler_refuses_what_it_cannot_check(schema):
     with pytest.raises(ValueError):
         rpt._compile(schema)
+
+
+def test_report_keys_are_the_schema_properties(real_reports):
+    # SCHEMAS leave additional properties open, so a result field missing
+    # from its schema would be written unchecked.
+    validation = {f.name for f in dataclasses.fields(sc.PovmValidationReport)}
+    for key, report in real_reports:
+        properties = rpt.SCHEMAS[key]["properties"]
+        assert report.keys() == properties.keys(), key
+        if key == "sweep":
+            row = properties["rows"]["items"]["properties"].keys()
+            assert all(r.keys() == row for r in report["rows"])
+        if "validation" in report:
+            assert report["validation"].keys() == validation, key
 
 
 def test_report_failing_its_schema_writes_nothing(monkeypatch, capsys, tmp_path):

@@ -139,8 +139,7 @@ def test_randomness_report_roundtrip():
     rep = sc.randomness_report(generic_covariant(3), np.eye(3) / 3)
     assert rep.uniform
     assert abs(rep.min_entropy_bits - 2 * np.log2(3)) < 1e-12
-    d = rep.to_dict()
-    assert abs(sum(d["outcome_probs"]) - 1.0) < 1e-9
+    assert abs(sum(rep.outcome_probs) - 1.0) < 1e-9
 
     rep = sc.randomness_report(comp_projectors(2), np.diag([0.75, 0.25]))
     assert not rep.uniform

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import steercert as sc
+from steercert.report import render
 
 
 def ideal3():
@@ -184,7 +185,7 @@ def test_certify_depolarized_observable():
     )
     rep = sc.certify(f, r)
     assert not rep.certified
-    ok0, worst0 = rep.projectivity[0]
+    ok0, worst0 = rep.projectivity[0]["projective"], rep.projectivity[0]["residual"]
     assert not ok0
     # worst offender is the d-th power residual (1 - 0.99^3)*sqrt(3)
     assert abs(worst0 - (1 - 0.99**3) * np.sqrt(3)) < 1e-12
@@ -216,6 +217,34 @@ def test_certify_verdict_invariant_under_dressing():
     for seed in (0, 1, 2):
         rep = sc.certify(f, sc.dress_realization(r, 2, 2, seed=seed))
         assert rep.certified
+
+
+def _above_d_device():
+    """A d=2 device above the trusted pair's quantum maximum d = 2.
+
+    Alice declares (Z, cos 0.05 X + sin 0.05 Z), not the trusted (Z, X).
+    Bob holds (Z, cos 1.515 Z + sin 1.515 X), and the state is the top
+    eigenvector of the functional's operator at these observables.
+    """
+    f = sc.functional_coefficients(sc.SchmidtVector(np.array([0.8, 0.6])))
+    z, x = sc.generalized_pauli(2, "Z"), sc.generalized_pauli(2, "X")
+    a1 = np.cos(0.05) * x + np.sin(0.05) * z
+    b1 = np.cos(1.515) * z + np.sin(1.515) * x
+    op = np.kron(z, z) + f.gamma * np.kron(a1, b1) + f.delta[1] * np.kron(z, np.eye(2))
+    psi = np.linalg.eigh((op + op.conj().T) / 2)[1][:, -1]
+    bob = [sc.GeneralizedObservable.from_unitary(u, 2) for u in (z, b1)]
+    return f, sc.Realization(sc.Ket(psi, (2, 2)), [z, a1], bob)
+
+
+def test_certify_fails_a_value_above_the_quantum_maximum():
+    # value_gap = d - value is negative here, so it passes value_gap <= tol
+    f, r = _above_d_device()
+    value = sc.evaluate(f, r)
+    assert 2.0001 < value < 2.0003
+    for tol in (0.05, 0.2, 0.39):
+        rep = sc.certify(f, r, tol)
+        assert not rep.certified
+        assert f"value {value!r} is above the quantum maximum 2" in rep.failures, tol
 
 
 def test_certify_rejects_tolerance_out_of_range():
@@ -281,7 +310,8 @@ def test_certify_dim_4096_is_matrix_free():
 def test_cert_report_serializes():
     f, r = ideal3()
     rep = sc.certify(f, r)
-    blob = json.dumps(rep.to_dict())
+    meta = {"tool_version": sc.__version__, "seed": 42, "tolerance": rep.tolerance}
+    blob = render("certify", {"alpha": f.sv.alpha, **vars(rep), **meta})
     back = json.loads(blob)
     assert back["verdict"] == "certified"
     assert back["d"] == 3

@@ -334,6 +334,17 @@ def test_functional_refuses_inf_delta():
         sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [-1.0, np.inf, np.inf])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tiny", [1e-160, 1e-300, 1e-310, 5e-324])
+def test_alpha_whose_reciprocal_overflows_is_refused_without_a_warning(tiny):
+    # the LHS margin's sum of 1/alpha_i^2 overflowed, and at subnormal alpha gamma too
+    match = f"alpha: smallest coefficient {tiny!r} is too small"
+    with pytest.raises(sc.DomainError, match=match):
+        sc.functional_coefficients(sc.SchmidtVector(np.array([0.8, 0.6, tiny])))
+    with pytest.raises(sc.DomainError, match=match):
+        sc.steering.lhs_bound_rows(np.array([[0.8, 0.6, 1e-15], [0.8, 0.6, tiny]]))
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
 def test_functional_refuses_a_gamma_that_is_not_positive_and_finite(gamma):
     # an infinite gamma used to construct, and the LHS bound then raised LinAlgError
