@@ -69,7 +69,6 @@ from .selftest import (
 )
 from .povm import (
     DEFAULT_PHASE_TABLES,
-    PhaseTable,
     PovmValidationReport,
     covariant_povm,
     default_phase_table,
@@ -114,7 +113,7 @@ __all__ = [
     "lhs_bound_paper_upper", "violation_gap",
     "VERDICT_TOL", "CertReport", "certify", "stabilizer_residuals",
     "commutation_residual", "ztilde_spectrum", "extract_bob_unitary",
-    "DEFAULT_PHASE_TABLES", "PhaseTable", "default_phase_table", "sidon_check",
+    "DEFAULT_PHASE_TABLES", "default_phase_table", "sidon_check",
     "covariant_povm", "partial_povm", "PovmValidationReport", "validate_povm",
     "is_extremal_rank_one", "theorem3_residuals",
     "RandomnessReport", "outcome_distribution", "guessing_probability",

@@ -326,68 +326,45 @@ class DressedAlice:
     """Observables certified by maximal violation: fixed only up to a
     projector Q on an auxiliary factor of unknown dimension.
 
-    q_projector, a0 and a1 are read-only copies of the arrays given.
+    Q is the diagonal projector onto the first q_rank aux levels, and
+    a0 = Z_3 (x) 1, a1 = X_3 (x) Q + X_3^T (x) (1-Q); all three are
+    read-only.
     """
 
     aux_dim: int
-    q_projector: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
+    q_rank: int
+    q_projector: np.ndarray = field(init=False)
+    a0: np.ndarray = field(init=False)
+    a1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q = np.array(self.q_projector, dtype=np.complex128)
-        if q.shape != (self.aux_dim, self.aux_dim):
-            raise SizeError("q_projector must act on the aux factor")
-        if not (np.linalg.norm(q @ q - q) <= 1e-9 and np.linalg.norm(q - dagger(q)) <= 1e-9):
-            raise DomainError("q_projector is not an orthogonal projector")
-        q.flags.writeable = False
-        object.__setattr__(self, "q_projector", q)
-        for name in ("a0", "a1"):
-            a = np.array(getattr(self, name), dtype=np.complex128)
-            n = 3 * self.aux_dim
-            if a.shape != (n, n):
-                raise SizeError(f"{name} must have dimension {n}")
-            if not np.linalg.norm(a @ dagger(a) - np.eye(n)) <= 1e-9:
-                raise DomainError(f"{name} is not unitary")
-            if not np.linalg.norm(np.linalg.matrix_power(a, 3) - np.eye(n)) <= 1e-9:
-                raise DomainError(f"{name} cubed is not the identity")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @property
-    def q_rank(self) -> int:
-        return int(round(np.trace(self.q_projector).real))
+        if self.aux_dim < 1:
+            raise DomainError("aux_dim must be positive")
+        if not 0 <= self.q_rank <= self.aux_dim:
+            raise DomainError(f"q_rank {self.q_rank} outside [0, {self.aux_dim}]")
+        x = generalized_pauli(3, "X")
+        q = np.diag((np.arange(self.aux_dim) < self.q_rank).astype(np.complex128))
+        qc = np.eye(self.aux_dim) - q
+        ops = {"q_projector": q,
+               "a0": np.kron(generalized_pauli(3, "Z"), np.eye(self.aux_dim)),
+               "a1": np.kron(x, q) + np.kron(x.T, qc)}
+        for name, m in ops.items():
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
 
 def dressed_alice(aux_dim: int, q_rank: int) -> DressedAlice:
     """Z_3 (x) 1 and X_3 (x) Q + X_3^T (x) (1-Q), Q of the given rank."""
-    if aux_dim < 1:
-        raise DomainError("aux_dim must be positive")
-    if not 0 <= q_rank <= aux_dim:
-        raise DomainError(f"q_rank {q_rank} outside [0, {aux_dim}]")
-    z = generalized_pauli(3, "Z")
-    x = generalized_pauli(3, "X")
-    q = np.zeros((aux_dim, aux_dim), dtype=np.complex128)
-    for i in range(q_rank):
-        q[i, i] = 1.0
-    qc = np.eye(aux_dim) - q
-    a0 = np.kron(z, np.eye(aux_dim))
-    a1 = np.kron(x, q) + np.kron(x.T, qc)
-    return DressedAlice(aux_dim=aux_dim, q_projector=q, a0=a0, a1=a1)
+    return DressedAlice(aux_dim, q_rank)
 
 
 def _dressed_pair_realization(sv: SchmidtVector, da: DressedAlice, w: float) -> Realization:
     """psi(alpha) (x) branch with Bob's observables matched branch by
     branch: X_3 against Alice's Q sector and X_3-dagger against the
-    complement."""
+    complement, which is Alice's a1 itself (X_3^T = X_3-dagger)."""
     d = 3
     aux = da.aux_dim
-    z = generalized_pauli(d, "Z")
-    x = generalized_pauli(d, "X")
-    q = da.q_projector
-    qc = np.eye(aux) - q
-    b0 = np.kron(np.conj(z), np.eye(aux))
-    b1 = np.kron(x, q) + np.kron(dagger(x), qc)
+    b0 = np.kron(np.conj(generalized_pauli(d, "Z")), np.eye(aux))
     branch = np.zeros((aux, aux), dtype=np.complex128)
     branch[0, 0] = np.sqrt(w)
     if aux > 1:
@@ -399,7 +376,7 @@ def _dressed_pair_realization(sv: SchmidtVector, da: DressedAlice, w: float) -> 
         alice_observables=[da.a0, da.a1],
         bob_observables=[
             GeneralizedObservable.from_unitary(b0, d),
-            GeneralizedObservable.from_unitary(b1, d),
+            GeneralizedObservable.from_unitary(da.a1, d),
         ],
     )
 

@@ -38,41 +38,24 @@ DEFAULT_PHASE_TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class PhaseTable:
-    """Integer phase exponents xi_0..xi_{d-1} used mod d^2-d+1."""
-
-    d: int
-    xi: tuple
-
-    def __post_init__(self):
-        xi = tuple(int(v) for v in self.xi)
-        if self.d < 2:
-            raise DomainError(f"need d >= 2, got {self.d}")
-        if len(xi) != self.d:
-            raise SizeError(f"need {self.d} exponents, got {len(xi)}")
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def modulus(self) -> int:
-        return self.d * self.d - self.d + 1
-
-
-def default_phase_table(d: int) -> PhaseTable:
+def default_phase_table(d: int) -> tuple:
+    """The built-in exponents xi_0..xi_{d-1} for d, a Sidon set mod d^2-d+1."""
     if d not in DEFAULT_PHASE_TABLES:
-        raise DomainError(f"no built-in phase table for d={d} (have 2..6)")
-    return PhaseTable(d, DEFAULT_PHASE_TABLES[d])
+        covariant = ("the covariant POVM needs none: povm build --kind covariant, "
+                     "randomness --povm builtin:covariant")
+        if d == 7:
+            raise DomainError(
+                "no phase table exists for d=7: a perfect difference set mod 43 would give "
+                f"a projective plane of order 6, which Bruck-Ryser rules out; {covariant}")
+        raise DomainError(f"no built-in phase table for d={d} (have 2..6); {covariant}")
+    return DEFAULT_PHASE_TABLES[d]
 
 
-def sidon_check(table: PhaseTable) -> bool:
-    """All pairwise differences xi_i - xi_j (i != j) distinct mod d^2-d+1."""
-    m = table.modulus
-    diffs = [
-        (table.xi[i] - table.xi[j]) % m
-        for i in range(table.d)
-        for j in range(table.d)
-        if i != j
-    ]
+def sidon_check(xi: tuple) -> bool:
+    """All pairwise differences xi_i - xi_j (i != j) distinct mod d^2-d+1, d = len(xi)."""
+    d = len(xi)
+    m = d * d - d + 1
+    diffs = [(xi[i] - xi[j]) % m for i in range(d) for j in range(d) if i != j]
     return len(set(diffs)) == len(diffs)
 
 
@@ -103,27 +86,23 @@ def covariant_povm(d: int, nu) -> Povm:
     return p
 
 
-def partial_povm(sv: SchmidtVector, table: PhaseTable | None = None) -> Povm:
+def partial_povm(sv: SchmidtVector) -> Povm:
     """d^2-outcome extremal POVM matched to |psi(alpha)>.
 
     The first d-1 outcomes are weighted Schmidt-basis projectors with
     lambda_i = 1/(d^2 alpha_i^2), which needs alpha_i >= 1/d for those
     indices; the remaining d^2-d+1 outcomes share a common weight and
-    phased vectors built from the table's exponents. On the reduced
-    state of |psi(alpha)> every outcome then has probability 1/d^2.
+    phased vectors built from the exponents of default_phase_table(d).
+    On the reduced state of |psi(alpha)> every outcome then has
+    probability 1/d^2.
     """
     d = sv.d
-    if table is None:
-        table = default_phase_table(d)
-    if table.d != d:
-        raise SizeError(f"phase table is for d={table.d}, state has d={d}")
-    if not sidon_check(table):
-        raise DomainError("phase table fails the distinct-differences test")
+    xi = np.asarray(default_phase_table(d))
     a = sv.alpha
     bad = [i for i in range(d - 1) if a[i] < 1.0 / d - 1e-12]
     if bad:
         raise DomainError(f"alpha indices {bad} are below 1/d; construction needs alpha_i >= 1/d for i <= d-2")
-    m = table.modulus
+    m = d * d - d + 1
     lam = 1.0 / (d * d * a[: d - 1] ** 2)  # weights for i <= d-2
     lam_rest = (d - lam.sum()) / m
     mu = np.empty(d)
@@ -132,7 +111,6 @@ def partial_povm(sv: SchmidtVector, table: PhaseTable | None = None) -> Povm:
     els = np.zeros((d * d, d, d), dtype=np.complex128)
     for i in range(d - 1):
         els[i, i, i] = lam[i]
-    xi = np.asarray(table.xi)
     for b in range(d - 1, d * d):
         phases = np.exp(2j * np.pi * xi * (b - d + 1) / m)
         delta = mu * phases

@@ -115,6 +115,9 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
     Below it, a value within tol of d is above beta_l_upper; that is also
     checked, so roundoff cannot certify a value at the LHS bound. A value
     above d + DEFAULT_TOL, beyond the trusted Alice's maximum d, fails.
+    The bound, the maximum and the self-test hold only for Alice's
+    trusted Z, X on C^d, so Alice observables farther than tol from
+    them in Frobenius norm, or of another shape, fail too.
 
     The commutation residual is only evaluated when both Bob observables
     pass projectivity (its precondition); the verdict is already failed
@@ -137,6 +140,11 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
         failures.append(f"value {value!r} is above the quantum maximum {f.d}")
     elif not value > beta_l:  # a NaN value has already failed on its gap
         failures.append(f"value {value!r} is not above beta_l_upper {beta_l!r}")
+    for i, (a, kind) in enumerate(zip(r.alice_observables[:2], "ZX")):
+        res = (np.linalg.norm(a - generalized_pauli(f.d, kind)) if a.shape == (f.d, f.d)
+               else np.inf)
+        if not res <= tol:
+            failures.append(f"Alice observable {i} is not the trusted {kind} (residual {res:.3e})")
     proj = []
     for i, g in enumerate(r.bob_observables[:2]):
         ok, res = is_projective(g, tol)

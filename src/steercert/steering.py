@@ -28,7 +28,7 @@ lhs_bound_rows a whole grid, bit for bit the same row by row.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,33 +40,27 @@ from .states import Realization, SchmidtVector, schmidt_rows
 
 @dataclass(frozen=True)
 class SteeringFunctional:
-    """Coefficients (gamma, delta_k) attached to a Schmidt vector.
+    """Coefficients (gamma, delta_k) of the functional of a Schmidt vector.
 
-    delta is a read-only copy of the array given.
+    gamma = d / sum_{i!=j} alpha_i/alpha_j and
+    delta_k = -(gamma/d) sum_{i!=j} (alpha_i/alpha_j) omega^{k(d-j)}; the
+    i-sum only enters through column sums, so everything reduces to a
+    single Fourier sum over j, the FFT of the column sums. delta_0 = -1
+    follows identically. The FFT needs no power omega^{kj}, whose roundoff
+    grows with kj, so delta_{d-k} = conj(delta_k) holds to ~1e-15 at any d.
+    Both are derived from sv, which _gamma checks; delta is read-only.
     """
 
     sv: SchmidtVector
-    gamma: float
-    delta: np.ndarray
+    gamma: float = field(init=False)
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        dl = np.array(self.delta, dtype=np.complex128).reshape(-1)
-        if dl.size != self.sv.d:
-            raise SizeError(f"delta has length {dl.size}, expected {self.sv.d}")
-        finite = np.isfinite(dl)
-        if not finite.all():
-            bad = np.flatnonzero(~finite).tolist()
-            raise DomainError(f"delta_k is not finite for k = {bad}")
-        if not 0.0 < self.gamma < np.inf:
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
-        if not abs(dl[0] + 1.0) <= 1e-12:
-            raise DomainError(f"delta_0 = {dl[0]} != -1")
-        d = self.sv.d
-        for k in range(1, d):
-            if not abs(dl[d - k] - np.conj(dl[k])) <= 1e-12:
-                raise DomainError(f"delta_{d - k} != conj(delta_{k})")
-        dl.flags.writeable = False
-        object.__setattr__(self, "delta", dl)
+        gamma, col = _gamma(self.sv.alpha[None, :])
+        object.__setattr__(self, "gamma", float(gamma[0]))
+        delta = -(self.gamma / self.d) * np.fft.fft(col[0].astype(np.complex128))
+        delta.flags.writeable = False
+        object.__setattr__(self, "delta", delta)
 
     @property
     def d(self) -> int:
@@ -107,18 +101,8 @@ def _gamma(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def functional_coefficients(sv: SchmidtVector) -> SteeringFunctional:
-    """gamma = d / sum_{i!=j} alpha_i/alpha_j and the matching delta_k.
-
-    delta_k = -(gamma/d) sum_{i!=j} (alpha_i/alpha_j) omega^{k(d-j)}; the
-    i-sum only enters through column sums, so everything reduces to a
-    single Fourier sum over j, the FFT of the column sums. delta_0 = -1
-    follows identically. The FFT needs no power omega^{kj}, whose roundoff
-    grows with kj, so delta_{d-k} = conj(delta_k) holds to ~1e-15 at any d.
-    """
-    gamma, col = _gamma(sv.alpha[None, :])
-    gamma = float(gamma[0])
-    delta = -(gamma / sv.d) * np.fft.fft(col[0].astype(np.complex128))
-    return SteeringFunctional(sv, gamma, delta)
+    """The functional of sv: gamma and delta_k as SteeringFunctional derives them."""
+    return SteeringFunctional(sv)
 
 
 def quantum_maximum(f: SteeringFunctional) -> float:

@@ -10,21 +10,26 @@ from conftest import admissible_schmidt, dressed_pipeline
 
 def test_default_phase_tables_pass_sidon():
     for d, xi in sc.DEFAULT_PHASE_TABLES.items():
-        table = sc.default_phase_table(d)
-        assert table.xi == xi
-        assert sc.sidon_check(table)
+        assert len(xi) == d
+        assert sc.default_phase_table(d) == xi
+        assert sc.sidon_check(xi)
 
 
 def test_default_phase_table_domain():
     # No projective plane of order 6 exists, so no table for d = 7 does.
-    with pytest.raises(sc.DomainError, match=r"no built-in phase table for d=7 \(have 2\.\.6\)"):
+    with pytest.raises(sc.DomainError, match=r"no phase table exists for d=7: .*mod 43 .*"
+                       r"order 6, which Bruck-Ryser rules out; .*--kind covariant"):
         sc.default_phase_table(7)
+    for d in (1, 8, 12):
+        with pytest.raises(sc.DomainError, match=rf"no built-in phase table for d={d} "
+                           r"\(have 2\.\.6\); .*builtin:covariant"):
+            sc.default_phase_table(d)
 
 
 def test_sidon_check_rejects_collisions():
     # 2-1 = 1-0: repeated difference mod 7
-    assert not sc.sidon_check(sc.PhaseTable(3, (0, 1, 2)))
-    assert sc.sidon_check(sc.PhaseTable(3, (0, 1, 3)))
+    assert not sc.sidon_check((0, 1, 2))
+    assert sc.sidon_check((0, 1, 3))
 
 
 def test_covariant_povm_validity_and_extremality():
@@ -95,7 +100,7 @@ def test_partial_povm_weights_and_uniformity():
 
 def test_partial_povm_qubit_with_explicit_table():
     sv = sc.maximally_entangled(2)
-    p = sc.partial_povm(sv, table=sc.PhaseTable(2, (0, 1)))
+    p = sc.partial_povm(sv)
     assert p.n_outcomes == 4
     assert sc.validate_povm(p).passed
     probs = sc.outcome_distribution(p, np.eye(2) / 2)
@@ -106,13 +111,6 @@ def test_partial_povm_inadmissible_alpha():
     sv = sc.SchmidtVector(np.array([0.2, 0.2, np.sqrt(1 - 0.08)]))
     with pytest.raises(sc.DomainError):
         sc.partial_povm(sv)
-
-
-def test_partial_povm_table_mismatch():
-    with pytest.raises(sc.SizeError):
-        sc.partial_povm(sc.maximally_entangled(3), table=sc.PhaseTable(4, (0, 1, 3, 9)))
-    with pytest.raises(sc.DomainError):
-        sc.partial_povm(sc.maximally_entangled(3), table=sc.PhaseTable(3, (0, 1, 2)))
 
 
 def test_validate_povm_reports_failures():

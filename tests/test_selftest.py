@@ -247,6 +247,29 @@ def test_certify_fails_a_value_above_the_quantum_maximum():
         assert f"value {value!r} is above the quantum maximum 2" in rep.failures, tol
 
 
+def test_certify_fails_unless_alice_is_the_trusted_pair():
+    # The ideal d=2 device with Alice's X turned toward Z by 0.05 stays below
+    # d, and every other residual is within 0.05: only Alice gives it away.
+    sv = sc.SchmidtVector(np.array([0.8, 0.6]))
+    f, ideal = sc.functional_coefficients(sv), sc.ideal_realization(sv)
+    z, x = sc.generalized_pauli(2, "Z"), sc.generalized_pauli(2, "X")
+    a1 = np.cos(0.05) * x + np.sin(0.05) * z
+    r = sc.Realization(ideal.state, [z, a1], ideal.bob_observables)
+    assert abs(sc.evaluate(f, r) - 1.998848) < 1e-6
+    rep = sc.certify(f, r, 0.05)
+    residual = np.linalg.norm(a1 - x)
+    assert residual > 0.05
+    assert rep.failures == [f"Alice observable 1 is not the trusted X (residual {residual:.3e})"]
+    # Z (x) 1 and X (x) 1 on an Alice with a spare level reach d on psi (x) |0>,
+    # but are not the trusted pair on C^d
+    amps = np.kron(sc.schmidt_state(sv).amplitudes.reshape(2, 2), [[1.0], [0.0]])
+    wide = sc.Realization(sc.Ket(amps.reshape(4, 2), (4, 2)),
+                          [np.kron(z, np.eye(2)), np.kron(x, np.eye(2))], ideal.bob_observables)
+    assert abs(sc.evaluate(f, wide) - 2.0) < 1e-12
+    assert sc.certify(f, wide).failures == [
+        f"Alice observable {i} is not the trusted {k} (residual inf)" for i, k in enumerate("ZX")]
+
+
 def test_certify_rejects_tolerance_out_of_range():
     f, r = ideal3()
     for tol in (np.nan, -1.0, 0.0, 1.0, np.inf):

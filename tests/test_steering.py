@@ -312,45 +312,52 @@ def test_violation_gap_closes_toward_product_state():
 
 
 def test_functional_is_not_changed_by_edits_to_the_callers_delta():
-    sv = sc.SchmidtVector(np.array([0.8, 0.6]))
-    f0 = sc.functional_coefficients(sv)
-    caller = np.array(f0.delta)
-    f = sc.SteeringFunctional(sv, f0.gamma, caller)
-    caller[0] = 5.0  # delta_0 = -1 was checked at construction
+    f = sc.SteeringFunctional(sc.SchmidtVector(np.array([0.8, 0.6])))
+    caller = np.array(f.delta)
+    caller[0] = 5.0
     assert f.delta[0] == -1.0
     with pytest.raises(ValueError):
         f.delta[1] = 7.0
 
 
-def test_functional_refuses_nan_delta():
-    with pytest.raises(sc.DomainError):
-        sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [np.nan, 0.1, 0.1])
+def _functional_alphas():
+    """Random and skewed Schmidt vectors at d = 2..64, the smallest
+    coefficient down to 1e-150."""
+    rng = np.random.default_rng(27)
+    for d in (2, 3, 4, 5, 7, 8, 13, 16, 32, 64):
+        rows = [rng.uniform(0.01, 1.0, d), rng.exponential(size=d) ** 8,
+                np.geomspace(1.0, 1e-150, d)]
+        for tiny in (1e-3, 1e-30, 1e-150):
+            rows.append(rng.uniform(0.1, 1.0, d))
+            rows[-1][rng.integers(d)] = tiny
+        for a in rows:
+            yield a / np.linalg.norm(a)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_functional_refuses_inf_delta():
-    # refused before inf - conj(inf) makes a NaN in the pairing residual
-    with pytest.raises(sc.DomainError, match=r"not finite for k = \[1, 2\]"):
-        sc.SteeringFunctional(sc.maximally_entangled(3), 1.0, [-1.0, np.inf, np.inf])
+def test_functional_coefficients_keep_their_invariants():
+    # delta_0 = -1 and delta_{d-k} = conj(delta_k) follow from the FFT of
+    # real column sums; gamma is positive and finite once _gamma accepts alpha
+    for alpha in _functional_alphas():
+        f = sc.SteeringFunctional(sc.SchmidtVector(alpha))
+        d = f.d
+        assert f.delta.shape == (d,)
+        assert np.all(np.isfinite(f.delta))
+        assert 0.0 < f.gamma < np.inf
+        assert abs(f.delta[0] + 1.0) <= 1e-12
+        assert np.max(np.abs(f.delta[::-1][:-1] - np.conj(f.delta[1:]))) <= 1e-12
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tiny", [1e-160, 1e-300, 1e-310, 5e-324])
 def test_alpha_whose_reciprocal_overflows_is_refused_without_a_warning(tiny):
     # the LHS margin's sum of 1/alpha_i^2 overflowed, and at subnormal alpha gamma too
     match = f"alpha: smallest coefficient {tiny!r} is too small"
+    sv = sc.SchmidtVector(np.array([0.8, 0.6, tiny]))
     with pytest.raises(sc.DomainError, match=match):
-        sc.functional_coefficients(sc.SchmidtVector(np.array([0.8, 0.6, tiny])))
+        sc.functional_coefficients(sv)
+    with pytest.raises(sc.DomainError, match=match):
+        sc.SteeringFunctional(sv)
     with pytest.raises(sc.DomainError, match=match):
         sc.steering.lhs_bound_rows(np.array([[0.8, 0.6, 1e-15], [0.8, 0.6, tiny]]))
-
-
-@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
-def test_functional_refuses_a_gamma_that_is_not_positive_and_finite(gamma):
-    # an infinite gamma used to construct, and the LHS bound then raised LinAlgError
-    delta = sc.functional_coefficients(sc.maximally_entangled(3)).delta
-    with pytest.raises(sc.DomainError, match="gamma"):
-        sc.SteeringFunctional(sc.maximally_entangled(3), gamma, delta)
 
 
 def _two_walkers(f, r):
