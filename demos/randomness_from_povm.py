@@ -16,7 +16,7 @@ analytic guessing probability. She never does.
 import numpy as np
 
 from steercert.povm import covariant_povm, is_extremal_rank_one, partial_povm, validate_povm
-from steercert.randomness import eve_bruteforce_oracle, min_entropy, randomness_report
+from steercert.randomness import eve_bruteforce_oracle, randomness_report
 from steercert.states import SchmidtVector
 
 
@@ -69,14 +69,15 @@ def main():
     # Let Eve try. She holds a nine-dimensional register, measures a random
     # POVM, and announces the outcome; the oracle keeps her best score over
     # 400 sampled strategies (the modal guess is always sample zero).
-    g = randomness_report(cov, mixed).guessing_probability
+    rnd = randomness_report(cov, mixed)
+    g = rnd.guessing_probability
     best = eve_bruteforce_oracle(cov, mixed, samples=400, seed=11)
     print(f"Eve over 400 sampled strategies: best {best:.12f} "
           f"vs analytic {g:.12f}")
     print(f"  margin {g - best:+.2e} (zero up to eigensolver noise: "
           f"no strategy beats the modal guess)")
     print()
-    print(f"certified rate: {min_entropy(cov, mixed):.6f} bits per round "
+    print(f"certified rate: {rnd.min_entropy_bits:.6f} bits per round "
           f"from a single qutrit measurement")
 
 

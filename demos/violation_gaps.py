@@ -16,7 +16,8 @@ import steercert as sc
 
 
 def show(label, f):
-    beta_q, beta_l, gap = sc.violation_gap(f)
+    beta_q, beta_l = sc.quantum_maximum(f), sc.lhs_bound_exact(f).value
+    gap = beta_q - beta_l
     upper = sc.lhs_bound_paper_upper(f).value
     print(f"  {label:<28} beta_Q = {beta_q:.0f}   beta_L = {beta_l:.6f}   "
           f"upper - beta_L = {upper - beta_l:.1e}   gap = {gap:.6f}")

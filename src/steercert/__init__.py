@@ -56,7 +56,6 @@ from .steering import (
     lhs_bound_exact,
     lhs_bound_paper_upper,
     quantum_maximum,
-    violation_gap,
 )
 from .selftest import (
     VERDICT_TOL,
@@ -81,8 +80,6 @@ from .povm import (
 from .randomness import (
     RandomnessReport,
     eve_bruteforce_oracle,
-    guessing_probability,
-    min_entropy,
     outcome_distribution,
     randomness_report,
 )
@@ -110,14 +107,14 @@ __all__ = [
     "ideal_realization", "dress_realization", "random_schmidt_vector",
     "SteeringFunctional", "functional_coefficients", "quantum_maximum",
     "evaluate", "LhsOptimum", "lhs_bound_exact",
-    "lhs_bound_paper_upper", "violation_gap",
+    "lhs_bound_paper_upper",
     "VERDICT_TOL", "CertReport", "certify", "stabilizer_residuals",
     "commutation_residual", "ztilde_spectrum", "extract_bob_unitary",
     "DEFAULT_PHASE_TABLES", "default_phase_table", "sidon_check",
     "covariant_povm", "partial_povm", "PovmValidationReport", "validate_povm",
     "is_extremal_rank_one", "theorem3_residuals",
-    "RandomnessReport", "outcome_distribution", "guessing_probability",
-    "min_entropy", "eve_bruteforce_oracle", "randomness_report",
+    "RandomnessReport", "outcome_distribution", "eve_bruteforce_oracle",
+    "randomness_report",
     "BELL3_BOUND", "LAMBDA1", "bell_value", "seesaw_details",
     "DressedAlice", "dressed_alice", "ExtendedCheckReport", "extended_certification_check",
 ]

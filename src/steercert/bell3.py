@@ -20,8 +20,8 @@ from math import isqrt
 import numpy as np
 
 from .errors import ContractError, DomainError, SizeError
-from .linalg import Ket, dagger
-from .measurements import GeneralizedObservable, generalized_pauli, is_projective, omega
+from .linalg import DEFAULT_TOL, Ket, dagger
+from .measurements import GeneralizedObservable, _require_projective, generalized_pauli, omega
 from .states import Realization, SchmidtVector, schmidt_state
 from .steering import functional_coefficients, lhs_bound_exact, evaluate
 
@@ -99,10 +99,7 @@ def bell_value(r: Realization) -> float:
         raise SizeError("the functional takes three settings per side")
     if r.d != 3:
         raise SizeError(f"expected 3 outcomes, got {r.d}")
-    for i, g in enumerate(r.bob_observables):
-        ok, res = is_projective(g)
-        if not ok:
-            raise ContractError(f"Bob observable {i} not projective: {res}")
+    _require_projective(r.bob_observables, DEFAULT_TOL)
     op = _bell_sum(
         [(a, a @ a) for a in r.alice_observables],
         [g.operators[1:] for g in r.bob_observables],

@@ -37,7 +37,7 @@ from .measurements import Povm
 from .povm import covariant_povm, is_extremal_rank_one, partial_povm, validate_povm
 from .randomness import randomness_report
 from .report import render
-from .selftest import certify
+from .selftest import VERDICT_TOL, certify
 from .serialize import (fiducial_from_flag, load_flag, load_povm_file, load_realization_file,
                         real_vector_from_json)
 from .states import SchmidtVector, maximally_entangled, schmidt_state
@@ -51,7 +51,7 @@ from .steering import (
 
 
 def _add_common(sp):
-    sp.add_argument("--tolerance", type=float, default=1e-7)
+    sp.add_argument("--tolerance", type=float, default=VERDICT_TOL)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--output", default=None)
 
@@ -203,9 +203,12 @@ def _run_povm(config: argparse.Namespace) -> tuple[int, dict]:
         p = load_povm_file(config.povm)
         report = {"dim": p.dim}
     else:
+        unread = {"partial": "fiducial", "covariant": "alpha"}[config.kind]
+        if getattr(config, unread) is not None:
+            raise UsageError(f"--{unread}: --kind {config.kind} does not read it")
         if config.kind == "partial":
             p = partial_povm(_schmidt_vector(config))
-        elif config.fiducial:
+        elif config.fiducial is not None:
             p = covariant_povm(config.d, fiducial_from_flag(config.fiducial, "--fiducial"))
         else:
             p = covariant_povm(config.d, _seeded_fiducial(config))

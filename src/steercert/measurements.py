@@ -265,6 +265,14 @@ def is_projective(g: GeneralizedObservable, tol: float = DEFAULT_TOL):
     return ok, residuals
 
 
+def _require_projective(observables, tol: float) -> None:
+    """Raise ContractError at the first observable that is_projective rejects."""
+    for i, g in enumerate(observables):
+        ok, res = is_projective(g, tol)
+        if not ok:
+            raise ContractError(f"Bob observable {i} is not projective (residuals {res})")
+
+
 def unitary_observable_povm(u: np.ndarray, d: int, tol: float = 1e-8) -> Povm:
     """Projective POVM of a unitary observable with omega^a spectrum.
 

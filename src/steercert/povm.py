@@ -66,15 +66,20 @@ def covariant_povm(d: int, nu) -> Povm:
     the identity channel up to trace); extremality additionally needs
     the d^2 orbit elements to be linearly independent, which degenerate
     fiducials such as basis vectors break. Those raise NotExtremalError
-    with the achieved Gram rank.
+    with the achieved Gram rank. nu may have any finite nonzero scale: it
+    is first scaled by the power of two that brings its largest real or
+    imaginary part into [1/2, 1), which is exact, so its norm neither
+    overflows nor underflows.
     """
-    v = np.asarray(nu, dtype=np.complex128).reshape(-1)
+    v = np.ascontiguousarray(nu, dtype=np.complex128).reshape(-1)
     if v.size != d:
         raise SizeError(f"fiducial has dim {v.size}, expected {d}")
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
+    parts = v.view(np.float64)
+    top = np.max(np.abs(parts))
+    if top == 0:
         raise DomainError("fiducial vector is zero")
-    u = _weyl_operators(d) @ (v / nrm)  # [d*k + l] -> X^k Z^l v
+    v = np.ldexp(parts, -np.frexp(top)[1]).view(np.complex128)
+    u = _weyl_operators(d) @ (v / np.linalg.norm(v))  # [d*k + l] -> X^k Z^l v
     p = Povm(u[:, :, None] * np.conj(u)[:, None, :] / d)
     ok, diag = is_extremal_rank_one(p)
     if not ok:

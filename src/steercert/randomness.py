@@ -27,20 +27,6 @@ def outcome_distribution(p: Povm, rho: np.ndarray) -> np.ndarray:
     return probs
 
 
-def guessing_probability(p: Povm, rho: np.ndarray) -> float:
-    """Best probability any outside party has of naming Bob's outcome.
-
-    For extremal POVMs the optimum over Eve's states and measurements is
-    attained by deterministically announcing the most likely outcome.
-    """
-    return float(np.max(outcome_distribution(p, rho)))
-
-
-def min_entropy(p: Povm, rho: np.ndarray) -> float:
-    """Certified min-entropy of the outcome, in bits."""
-    return float(-np.log2(guessing_probability(p, rho)))
-
-
 def eve_bruteforce_oracle(p: Povm, rho: np.ndarray, samples: int, seed: int) -> float:
     """Best guessing value over sampled Eve strategies.
 
@@ -73,6 +59,8 @@ class RandomnessReport:
 
 
 def randomness_report(p: Povm, rho: np.ndarray, tol: float = DEFAULT_TOL) -> RandomnessReport:
+    """Outcome probabilities, guessing probability (the largest of them, Eve's
+    optimum for an extremal p) and min-entropy -log2 of it; uniform within tol."""
     probs = outcome_distribution(p, rho)
     g = float(np.max(probs))
     uniform = bool(np.max(np.abs(probs - 1.0 / probs.size)) <= tol)

@@ -65,7 +65,9 @@ SCHEMAS = {
         "strategy": {"type": ["array", "null"], "items": _INT}, **_META,
     }, optional=["strategy"]),
     "certify": _object({
-        "d": _INT, "alpha": _REAL_VEC, "value": _NUM, "value_gap": _NUM,
+        "d": _INT, "alpha": _REAL_VEC, "value": _NUM, "value_gap": _NUM, "lhs_gap": _NUM,
+        "alice_residual": {"type": "array", "items": {"type": ["number", "null"]},
+                           "minItems": 2, "maxItems": 2},
         "stabilizer_residuals": _REAL_VEC, "s_residual": _NUM,
         "commutation_residual": {"type": ["number", "null"]},
         "projectivity": {"type": "array"}, "ztilde_min_eig": _NUM,

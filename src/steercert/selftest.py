@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .linalg import DEFAULT_TOL, dagger, range_basis
 from .measurements import (
-    generalized_pauli, is_projective, omega, root_powers, unitary_observable_povm,
+    _require_projective, generalized_pauli, is_projective, omega, root_powers,
+    unitary_observable_povm,
 )
 from .states import Realization
 from .steering import SteeringFunctional, _walk_terms, lhs_bound_paper_upper
@@ -54,12 +55,7 @@ def commutation_residual(r: Realization, tol: float = VERDICT_TOL) -> float:
     = ||(1 (x) C (x) 1_E)|psi>||^2, so the residual is taken on the state
     and rho_B is never formed.
     """
-    for i, g in enumerate(r.bob_observables[:2]):
-        ok, res = is_projective(g, tol)
-        if not ok:
-            raise ContractError(
-                f"Bob observable {i} is not projective (residuals {res})"
-            )
+    _require_projective(r.bob_observables[:2], tol)
     return _commutation_residual(r)
 
 
@@ -87,13 +83,17 @@ def ztilde_spectrum(f: SteeringFunctional) -> np.ndarray:
 class CertReport:
     """Everything certify() measured, plus the verdict: the certify
     report's fields as it writes them, so the CLI writes vars() of it.
-    projectivity holds {"projective": bool, "residual": worst residual}
-    per Bob observable."""
+    lhs_gap is value - beta_l_upper. alice_residual holds the Frobenius
+    distance of each of Alice's two observables from the trusted Z, X,
+    None for one of another shape. projectivity holds
+    {"projective": bool, "residual": worst residual} per Bob observable."""
 
     d: int
     tolerance: float
     value: float
     value_gap: float
+    lhs_gap: float
+    alice_residual: list
     stabilizer_residuals: np.ndarray
     s_residual: float
     commutation_residual: float | None
@@ -140,9 +140,11 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
         failures.append(f"value {value!r} is above the quantum maximum {f.d}")
     elif not value > beta_l:  # a NaN value has already failed on its gap
         failures.append(f"value {value!r} is not above beta_l_upper {beta_l!r}")
+    alice = []
     for i, (a, kind) in enumerate(zip(r.alice_observables[:2], "ZX")):
-        res = (np.linalg.norm(a - generalized_pauli(f.d, kind)) if a.shape == (f.d, f.d)
+        res = (float(np.linalg.norm(a - generalized_pauli(f.d, kind))) if a.shape == (f.d, f.d)
                else np.inf)
+        alice.append(res if res < np.inf else None)  # strict JSON has no inf
         if not res <= tol:
             failures.append(f"Alice observable {i} is not the trusted {kind} (residual {res:.3e})")
     proj = []
@@ -170,6 +172,8 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
         tolerance=tol,
         value=value,
         value_gap=gap,
+        lhs_gap=value - beta_l,
+        alice_residual=alice,
         stabilizer_residuals=per_k,
         s_residual=s_res,
         commutation_residual=comm,
@@ -190,10 +194,7 @@ def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
     powers of B_1, so the output is deterministic. Inputs that are
     merely close to block-diagonal raise ContractError.
     """
-    for i, g in enumerate(r.bob_observables[:2]):
-        ok, res = is_projective(g, tol)
-        if not ok:
-            raise ContractError(f"Bob observable {i} not projective: {res}")
+    _require_projective(r.bob_observables[:2], tol)
     d = r.d
     db = r.bob_observables[0].dim
     if db % d != 0:

@@ -285,9 +285,3 @@ def lhs_bound_paper_upper(f: SteeringFunctional) -> LhsOptimum:
     _, value, vec, margin = f._perron
     return LhsOptimum(value + margin, eta=np.abs(vec))
 
-
-def violation_gap(f: SteeringFunctional) -> tuple[float, float, float]:
-    """(quantum maximum, exact LHS bound, gap)."""
-    bq = quantum_maximum(f)
-    bl = lhs_bound_exact(f).value
-    return bq, bl, bq - bl

@@ -156,8 +156,8 @@ def kernel_7():
         f = sc.functional_coefficients(pl["sv"])
         rep = sc.certify(f, pl["realization"])
         res = sc.theorem3_residuals(pl["r_povm"], pl["ideal"], pl["psi4"], pl["sv"])
-        h = sc.min_entropy(pl["r_povm"], pl["rho"])
-        g = sc.guessing_probability(pl["r_povm"], pl["rho"])
+        rnd = sc.randomness_report(pl["r_povm"], pl["rho"])
+        h, g = rnd.min_entropy_bits, rnd.guessing_probability
         oracle = sc.eve_bruteforce_oracle(pl["r_povm"], pl["rho"], samples=1000, seed=d)
         out[str(d)] = {
             "verdict": rep.verdict,

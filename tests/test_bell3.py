@@ -351,6 +351,11 @@ def test_bell_value_input_validation():
     r3 = sc.ideal_realization(sc.maximally_entangled(3))
     with pytest.raises(sc.SizeError):
         b3.bell_value(r3)  # two settings, needs three
+    noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
+    z, x = sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")
+    r = sc.Realization(sc.schmidt_state(sc.maximally_entangled(3)), [z, x, z], [noisy] * 3)
+    with pytest.raises(sc.ContractError, match=r"^Bob observable 0 is not projective \(residuals "):
+        b3.bell_value(r)
 
 
 def test_dressed_alice_shapes():

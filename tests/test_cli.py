@@ -129,13 +129,13 @@ def test_certify_roundtrip(tmp_path):
 # swapped, sha256 of the certify report with tool_version blanked)
 _DRESSED_CERTIFY_REPORTS = [
     ((4, 3, 2, 1), 2, 3, 11, False,
-     "a2458a42bd174d1eb4333489d15a476ab805133ea5e752ef6c5709e646d7c1e3"),
+     "989ea75c4711b7a2674c8d251dd4a7f3c705e2ad7d789087d623ce603218f157"),
     ((6, 5, 4, 3, 2, 1), 1, 4, 5, False,
-     "d7293d21fe82e2e766040a474ff0a883dad969fa995c4aa87a225fa2da058116"),
+     "e52d7ee8543134c659c79be827233c3724dc3dda867aa75b7424e60db1c59bfd"),
     ((5, 1, 3, 2, 4), 3, 2, 8, True,
-     "a43188e821874692396c668727238ef5d795e6a4fd0c221c013f53c7789b77dc"),
+     "c065828afb95f7b20bbaf3cf4c1274bb5333042a8d55b2fc114579b8df2e7bc0"),
     ((8, 7, 6, 5, 4, 3, 2, 1), 2, 2, 3, True,
-     "64aca0be77b32cf35c6f7d06235ccfab587ea56d80bad1a4abf82d1537957639"),
+     "02f99f3bc2b2afb9a04fe1b4e610f589da0422d67f6313cf2c0629fa88a6a69a"),
 ]
 
 
@@ -155,6 +155,27 @@ def test_certify_reports_of_dressed_devices_with_eve_are_pinned(
     text = capsys.readouterr().out.replace(f'"tool_version": "{sc.__version__}"',
                                            '"tool_version": ""')
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_certify_reports_lhs_gap_and_alice_residual(tmp_path, capsys):
+    sv = sc.SchmidtVector(np.array([0.8, 0.6]))
+    beta_l = sc.lhs_bound_paper_upper(sc.functional_coefficients(sv)).value
+    ideal = sc.ideal_realization(sv)
+    # Z (x) 1 and X (x) 1 on an Alice with a spare level are not the trusted pair
+    amps = np.kron(sc.schmidt_state(sv).amplitudes.reshape(2, 2), [[1.0], [0.0]])
+    wide = sc.Realization(sc.Ket(amps.reshape(4, 2), (4, 2)),
+                          [np.kron(a, np.eye(2)) for a in ideal.alice_observables],
+                          ideal.bob_observables)
+    path = tmp_path / "dev.json"
+    for r, code, alice in ((sc.dress_realization(ideal, 2, 2, seed=1), 0, [0.0, 0.0]),
+                           (wide, 1, [None, None])):
+        path.write_text(json.dumps({**realization_to_json(r), "alpha": [0.8, 0.6]}))
+        assert cli.main(["certify", "--realization", str(path)]) == code
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["lhs_gap"] == rep["value"] - beta_l
+        assert rep["alice_residual"] == alice
+    # the wide device reaches d, well above beta_l_upper: only Alice fails it
+    assert rep["lhs_gap"] > 0.39 and rep["failures"][0].startswith("Alice observable 0")
 
 
 def test_certify_refuses_a_tolerance_an_lhs_model_passes(tmp_path, capsys):
@@ -814,6 +835,31 @@ def test_povm_build_covariant_real_fiducial_fails():
     )
     assert r.returncode == 1
     assert "rank 3" in r.stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_povm_build_covariant_fiducial_of_any_scale(capsys):
+    for fiducial in ("[3e200, 5e200, 7e200]", "[3e-170, 5e-170, 7e-170]",
+                     "[3e-13, 5e-13, 7e-13]", "[0.3, 0.5, 0.7]"):
+        argv = ["povm", "build", "--kind", "covariant", "--d", "3", "--fiducial", fiducial]
+        assert cli.main(argv) == 0, fiducial
+        assert json.loads(capsys.readouterr().out)["extremality"]["extremal"]
+    assert cli.main(["povm", "build", "--kind", "covariant", "--d", "3",
+                     "--fiducial", "[0, 0, 0]"]) == 2
+    assert capsys.readouterr().err == "steercert: error: fiducial vector is zero\n"
+    # an empty flag is read, not taken for an absent one
+    assert cli.main(["povm", "build", "--kind", "covariant", "--d", "3", "--fiducial", ""]) == 2
+    assert capsys.readouterr().err.startswith("steercert: error: --fiducial: malformed JSON")
+
+
+def test_povm_build_refuses_a_flag_its_kind_does_not_read(capsys):
+    for kind, flag, value in (("partial", "--fiducial", "[1, 2, 3]"),
+                              ("partial", "--fiducial", "garbage"),
+                              ("covariant", "--alpha", "[0.8, 0.36, 0.48]")):
+        assert cli.main(["povm", "build", "--kind", kind, "--d", "3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"steercert: error: {flag}: --kind {kind} does not read it\n"
 
 
 def test_povm_build_check_pipeline(tmp_path):

@@ -102,6 +102,8 @@ def test_perturbed_realization_fails_closed(tmp_path_factory, data):
     assert all(r is not None and np.isfinite(r) and r <= TOL for r in residuals), rep
     assert all(p["projective"] for p in rep["projectivity"]), rep
     assert np.isfinite(rep["ztilde_min_eig"]) and rep["ztilde_min_eig"] > TOL, rep
+    assert rep["lhs_gap"] > 0, rep
+    assert all(a is not None and a <= TOL for a in rep["alice_residual"]), rep
 
 
 @OVERFLOW_OK

@@ -77,6 +77,23 @@ def test_covariant_povm_input_errors():
         sc.covariant_povm(3, np.ones(2))
     with pytest.raises(sc.DomainError):
         sc.covariant_povm(2, np.zeros(2))
+    for zero in (np.zeros(3), np.zeros(3, dtype=complex), [0, -0.0, 0j]):
+        with pytest.raises(sc.DomainError, match="fiducial vector is zero"):
+            sc.covariant_povm(3, zero)
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariant_povm_takes_a_fiducial_of_any_scale():
+    base = np.array([0.3, 0.5, 0.7])
+    ref = sc.covariant_povm(3, base).elements.tobytes()
+    # scaling by a power of two is exact: every bit is kept
+    for k in (40, -40, 600, -600, 900, -900):
+        assert sc.covariant_povm(3, base * 2.0**k).elements.tobytes() == ref, k
+    assert sc.covariant_povm(3, np.array([0.3, 9, 0.5, 9, 0.7, 9])[::2]).elements.tobytes() == ref
+    # no overflow at 1e200, no refusal of a nonzero fiducial near 1e-170
+    for scale in (1e200, 1e-170, 1e-13):
+        p = sc.covariant_povm(3, np.array([3.0, 5.0, 7.0]) * scale)
+        assert np.allclose(p.elements, sc.covariant_povm(3, base).elements, rtol=0, atol=1e-15)
 
 
 def test_partial_povm_weights_and_uniformity():

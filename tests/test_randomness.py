@@ -45,26 +45,34 @@ def test_outcome_distribution_checks_inputs():
         sc.outcome_distribution(comp_projectors(2), np.diag([0.9, 0.9]))
 
 
+def guessing(p, rho):
+    return sc.randomness_report(p, rho).guessing_probability
+
+
+def min_entropy(p, rho):
+    return sc.randomness_report(p, rho).min_entropy_bits
+
+
 def test_guessing_probability_examples():
-    assert abs(sc.guessing_probability(generic_covariant(3), np.eye(3) / 3) - 1 / 9) < 1e-12
+    assert abs(guessing(generic_covariant(3), np.eye(3) / 3) - 1 / 9) < 1e-12
 
     det = sc.Povm([np.eye(2, dtype=complex), np.zeros((2, 2))])
-    assert abs(sc.guessing_probability(det, np.eye(2) / 2) - 1.0) < 1e-12
+    assert abs(guessing(det, np.eye(2) / 2) - 1.0) < 1e-12
 
-    g = sc.guessing_probability(comp_projectors(2), np.diag([0.75, 0.25]))
+    g = guessing(comp_projectors(2), np.diag([0.75, 0.25]))
     assert abs(g - 0.75) < 1e-12
 
 
 def test_min_entropy_examples():
     mes3 = np.eye(3) / 3
-    h = sc.min_entropy(generic_covariant(3), mes3)
+    h = min_entropy(generic_covariant(3), mes3)
     assert abs(h - 2 * np.log2(3)) < 1e-12
 
-    h = sc.min_entropy(generic_covariant(2, seed=3), np.eye(2) / 2)
+    h = min_entropy(generic_covariant(2, seed=3), np.eye(2) / 2)
     assert abs(h - 2.0) < 1e-12
 
     for d in (2, 3, 5):
-        h = sc.min_entropy(comp_projectors(d), np.eye(d) / d)
+        h = min_entropy(comp_projectors(d), np.eye(d) / d)
         assert abs(h - np.log2(d)) < 1e-12
 
 
@@ -79,9 +87,9 @@ def test_distribution_normalization_property():
         rho /= np.trace(rho).real
         probs = sc.outcome_distribution(p, rho)
         assert abs(probs.sum() - 1.0) < 1e-9
-        g = sc.guessing_probability(p, rho)
+        g = guessing(p, rho)
         assert 1 / n - 1e-12 <= g <= 1 + 1e-12
-        h = sc.min_entropy(p, rho)
+        h = min_entropy(p, rho)
         assert -1e-12 <= h <= np.log2(n) + 1e-12
 
 
@@ -94,7 +102,7 @@ def test_eve_oracle_never_beats_analytic():
         rho = m @ sc.dagger(m)
         rho /= np.trace(rho).real
         best = sc.eve_bruteforce_oracle(p, rho, samples=200, seed=7)
-        assert best <= sc.guessing_probability(p, rho) + 1e-9
+        assert best <= guessing(p, rho) + 1e-9
 
 
 def test_eve_oracle_reaches_deterministic_guess():

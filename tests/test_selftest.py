@@ -102,6 +102,10 @@ def test_commutation_residual_is_the_sqrt_rho_formula():
             assert abs(sc.commutation_residual(r) - ref) <= 1e-12 * ref + 1e-14, (d, ref)
 
 
+# The one message of measurements._require_projective, for Bob observable 0.
+NOT_PROJECTIVE = r"^Bob observable 0 is not projective \(residuals \{'unitarity': "
+
+
 def test_commutation_residual_needs_projective_input():
     mes = sc.maximally_entangled(3)
     noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
@@ -110,7 +114,7 @@ def test_commutation_residual_needs_projective_input():
         [sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")],
         [noisy, noisy],
     )
-    with pytest.raises(sc.ContractError):
+    with pytest.raises(sc.ContractError, match=NOT_PROJECTIVE):
         sc.commutation_residual(r)
 
 
@@ -260,14 +264,17 @@ def test_certify_fails_unless_alice_is_the_trusted_pair():
     residual = np.linalg.norm(a1 - x)
     assert residual > 0.05
     assert rep.failures == [f"Alice observable 1 is not the trusted X (residual {residual:.3e})"]
+    assert rep.alice_residual == [0.0, residual] and abs(residual - 0.0707) < 1e-4
     # Z (x) 1 and X (x) 1 on an Alice with a spare level reach d on psi (x) |0>,
     # but are not the trusted pair on C^d
     amps = np.kron(sc.schmidt_state(sv).amplitudes.reshape(2, 2), [[1.0], [0.0]])
     wide = sc.Realization(sc.Ket(amps.reshape(4, 2), (4, 2)),
                           [np.kron(z, np.eye(2)), np.kron(x, np.eye(2))], ideal.bob_observables)
     assert abs(sc.evaluate(f, wide) - 2.0) < 1e-12
-    assert sc.certify(f, wide).failures == [
+    rep = sc.certify(f, wide)
+    assert rep.failures == [
         f"Alice observable {i} is not the trusted {k} (residual inf)" for i, k in enumerate("ZX")]
+    assert rep.alice_residual == [None, None]  # strict JSON has no inf
 
 
 def test_certify_rejects_tolerance_out_of_range():
@@ -338,6 +345,8 @@ def test_cert_report_serializes():
     back = json.loads(blob)
     assert back["verdict"] == "certified"
     assert back["d"] == 3
+    assert back["lhs_gap"] == rep.value - sc.lhs_bound_paper_upper(f).value > 0
+    assert back["alice_residual"] == [0.0, 0.0]
 
 
 def test_extract_bob_unitary_ideal_and_dressed():
@@ -384,7 +393,7 @@ def test_extract_bob_unitary_rejects_nonprojective():
         [sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")],
         [noisy, noisy],
     )
-    with pytest.raises(sc.ContractError):
+    with pytest.raises(sc.ContractError, match=NOT_PROJECTIVE):
         sc.extract_bob_unitary(r)
 
 

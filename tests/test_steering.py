@@ -292,12 +292,18 @@ def test_closed_form_matches_enumeration():
             assert np.all(up.eta > 0) and abs(np.linalg.norm(up.eta) - 1.0) < 1e-12
 
 
+def violation_gap(f):
+    """(quantum maximum, exact LHS bound, gap), as the bounds report gives them."""
+    bq, bl = sc.quantum_maximum(f), sc.lhs_bound_exact(f).value
+    return bq, bl, bq - bl
+
+
 def test_violation_gap_examples():
-    bq, bl, gap = sc.violation_gap(sc.functional_coefficients(sc.maximally_entangled(2)))
+    bq, bl, gap = violation_gap(sc.functional_coefficients(sc.maximally_entangled(2)))
     assert (bq, bl) == (2.0, pytest.approx(np.sqrt(2), abs=1e-12))
     assert abs(gap - (2 - np.sqrt(2))) < 1e-12
 
-    _, _, gap3 = sc.violation_gap(sc.functional_coefficients(sc.maximally_entangled(3)))
+    _, _, gap3 = violation_gap(sc.functional_coefficients(sc.maximally_entangled(3)))
     assert gap3 > 0
 
 
@@ -306,7 +312,7 @@ def test_violation_gap_closes_toward_product_state():
     gaps = []
     for theta in (0.7, 0.5, 0.3, 0.15, 0.08):
         sv = sc.SchmidtVector(np.array([np.cos(theta), np.sin(theta)]))
-        gaps.append(sc.violation_gap(sc.functional_coefficients(sv))[2])
+        gaps.append(violation_gap(sc.functional_coefficients(sv))[2])
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
