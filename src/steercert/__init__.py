@@ -35,9 +35,7 @@ from .measurements import (
     is_projective,
     observable_to_povm,
     omega,
-    povm_to_observable,
     random_povm,
-    unitary_observable_povm,
 )
 from .states import (
     Realization,
@@ -101,8 +99,7 @@ __all__ = [
     "DEFAULT_TOL", "Ket", "dagger", "haar_unitary", "apply_local",
     "check_density_matrix",
     "omega", "generalized_pauli", "Povm", "GeneralizedObservable",
-    "povm_to_observable", "observable_to_povm", "is_projective",
-    "unitary_observable_povm", "random_povm",
+    "observable_to_povm", "is_projective", "random_povm",
     "SchmidtVector", "maximally_entangled", "schmidt_state", "Realization",
     "ideal_realization", "dress_realization", "random_schmidt_vector",
     "SteeringFunctional", "functional_coefficients", "quantum_maximum",

@@ -99,9 +99,9 @@ def bell_value(r: Realization) -> float:
         raise SizeError("the functional takes three settings per side")
     if r.d != 3:
         raise SizeError(f"expected 3 outcomes, got {r.d}")
-    _require_projective(r.bob_observables, DEFAULT_TOL)
+    _require_projective([g.operators for g in r.bob_observables], DEFAULT_TOL)
     op = _bell_sum(
-        [(a, a @ a) for a in r.alice_observables],
+        [p[1:] for p in r.alice_powers],
         [g.operators[1:] for g in r.bob_observables],
         _bell_scalars(LAMBDA1),
     )

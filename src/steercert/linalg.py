@@ -83,6 +83,13 @@ class Ket:
         dims = _validate_factors(a.size, self.factor_dims)
         if not np.all(np.isfinite(a)):
             raise DomainError("ket has non-finite amplitudes")
+        # An amplitude is at most the norm, so one above 1 + 2e-6 fails the
+        # norm test below whatever its roundoff; refused here, before it is
+        # squared, so the norm cannot overflow.
+        top = np.abs(a).max()
+        if not top <= 1.0 + 2e-6:
+            raise DomainError(f"ket amplitude of modulus {top:.3e} is above 1, "
+                              "so the norm is not 1")
         nrm = np.linalg.norm(a)
         if not abs(nrm - 1.0) <= 1e-6:
             raise DomainError(f"ket norm {nrm} is not 1 within 1e-6")

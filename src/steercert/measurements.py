@@ -185,8 +185,15 @@ class GeneralizedObservable:
         # fails.
         for k in range(1, d // 2 + 1):
             b_dag = dagger(a[k])
+            mag = np.abs(b_dag)
+            # Every entry is at most ||B_k||_op, so one above 1 + 2e-9 fails the
+            # norm test below whatever its roundoff; refused here, before a
+            # product of such entries can overflow.
+            if not (top := mag.max()) <= 1.0 + 2e-9:
+                raise ContractError(f"B_{k} has an entry of modulus {top:.3e}, "
+                                    f"so ||B_{k}||_op > 1")
             diff = a[d - k] - b_dag
-            scale = np.abs(b_dag) if 2 * k == d else np.minimum(np.abs(b_dag), np.abs(a[d - k]))
+            scale = mag if 2 * k == d else np.minimum(mag, np.abs(a[d - k]))
             if not np.all(np.abs(diff) <= 1e-9 + 1e-5 * scale):
                 raise ContractError(f"B_{d - k} != B_{k}^dag")
             # ||B_{d-k}||_op <= ||B_k||_op + ||B_{d-k} - B_k^dag||_F, so one
@@ -214,14 +221,6 @@ class GeneralizedObservable:
         return cls(np.stack(list(_powers(as_complex_matrix(u), d))))
 
 
-def povm_to_observable(p: Povm) -> GeneralizedObservable:
-    """B_k = sum_a omega^{ka} N_a for a d-outcome POVM."""
-    d = p.n_outcomes
-    phases = root_powers(d, np.arange(d), np.arange(d))  # [k, a]
-    ops = np.einsum("ka,aij->kij", phases, p.elements)
-    return GeneralizedObservable(ops)
-
-
 def observable_to_povm(g: GeneralizedObservable) -> Povm:
     """Inverse Fourier transform N_a = (1/d) sum_k omega^{-ak} B_k.
 
@@ -246,51 +245,47 @@ def is_projective(g: GeneralizedObservable, tol: float = DEFAULT_TOL):
     """Check B_1 unitary with B_1^d = 1 and B_k = B_1^k.
 
     Returns (flag, residuals) with Frobenius-norm residuals keyed
-    'unitarity', 'power_identity' and 'powers'.
+    'unitarity', 'power_identity' and 'powers': the one test of an order-d
+    unitary observable, which _chain_check applies to any operator stack.
     """
-    b1 = g.operators[1]
-    eye = np.eye(g.dim)
+    return _chain_check(g.operators, tol)
+
+
+def _chain_check(ops: np.ndarray, tol: float):
+    """is_projective on an operator stack B_0..B_{d-1}."""
+    d, b1, eye = ops.shape[0], ops[1], np.eye(ops.shape[1])
     res_unit = float(np.linalg.norm(dagger(b1) @ b1 - eye))
     res_pow = 0.0
-    for k, power in enumerate(_powers(b1, g.d + 1)):
-        if 2 <= k < g.d:
-            res_pow = max(res_pow, float(np.linalg.norm(g.operators[k] - power)))
-    res_id = float(np.linalg.norm(power - eye))
-    residuals = {
-        "unitarity": res_unit,
-        "power_identity": res_id,
-        "powers": res_pow,
-    }
-    ok = all(v <= tol for v in residuals.values())
-    return ok, residuals
+    for k, power in enumerate(_powers(b1, d + 1)):
+        if 2 <= k < d:
+            res_pow = max(res_pow, float(np.linalg.norm(ops[k] - power)))
+    residuals = {"unitarity": res_unit, "power_identity": float(np.linalg.norm(power - eye)),
+                 "powers": res_pow}
+    return all(v <= tol for v in residuals.values()), residuals
 
 
-def _require_projective(observables, tol: float) -> None:
-    """Raise ContractError at the first observable that is_projective rejects."""
-    for i, g in enumerate(observables):
-        ok, res = is_projective(g, tol)
+def _require_projective(stacks, tol: float, side: str = "Bob") -> None:
+    """Raise ContractError at the first operator stack that _chain_check rejects."""
+    for i, ops in enumerate(stacks):
+        ok, res = _chain_check(ops, tol)
         if not ok:
-            raise ContractError(f"Bob observable {i} is not projective (residuals {res})")
+            raise ContractError(f"{side} observable {i} is not projective (residuals {res})")
 
 
-def unitary_observable_povm(u: np.ndarray, d: int, tol: float = 1e-8) -> Povm:
-    """Projective POVM of a unitary observable with omega^a spectrum.
-
-    Outcome a collects the eigenspace of eigenvalue omega^a, built as the
-    Fourier projector N_a = (1/d) sum_k omega^{-ak} U^k, which is exact
-    for a unitary with U^d = 1. Frobenius residuals of U^dag U = 1 or
-    U^d = 1 above tol are a contract violation. Empty outcomes yield zero
-    elements.
-    """
-    u = as_complex_matrix(u)
-    eye = np.eye(u.shape[0])
-    if not np.linalg.norm(dagger(u) @ u - eye) <= tol:
-        raise ContractError("observable is not unitary")
-    powers = np.stack(list(_powers(u, d)))
-    if not np.linalg.norm(powers[-1] @ u - eye) <= tol:
-        raise ContractError("spectrum is not d-th roots of unity")
-    phases = root_powers(d, -np.arange(d), np.arange(d))  # [a, k]
-    return Povm(np.einsum("ak,kij->aij", phases, powers) / d)
+def _alice_chains(observables, d: int) -> list:
+    """Read-only chains A^0..A^(d-1) of Alice's observables, each of which
+    must pass _require_projective at DEFAULT_TOL. An entry of modulus above
+    1 + 2 DEFAULT_TOL, which no unitary has, is refused first, so no
+    product can overflow."""
+    chains = []
+    for i, a in enumerate(map(as_complex_matrix, observables)):
+        if not (top := np.abs(a).max()) <= 1.0 + 2 * DEFAULT_TOL:
+            raise ContractError(f"Alice observable {i} has an entry of modulus {top:.3e}, "
+                                "so it is not unitary")
+        chains.append(np.stack(list(_powers(a, d))))
+        chains[-1].flags.writeable = False
+    _require_projective(chains, DEFAULT_TOL, "Alice")
+    return chains
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:

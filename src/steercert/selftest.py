@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .linalg import DEFAULT_TOL, dagger, range_basis
 from .measurements import (
-    _require_projective, generalized_pauli, is_projective, omega, root_powers,
-    unitary_observable_povm,
+    _require_projective, generalized_pauli, is_projective, observable_to_povm, omega, root_powers,
 )
 from .states import Realization
 from .steering import SteeringFunctional, _walk_terms, lhs_bound_paper_upper
@@ -55,7 +54,7 @@ def commutation_residual(r: Realization, tol: float = VERDICT_TOL) -> float:
     = ||(1 (x) C (x) 1_E)|psi>||^2, so the residual is taken on the state
     and rho_B is never formed.
     """
-    _require_projective(r.bob_observables[:2], tol)
+    _require_projective([g.operators for g in r.bob_observables[:2]], tol)
     return _commutation_residual(r)
 
 
@@ -194,14 +193,14 @@ def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
     powers of B_1, so the output is deterministic. Inputs that are
     merely close to block-diagonal raise ContractError.
     """
-    _require_projective(r.bob_observables[:2], tol)
+    _require_projective([g.operators for g in r.bob_observables[:2]], tol)
     d = r.d
     db = r.bob_observables[0].dim
     if db % d != 0:
         raise ContractError(f"Bob dimension {db} is not a multiple of {d}")
     mult = db // d
     b0, b1 = (g.operators[1] for g in r.bob_observables[:2])
-    projs = unitary_observable_povm(b0, d, tol).elements
+    projs = observable_to_povm(r.bob_observables[0]).elements
     # eigenvalue omega^-a of B_0 plays the role of Z* on sector a
     sectors = [projs[(-a) % d] for a in range(d)]
     for a, p in enumerate(sectors):

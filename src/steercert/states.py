@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SizeError
 from .linalg import Ket, dagger, haar_unitary
-from .measurements import GeneralizedObservable, _powers, generalized_pauli
+from .measurements import GeneralizedObservable, _alice_chains, generalized_pauli
 
 
 def schmidt_rows(alpha) -> np.ndarray:
@@ -35,6 +35,12 @@ def schmidt_rows(alpha) -> np.ndarray:
         raise DomainError("Schmidt coefficients must be finite")
     if not a.min() > 0.0:
         raise DomainError(f"Schmidt coefficients must be positive, min {a.min()}")
+    # A coefficient is at most its row's norm, so one above 1 + 2e-6 fails the
+    # norm test below whatever its roundoff; refused here, before it is
+    # squared, so no square overflows.
+    if not a.max() <= 1.0 + 2e-6:
+        raise DomainError(f"alpha: coefficient {float(a.max())!r} is above 1, "
+                          "so ||alpha|| is not 1")
     nrm = np.sqrt(np.vecdot(a, a, keepdims=True))
     near = abs(nrm - 1.0) <= 1e-6
     if not near.all():
@@ -79,7 +85,8 @@ class Realization:
     Alice observables must be unitary with A^d = 1 (d = Bob's outcome
     count), so their spectra are d-th roots of unity; alice_observables
     is a list of read-only copies of the arrays given, and alice_powers[i]
-    the read-only stack A_i^0..A_i^(d-1) formed while A_i^d = 1 is checked.
+    the read-only stack A_i^0..A_i^(d-1), which passes is_projective's
+    residuals at DEFAULT_TOL as Bob's operators are tested.
     """
 
     state: Ket
@@ -94,17 +101,12 @@ class Realization:
             raise SizeError("need at least one Bob observable")
         d = self.bob_observables[0].d
         da, db = self.state.factor_dims[0], self.state.factor_dims[1]
-        alice, powers = [np.array(a, dtype=np.complex128) for a in self.alice_observables], []
+        alice = [np.array(a, dtype=np.complex128) for a in self.alice_observables]
         for i, a in enumerate(alice):
             if a.shape != (da, da):
                 raise SizeError(f"Alice observable {i} shape {a.shape} != {(da, da)}")
-            if not np.allclose(a @ dagger(a), np.eye(da), rtol=0.0, atol=1e-9):
-                raise ContractError(f"Alice observable {i} is not unitary")
-            chain = np.stack(list(_powers(a, d)))
-            if not np.allclose(chain[-1] @ a, np.eye(da), rtol=0.0, atol=1e-9):
-                raise ContractError(f"Alice observable {i}^{d} != identity")
-            a.flags.writeable = chain.flags.writeable = False
-            powers.append(chain)
+            a.flags.writeable = False
+        powers = _alice_chains(alice, d)
         for i, g in enumerate(self.bob_observables):
             if not isinstance(g, GeneralizedObservable):
                 raise ContractError(f"Bob observable {i} is not a GeneralizedObservable")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .linalg import apply_local
-from .measurements import unitary_observable_povm
+from .measurements import GeneralizedObservable, _alice_chains, observable_to_povm
 from .states import Realization, SchmidtVector, schmidt_rows
 
 
@@ -254,16 +254,18 @@ def lhs_bound_exact(f: SteeringFunctional, alice_observables=None) -> LhsOptimum
     Alice (the default) the bound is max_a lambda_max(Q_a), one eigenvalue
     problem (_branch_perron), reported with the canonical strategy (b0, 0)
     since b1 does not matter. Passing explicit Alice observables (unitary,
-    with omega^a spectra) solves the (d, d, dA, dA) stack of all d^2
-    strategies in one eigvalsh, each matrix as a call on it alone would;
-    ties keep the lexicographically first strategy.
+    with omega^a spectra, checked as Realization checks them) takes their
+    eigenprojectors from observable_to_povm and solves the (d, d, dA, dA)
+    stack of all d^2 strategies in one eigvalsh, each matrix as a call on
+    it alone would; ties keep the lexicographically first strategy.
     """
     if alice_observables is None:
         b0, value, _, _ = f._perron
         return LhsOptimum(value, strategy=(b0, 0))
     d = f.d
     alpha = f.sv.alpha
-    p0, p1 = [unitary_observable_povm(obs, d).elements for obs in alice_observables][:2]
+    chains = _alice_chains(alice_observables, d)
+    p0, p1 = [observable_to_povm(GeneralizedObservable(c)).elements for c in chains[:2]]
     # -gamma S sum_a P0[a]/alpha_a is the same for every strategy (b0, b1).
     shift = f.gamma * float(alpha.sum()) * np.tensordot(1.0 / alpha, p0, axes=(0, 0))
     neg = (-np.arange(d)) % d

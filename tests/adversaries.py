@@ -9,6 +9,7 @@ tolerance certify accepts.
 import numpy as np
 
 import steercert as sc
+from steercert.measurements import root_powers
 
 
 def lhs_device(f):
@@ -75,4 +76,15 @@ def conjugated_device(f):
     place of (Z*, X). At d = 2 this is the ideal device itself."""
     ideal = sc.ideal_realization(f.sv)
     bob = [sc.GeneralizedObservable(np.conj(g.operators)) for g in ideal.bob_observables]
+    return sc.Realization(ideal.state, ideal.alice_observables, bob)
+
+
+def relabelled_device(f, y, c):
+    """The ideal device with Bob's outcomes of setting y shifted by c in
+    1..d-1: outcome b is reported as b + c mod d, so B_{k|y} becomes
+    omega^(k c) B_{k|y}."""
+    ideal, d = sc.ideal_realization(f.sv), f.d
+    bob = list(ideal.bob_observables)
+    phases = root_powers(d, np.arange(d), [c])
+    bob[y] = sc.GeneralizedObservable(phases[:, :, None] * bob[y].operators)
     return sc.Realization(ideal.state, ideal.alice_observables, bob)

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import steercert as sc
+from steercert.measurements import root_powers
 
 
 def admissible_schmidt(d, rng):
@@ -29,6 +30,17 @@ def admissible_schmidt(d, rng):
         alpha = np.sqrt(squares)
         if alpha[-1] >= 0.05:
             return sc.SchmidtVector(alpha)
+
+
+def fourier_observable(elements):
+    """B_k = sum_a omega^(k a) N_a: the observable of d POVM elements.
+
+    The forward map of observable_to_povm, kept here as the tests' way to
+    build noisy or random observables and as a reference.
+    """
+    d = len(elements)
+    phases = root_powers(d, np.arange(d), np.arange(d))  # [k, a]
+    return sc.GeneralizedObservable(np.einsum("ka,aij->kij", phases, np.asarray(elements)))
 
 
 def steering_operator(f, r):

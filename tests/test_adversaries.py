@@ -44,9 +44,25 @@ def test_mixture_device_fails_at_every_tolerance():
                 sc.certify(f, r, tol)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_relabelled_device_is_at_most_beta_l_and_fails(d):
+    rng = np.random.default_rng(40 + d)
+    for sv in (sc.maximally_entangled(d), sc.random_schmidt_vector(d, rng)):
+        f = sc.functional_coefficients(sv)
+        for y in (0, 1):
+            for c in range(1, d):
+                r = adv.relabelled_device(f, y, c)
+                for share in (1e-9, 0.5, 0.999):
+                    rep = sc.certify(f, r, share * _room(f))
+                    assert rep.lhs_gap <= 0 and rep.verdict == "failed", (d, y, c, share)
+
+
 def _adversary(kind, f, tol, data):
     if kind == "lhs":
         return adv.lhs_device(f)
+    if kind == "relabelled":
+        return adv.relabelled_device(f, data.draw(st.integers(0, 1)),
+                                     data.draw(st.integers(1, f.d - 1)))
     if kind == "lhs_mixture":
         return adv.lhs_level_mixture(f, data.draw(st.floats(0.0, 1.0)))
     if kind == "near_miss":
@@ -62,9 +78,9 @@ def test_no_adversary_is_certified(data):
     f = sc.functional_coefficients(sc.SchmidtVector(np.sqrt(weights / np.sum(weights))))
     tol = _room(f) * data.draw(st.floats(1e-6, 0.999))
     # Conjugating the ideal qubit pair (Z, X) leaves it as it is.
-    kinds = ["lhs", "lhs_mixture", "near_miss", "swapped"] + ["conjugated"] * (d > 2)
+    kinds = ["lhs", "lhs_mixture", "near_miss", "swapped", "relabelled"] + ["conjugated"] * (d > 2)
     kind = data.draw(st.sampled_from(kinds))
     rep = sc.certify(f, _adversary(kind, f, tol, data), tol)
-    if kind.startswith("lhs"):
+    if kind.startswith("lhs") or kind == "relabelled":
         assert rep.lhs_gap <= 1e-12, rep
     assert not rep.certified, (kind, rep)

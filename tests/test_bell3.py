@@ -12,7 +12,7 @@ import scipy.linalg
 import steercert as sc
 import steercert.bell3 as b3
 import steercert.cli as cli
-from conftest import bell_operator_reference
+from conftest import bell_operator_reference, fourier_observable
 
 
 def brute_force_classical_bound():
@@ -351,7 +351,7 @@ def test_bell_value_input_validation():
     r3 = sc.ideal_realization(sc.maximally_entangled(3))
     with pytest.raises(sc.SizeError):
         b3.bell_value(r3)  # two settings, needs three
-    noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
+    noisy = fourier_observable([np.eye(3, dtype=complex) / 3] * 3)
     z, x = sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")
     r = sc.Realization(sc.schmidt_state(sc.maximally_entangled(3)), [z, x, z], [noisy] * 3)
     with pytest.raises(sc.ContractError, match=r"^Bob observable 0 is not projective \(residuals "):

@@ -890,6 +890,80 @@ def test_covariant_build_solves_each_eigenproblem_once(monkeypatch, capsys):
     assert (_plain(validation), extremality) == (rep["validation"], rep["extremality"])
 
 
+def _gaussian_draws(d, seed, n):
+    """The first n complex Gaussian fiducials the generator of seed draws."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(n)]
+
+
+@pytest.mark.parametrize("d,seed",
+                         [(4, 1361), (4, 1587), (8, 67), (8, 938), (10, 36), (12, 652)])
+def test_seeded_covariant_draws_again_past_a_fiducial_that_fails_extremality(
+        tmp_path, d, seed):
+    first, second = _gaussian_draws(d, seed, 2)
+    with pytest.raises(sc.NotExtremalError):
+        sc.covariant_povm(d, first)
+    out = tmp_path / "povm.json"
+    argv = ["--d", str(d), "--seed", str(seed), "--output", str(out)]
+    assert cli.main(["povm", "build", "--kind", "covariant", *argv]) == 0
+    pairs = np.array(json.loads(out.read_text())["elements"])
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1],
+                          sc.covariant_povm(d, second).elements)
+    if d == 8:
+        assert cli.main(["randomness", "--povm", "builtin:covariant", *argv]) == 0
+
+
+def test_seeded_covariant_keeps_a_first_draw_that_passes():
+    kept = 0
+    for d in range(3, 13):
+        for seed in range(51):
+            try:
+                want = sc.covariant_povm(d, _gaussian_draws(d, seed, 1)[0])
+            except sc.NotExtremalError:
+                continue  # drawn again, as in the test above
+            got = cli._seeded_covariant(argparse.Namespace(d=d, seed=seed))
+            assert np.array_equal(got.elements, want.elements), (d, seed)
+            kept += 1
+    assert kept >= 500
+
+
+def test_seeded_covariant_gives_up_after_its_cap(monkeypatch, capsys):
+    def never(d, nu):
+        raise sc.NotExtremalError("covariant orbit has Gram rank 3 < 4", rank=3, expected=4)
+
+    monkeypatch.setattr(cli, "covariant_povm", never)
+    assert cli.main(["povm", "build", "--kind", "covariant", "--d", "2"]) == 1
+    assert capsys.readouterr().err == "steercert: failed: covariant orbit has Gram rank 3 < 4\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["bounds"], ["randomness"],
+                                  ["povm", "build", "--kind", "partial"]])
+def test_alpha_whose_square_overflows_exits_2(capsys, argv):
+    assert cli.main([*argv, "--d", "2", "--alpha", "[1e200, 1e200]"]) == 2
+    assert capsys.readouterr().err == ("steercert: error: alpha: coefficient 1e+200 is above 1, "
+                                       "so ||alpha|| is not 1\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("part,message", [
+    ("alice", "Alice observable 0 has an entry of modulus 1.000e+200, so it is not unitary"),
+    ("bob", "B_1 has an entry of modulus 8.345e+199, so ||B_1||_op > 1"),
+    ("state", "ket amplitude of modulus 5.055e+199 is above 1, so the norm is not 1"),
+])
+def test_device_entries_whose_squares_overflow_exit_2(tmp_path, capsys, part, message):
+    sv = sc.SchmidtVector(np.array([0.8, 0.6]))
+    dev = realization_to_json(sc.dress_realization(sc.ideal_realization(sv), 2, 2, seed=1))
+    huge = {"alice": lambda: dev["alice_observables"][0],
+            "bob": lambda: dev["bob_observables"][0]["operators"][1],
+            "state": lambda: dev["state"]["amplitudes"]}[part]()
+    huge[:] = (np.array(huge) * 1e200).tolist()
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps({**dev, "alpha": [0.8, 0.6]}))
+    assert cli.main(["certify", "--realization", str(path)]) == 2
+    assert capsys.readouterr().err == f"steercert: error: {message}\n"
+
+
 def test_povm_check_catches_tamper(tmp_path):
     out = tmp_path / "povm.json"
     run_cli("povm", "build", "--kind", "partial", "--d", "3", "--output", str(out))

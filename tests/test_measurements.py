@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import steercert as sc
-from steercert.measurements import _gram_excess, root_powers
+from conftest import fourier_observable
+from steercert.measurements import _alice_chains, _gram_excess, root_powers
 
 
 def comp_basis_povm(d):
@@ -57,24 +58,6 @@ def test_root_powers_reduce_exponents_mod_d():
         assert np.max(np.abs(table - exact)) < 2e-15
 
 
-def test_povm_to_observable_computational():
-    g = sc.povm_to_observable(comp_basis_povm(2))
-    assert np.allclose(g.operators[1], np.diag([1.0, -1.0]), atol=1e-12)
-
-
-def test_povm_to_observable_b0_is_identity():
-    rng = np.random.default_rng(2)
-    for d in (2, 3, 5):
-        g = sc.povm_to_observable(sc.random_povm(d, d, rng))
-        assert np.allclose(g.operators[0], np.eye(d), atol=1e-12)
-
-
-def test_povm_to_observable_uniform_noise():
-    g = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
-    assert np.allclose(g.operators[1], 0, atol=1e-12)
-    assert np.allclose(g.operators[2], 0, atol=1e-12)
-
-
 def test_observable_to_povm_projective_cases():
     z2 = sc.GeneralizedObservable.from_unitary(sc.generalized_pauli(2, "Z"), 2)
     p = sc.observable_to_povm(z2)
@@ -97,6 +80,20 @@ def test_observable_to_povm_projective_cases():
         assert np.allclose(p.elements[a], proj, atol=1e-12)
 
 
+def test_observable_to_povm_of_a_checked_chain_is_the_plain_fourier_sum():
+    # N_a = (1/d) sum_k omega^(-a k) A^k is the eigenprojector of a unitary
+    # with A^d = 1; taking its Hermitian part moves it by roundoff alone
+    cases = [(sc.generalized_pauli(d, kind), d) for d in (2, 3, 5, 8) for kind in "ZX"]
+    for aux, rank in ((1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 2)):
+        da = sc.dressed_alice(aux, rank)
+        cases += [(da.a0, 3), (da.a1, 3)]
+    for u, d in cases:
+        chain = _alice_chains([u], d)[0]
+        plain = np.einsum("ak,kij->aij", root_powers(d, -np.arange(d), np.arange(d)), chain) / d
+        els = sc.observable_to_povm(sc.GeneralizedObservable(chain)).elements
+        assert np.max(np.abs(els - plain)) <= 1e-15
+
+
 def test_observable_to_povm_rejects_negative():
     # B_1 = B_2 = -I is norm-compliant yet gives element (1-2)/3 < 0 at b=0
     eye = np.eye(3, dtype=complex)
@@ -110,7 +107,7 @@ def test_observable_to_povm_refuses_a_slightly_negative_element():
     # no POVM's element, so it is refused rather than repaired.
     p = [-1e-7, 0.5 + 5e-8, 0.5 + 5e-8]
     elements = np.array([np.diag([pa, 1.0 / 3.0]) for pa in p], dtype=complex)
-    g = sc.povm_to_observable(sc.Povm(elements))
+    g = fourier_observable(elements)
     assert np.linalg.eigvalsh(elements[0])[0] == -1e-7
     with pytest.raises(sc.InvalidObservableError, match="element 0"):
         sc.observable_to_povm(g)
@@ -120,7 +117,7 @@ def test_observable_to_povm_returns_the_hermitian_parts_unclipped():
     rng = np.random.default_rng(7)
     for d in (2, 3, 5):
         p = sc.random_povm(d, d, rng)
-        els = sc.observable_to_povm(sc.povm_to_observable(p)).elements
+        els = sc.observable_to_povm(fourier_observable(p.elements)).elements
         assert np.array_equal(els, np.conj(els).transpose(0, 2, 1))
 
 
@@ -129,7 +126,7 @@ def test_fourier_round_trip_random_povms():
     for _ in range(200):
         d = int(rng.integers(2, 7))
         p = sc.random_povm(d, d, rng)
-        q = sc.observable_to_povm(sc.povm_to_observable(p))
+        q = sc.observable_to_povm(fourier_observable(p.elements))
         for e1, e2 in zip(p.elements, q.elements):
             assert np.max(np.abs(e1 - e2)) < 1e-12
 
@@ -139,7 +136,7 @@ def test_is_projective_examples():
     ok, info = sc.is_projective(z3)
     assert ok and info["unitarity"] < 1e-12
 
-    noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
+    noisy = fourier_observable([np.eye(3, dtype=complex) / 3] * 3)
     ok, _ = sc.is_projective(noisy)
     assert not ok
 
@@ -157,16 +154,16 @@ def test_random_projective_observables_are_unit_norm():
     for d in (2, 3, 4):
         u = sc.haar_unitary(d, rng)
         p = sc.Povm([np.outer(u[:, a], u[:, a].conj()) for a in range(d)])
-        g = sc.povm_to_observable(p)
+        g = fourier_observable(p.elements)
         ok, _ = sc.is_projective(g)
         assert ok
         for k in range(1, d):
             assert abs(np.linalg.norm(g.operators[k], 2) - 1.0) < 1e-9
 
 
-def test_unitary_observable_povm_recovers_projectors():
+def test_observable_to_povm_recovers_the_projectors_of_a_unitary():
     z3 = sc.generalized_pauli(3, "Z")
-    p = sc.unitary_observable_povm(z3, 3)
+    p = sc.observable_to_povm(sc.GeneralizedObservable.from_unitary(z3, 3))
     for a in range(3):
         e = np.zeros((3, 3))
         e[a, a] = 1.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import steercert as sc
+from conftest import fourier_observable
 from steercert.report import render
 
 
@@ -108,7 +109,7 @@ NOT_PROJECTIVE = r"^Bob observable 0 is not projective \(residuals \{'unitarity'
 
 def test_commutation_residual_needs_projective_input():
     mes = sc.maximally_entangled(3)
-    noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
+    noisy = fourier_observable([np.eye(3, dtype=complex) / 3] * 3)
     r = sc.Realization(
         sc.schmidt_state(mes),
         [sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")],
@@ -387,7 +388,7 @@ def test_extract_bob_unitary_skewed_alpha():
 
 def test_extract_bob_unitary_rejects_nonprojective():
     mes = sc.maximally_entangled(3)
-    noisy = sc.povm_to_observable(sc.Povm([np.eye(3, dtype=complex) / 3] * 3))
+    noisy = fourier_observable([np.eye(3, dtype=complex) / 3] * 3)
     r = sc.Realization(
         sc.schmidt_state(mes),
         [sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")],

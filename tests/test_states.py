@@ -1,5 +1,7 @@
 """Schmidt states, ideal realizations and junk-dressed embeddings."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,25 @@ def test_realization_validation():
         sc.Realization(psi, [s, x], bob)
 
 
+@pytest.mark.parametrize("scale,failing", [(0.5, "unitarity"),
+                                           (np.exp(1j * np.pi / 7), "power_identity")])
+def test_alice_off_an_order_d_unitary_is_refused_with_its_residuals(scale, failing):
+    # 0.5 Z is not unitary; e^(i pi/7) Z is, but its cube is not the identity
+    sv = sc.maximally_entangled(3)
+    ideal = sc.ideal_realization(sv)
+    z, x = ideal.alice_observables
+    want = {"unitarity": abs(abs(scale) ** 2 - 1) * np.sqrt(3),
+            "power_identity": abs(scale ** 3 - 1) * np.sqrt(3), "powers": 0.0}
+    for build in (lambda: sc.Realization(ideal.state, [scale * z, x], ideal.bob_observables),
+                  lambda: sc.lhs_bound_exact(sc.functional_coefficients(sv), [scale * z, x])):
+        with pytest.raises(sc.ContractError,
+                           match=r"^Alice observable 0 is not projective \(residuals \{") as e:
+            build()
+        res = ast.literal_eval(str(e.value).split("residuals ", 1)[1][:-1])
+        assert res == pytest.approx(want, abs=1e-14)
+        assert res[failing] > 0.1
+
+
 def test_dress_identity_seed_is_noop():
     r = sc.ideal_realization(sc.maximally_entangled(2))
     dressed = sc.dress_realization(r, 1, 1, seed=None)
@@ -133,7 +154,7 @@ def test_dress_preserves_correlators():
     r = sc.ideal_realization(sv)
     dressed = sc.dress_realization(r, 2, 2, seed=77)
 
-    alice = [sc.unitary_observable_povm(a, 3) for a in r.alice_observables]
+    alice = [sc.observable_to_povm(sc.GeneralizedObservable(p)) for p in r.alice_powers]
     bob = [sc.observable_to_povm(g) for g in r.bob_observables]
     bob_dressed = [sc.observable_to_povm(g) for g in dressed.bob_observables]
     t0 = born_table(r.state, alice, bob)
