@@ -12,7 +12,8 @@ and the triple. Every JSON input, a realization or POVM file or the
 
 The argparse parser is built once per process. parse_args checks --seed,
 --tolerance, --d and --alpha and returns the argparse namespace itself,
-with --alpha decoded into an array; the handlers read its attributes.
+with --alpha decoded into a SchmidtVector; the handlers read its
+attributes.
 
 Exit codes: 0 success, 1 failed verdict, 2 usage error (an input too
 large for memory among them), 3 I/O failure. In process, main returns
@@ -113,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """The checked namespace of argv; --alpha, when given, is an array."""
+    """The checked namespace of argv; --alpha, when given, is a SchmidtVector,
+    so a bad one is refused before any file is read."""
     ns = _build_parser().parse_args(argv)
     if not 0 <= ns.seed < 2**63:
         raise UsageError(f"--seed: {ns.seed} is outside [0, 2**63)")
@@ -123,18 +125,14 @@ def parse_args(argv) -> argparse.Namespace:
     if d is not None and d < 2:
         raise UsageError(f"--d: need d >= 2, got {d}")
     if getattr(ns, "alpha", None) is not None:
-        ns.alpha = real_vector_from_json(load_flag(ns.alpha, "--alpha"), "--alpha")
-        if np.any(ns.alpha <= 0):
-            raise UsageError("--alpha: every entry must be positive")
-        if d is not None and ns.alpha.size != d:
-            raise UsageError(f"--alpha: length {ns.alpha.size} does not match --d {d}")
+        ns.alpha = SchmidtVector(real_vector_from_json(load_flag(ns.alpha, "--alpha"), "--alpha"))
+        if d is not None and ns.alpha.d != d:
+            raise UsageError(f"--alpha: length {ns.alpha.d} does not match --d {d}")
     return ns
 
 
 def _schmidt_vector(config: argparse.Namespace) -> SchmidtVector:
-    if config.alpha is not None:
-        return SchmidtVector(config.alpha)
-    return maximally_entangled(config.d)
+    return maximally_entangled(config.d) if config.alpha is None else config.alpha
 
 
 def _meta(config: argparse.Namespace) -> dict:
@@ -183,10 +181,9 @@ def _seeded_covariant(config: argparse.Namespace) -> Povm:
 
 
 def _run_certify(config: argparse.Namespace) -> tuple[int, dict]:
-    r, alpha = load_realization_file(config.realization, config.alpha)
-    if alpha is None:
+    r, sv = load_realization_file(config.realization, config.alpha)
+    if sv is None:
         raise UsageError("no Schmidt coefficients: pass --alpha or an 'alpha' key")
-    sv = SchmidtVector(alpha)
     f = functional_coefficients(sv)
     rep = certify(f, r, tol=config.tolerance)
     return (0 if rep.certified else 1), {"alpha": sv.alpha, **vars(rep), **_meta(config)}

@@ -6,20 +6,22 @@ the Fourier transforms B_k = sum_a omega^{ka} N_a, which for projective
 measurements collapse to powers of a single unitary with d-th-roots-of-
 unity spectrum. Outcome labels are always 0..d-1 and all outcome
 arithmetic is mod d.
+
+Every identity an operator stack is tested for here, B_0 = 1, the
+conjugate pairing and the chain of is_projective, is a Frobenius residual
+against an absolute tolerance; the bound ||B_k||_op <= 1 is one Cholesky
+factorization.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidObservableError, SizeError
 from .linalg import DEFAULT_TOL, as_complex_matrix, dagger
-
-_EPS = math.ulp(1.0)  # float64 machine epsilon
 
 
 def omega(d: int) -> complex:
@@ -101,6 +103,16 @@ class Povm:
             raise SizeError("a POVM needs at least one element")
         if not np.all(np.isfinite(a)):
             raise DomainError("POVM elements have non-finite entries")
+        # The checks square and sum the entries. A hermiticity residual is at
+        # most 2 ||E_b||_F, the element sum at most s = sum_b ||E_b||_F and a
+        # Gram entry at most s^2, so each of their norms is finite if 4 s^2 is.
+        parts = a.reshape(a.shape[0], -1).view(np.float64)
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(parts, parts))
+            bound = 4 * norms.sum() ** 2
+        if not np.isfinite(bound):
+            raise DomainError(f"POVM element {np.argmax(norms)} is too large: the squares "
+                              "of the elements' entries overflow in their sums")
         a.flags.writeable = False
         object.__setattr__(self, "elements", a)
 
@@ -140,24 +152,6 @@ class Povm:
         return sv
 
 
-def _gram_excess(b: np.ndarray) -> float:
-    """An upper bound on ||B||_op^2 - 1 from the Gram matrix, with no SVD.
-
-    ||B||_op^2 = lambda_max(B^dag B) <= 1 + ||B^dag B - 1||_F. Each
-    computed entry of B^dag B is within sqrt(2) gamma_(n+2) of the
-    matching entry of |B|^T |B| (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.6), whose Frobenius norm is at most
-    ||B||_F^2. So the returned figure adds r = 4 (n + 2) eps ||B||_F^2,
-    which covers that roundoff with room for the norm's own. The bound is
-    near 0 only for a near-unitary B; for any other, callers fall back on
-    the SVD.
-    """
-    gram = dagger(b) @ b
-    n = gram.shape[0]
-    r = 4 * (n + 2) * _EPS * gram.trace().real
-    return float(np.linalg.norm(gram - np.eye(n))) + r
-
-
 @dataclass(frozen=True)
 class GeneralizedObservable:
     """Fourier picture of a d-outcome measurement.
@@ -165,7 +159,12 @@ class GeneralizedObservable:
     operators[k] = B_k = sum_a omega^{ka} N_a, a read-only copy of the array
     given. Construction enforces B_0 = 1, the conjugate pairing
     B_{d-k} = B_k^dag and ||B_k||_op <= 1, which hold for every valid POVM
-    but do not by themselves imply projectivity; see is_projective.
+    but do not by themselves imply projectivity; see is_projective. Each
+    is judged once, at tol = DEFAULT_TOL: an entry of modulus above
+    1 + 2 tol anywhere in the stack is refused before any product;
+    ||B_0 - 1||_F <= tol; and per conjugate pair, dev =
+    ||B_{d-k} - B_k^dag||_F <= tol and ||B_k||_op <= 1 + tol - dev, by a
+    Cholesky factorization. A ContractError names the first failing test.
     """
 
     operators: np.ndarray
@@ -177,33 +176,30 @@ class GeneralizedObservable:
         d = a.shape[0]
         if d < 2:
             raise SizeError(f"need at least 2 outcomes, got {d}")
+        # Every entry is at most its operator's norm, so one above 1 + 2 tol
+        # fails a test below whatever its roundoff; refused here, before
+        # any product can overflow. NaN fails too.
+        top = np.abs(a).max(axis=(1, 2))
+        bad = np.flatnonzero(~(top <= 1.0 + 2 * DEFAULT_TOL))
+        first = bad[0] if bad.size else d
         eye = np.eye(a.shape[1])
-        if not np.allclose(a[0], eye, atol=1e-9):
+        if first == 0 or not np.linalg.norm(a[0] - eye) <= DEFAULT_TOL:
             raise ContractError("B_0 must be the identity")
-        # np.allclose(a[d-k], a[k]^dag) and (a[k], a[d-k]^dag) hold iff |D| <=
-        # 1e-9 + 1e-5 min(|a[k]^dag|, |a[d-k]|), D = a[d-k] - a[k]^dag; inf or NaN
-        # fails.
+        if first < d:
+            raise ContractError(f"B_{first} has an entry of modulus {top[first]:.3e}, "
+                                f"so ||B_{first}||_op > 1")
         for k in range(1, d // 2 + 1):
-            b_dag = dagger(a[k])
-            mag = np.abs(b_dag)
-            # Every entry is at most ||B_k||_op, so one above 1 + 2e-9 fails the
-            # norm test below whatever its roundoff; refused here, before a
-            # product of such entries can overflow.
-            if not (top := mag.max()) <= 1.0 + 2e-9:
-                raise ContractError(f"B_{k} has an entry of modulus {top:.3e}, "
-                                    f"so ||B_{k}||_op > 1")
-            diff = a[d - k] - b_dag
-            scale = mag if 2 * k == d else np.minimum(mag, np.abs(a[d - k]))
-            if not np.all(np.abs(diff) <= 1e-9 + 1e-5 * scale):
+            dev = np.linalg.norm(a[d - k] - dagger(a[k]))
+            if not dev <= DEFAULT_TOL:
                 raise ContractError(f"B_{d - k} != B_{k}^dag")
-            # ||B_{d-k}||_op <= ||B_k||_op + ||B_{d-k} - B_k^dag||_F, so one
-            # norm per conjugate pair bounds both. The Gram bound decides it
-            # without an SVD when it passes (NaN does not), and the SVD
-            # when it does not.
-            dev = np.linalg.norm(diff)
-            if (not math.sqrt(1.0 + _gram_excess(a[k])) + dev <= 1.0 + 1e-9
-                    and np.linalg.svd(a[k], compute_uv=False)[0] + dev > 1.0 + 1e-9):
-                raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1")
+            # ||B_{d-k}||_op <= ||B_k||_op + dev, so ||B_k||_op <= c bounds
+            # both; up to roundoff, it holds iff c^2 1 - B_k^dag B_k has a
+            # Cholesky factor.
+            c = 1.0 + DEFAULT_TOL - dev
+            try:
+                np.linalg.cholesky(c * c * eye - dagger(a[k]) @ a[k])
+            except np.linalg.LinAlgError:
+                raise ContractError(f"||B_{k}||_op or ||B_{d - k}||_op > 1") from None
         a.flags.writeable = False
         object.__setattr__(self, "operators", a)
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .linalg import Ket
 from .measurements import GeneralizedObservable, Povm
-from .states import Realization
+from .states import Realization, SchmidtVector
 
 
 def array_to_json(a) -> list:
@@ -329,16 +329,16 @@ def load_povm_file(path: str) -> Povm:
         return povm_from_json(_load_json_file(path))
 
 
-def load_realization_file(path: str, alpha: np.ndarray | None):
-    """The realization of a file and its Schmidt coefficients: alpha when
-    given, else the file's 'alpha' key, else None."""
+def load_realization_file(path: str, sv: SchmidtVector | None):
+    """The realization of a file and its Schmidt vector: sv when given,
+    else the file's 'alpha' key, else None."""
     with _gc_paused():
         data = _load_json_file(path)
         r = realization_from_json(data)
-        if alpha is None and "alpha" in data:
-            alpha = real_vector_from_json(data["alpha"], f"{path}: alpha")
+        if sv is None and "alpha" in data:
+            sv = SchmidtVector(real_vector_from_json(data["alpha"], f"{path}: alpha"))
         del data
-    return r, alpha
+    return r, sv
 
 
 def load_flag(text: str, flag: str):

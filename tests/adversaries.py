@@ -55,9 +55,12 @@ def lhs_level_mixture(f, u):
     return mixture_device(f, min(1.0, p_l + u * (1.0 - p_l)))
 
 
-def near_miss_mixture(f, tol):
-    """The mixture whose value is d - tol (1 + 1e-3), p found by bisection."""
-    ideal, target = sc.ideal_realization(f.sv), f.d - tol * (1.0 + 1e-3)
+def near_miss_mixture(f, tol, inside=False):
+    """The mixture whose value is d - tol (1 + 1e-3), or d - tol (1 - 1e-3)
+    when inside, p found by bisection. Inside the tolerance the value
+    passes; the state is off |psi_alpha> by far more than tol."""
+    ideal = sc.ideal_realization(f.sv)
+    target = f.d - tol * (1.0 - 1e-3 if inside else 1.0 + 1e-3)
     lo, hi = 0.0, 1.0  # the value falls as p grows
     for _ in range(60):
         mid = (lo + hi) / 2

@@ -57,6 +57,20 @@ def test_relabelled_device_is_at_most_beta_l_and_fails(d):
                     assert rep.lhs_gap <= 0 and rep.verdict == "failed", (d, y, c, share)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_near_miss_inside_the_tolerance_fails_on_its_s_residual(d):
+    # The value is within tol of d, so only the self-test residual can
+    # tell the mixture from the ideal device.
+    rng = np.random.default_rng(50 + d)
+    for sv in (sc.maximally_entangled(d), sc.random_schmidt_vector(d, rng)):
+        f = sc.functional_coefficients(sv)
+        for share in (1e-6, 1e-3, 0.1, 0.5, 0.999):
+            tol = share * _room(f)
+            rep = sc.certify(f, adv.near_miss_mixture(f, tol, inside=True), tol)
+            assert rep.value_gap <= tol and rep.verdict == "failed", (d, share, rep)
+            assert [x.split(" ")[0] for x in rep.failures] == ["s_residual"], (d, share, rep)
+
+
 def _adversary(kind, f, tol, data):
     if kind == "lhs":
         return adv.lhs_device(f)
@@ -66,7 +80,7 @@ def _adversary(kind, f, tol, data):
     if kind == "lhs_mixture":
         return adv.lhs_level_mixture(f, data.draw(st.floats(0.0, 1.0)))
     if kind == "near_miss":
-        return adv.near_miss_mixture(f, tol)
+        return adv.near_miss_mixture(f, tol, inside=data.draw(st.booleans()))
     return {"swapped": adv.swapped_device, "conjugated": adv.conjugated_device}[kind](f)
 
 

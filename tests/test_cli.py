@@ -72,6 +72,18 @@ def test_bounds_rejects_bad_alpha():
     assert run_cli("bounds", "--d", "3", "--alpha", "[0.6, 0.8]").returncode == 2
 
 
+@pytest.mark.parametrize("alpha,least", [("[-0.8, 0.6]", "-0.8"), ("[0, 1]", "0.0")])
+def test_non_positive_alpha_is_refused_before_any_file_is_read(capsys, tmp_path, alpha, least):
+    error = f"steercert: error: Schmidt coefficients must be positive, min {least}\n"
+    assert cli.main(["bounds", "--d", "2", "--alpha", alpha]) == 2
+    assert capsys.readouterr() == ("", error)
+    # read first, the missing file would exit 3
+    missing = str(tmp_path / "missing.json")
+    for argv in (["certify", "--realization", missing], ["randomness", "--d", "2", "--povm", missing]):
+        assert cli.main([*argv, "--alpha", alpha]) == 2
+        assert capsys.readouterr() == ("", error)
+
+
 # sha256 of `bounds --d 3 --alpha "[0.8, 0.6, 1e-15]"` with tool_version blanked
 _TINY_ALPHA_BOUNDS = "55cf178d08dc2c7d4eca79479e4c5e7d23ca4ee46a8c8c4a2544ebd1b56d5a07"
 
@@ -871,6 +883,19 @@ def test_povm_build_check_pipeline(tmp_path):
     assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
     assert rep["extremality"]["gram_rank"] == 16
+
+
+def test_povm_file_whose_squares_overflow_exits_2(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    assert cli.main(["povm", "build", "--kind", "partial", "--d", "3", "--output", str(path)]) == 0
+    p = json.loads(path.read_text())
+    p["elements"][0] = (np.array(p["elements"][0]) * 1e200).tolist()
+    path.write_text(json.dumps(p))
+    for argv in (["povm", "check", "--povm", str(path)],
+                 ["randomness", "--d", "3", "--povm", str(path)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "steercert: error: POVM element 0 is too large: the "
+                                       "squares of the elements' entries overflow in their sums\n")
 
 
 def test_covariant_build_solves_each_eigenproblem_once(monkeypatch, capsys):

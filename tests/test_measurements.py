@@ -1,13 +1,11 @@
 """Generalized Pauli operators and the POVM/observable Fourier pair."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 import steercert as sc
 from conftest import fourier_observable
-from steercert.measurements import _alice_chains, _gram_excess, root_powers
+from steercert.measurements import _alice_chains, root_powers
 
 
 def comp_basis_povm(d):
@@ -184,10 +182,24 @@ def test_povm_and_table_reject_non_finite():
         sc.Povm(els)
 
 
+def test_povm_refuses_elements_whose_squares_overflow():
+    # Three orthogonal projectors, the second scaled by t: the checks' norms
+    # stay finite while 4 (t + 2)^2 does, that is for t below 6.7e153.
+    for t in (6e153, 7e153, 1e200):
+        els = comp_basis_povm(3).elements * np.array([1.0, t, 1.0])[:, None, None]
+        if t < 6.7e153:
+            p = sc.Povm(els)
+            assert np.isfinite(sc.validate_povm(p).completeness_residual)
+            sc.is_extremal_rank_one(p)  # the Gram SVD, warning-free
+        else:
+            with pytest.raises(sc.DomainError, match="POVM element 1 is too large"):
+                sc.Povm(els)
+
+
 @pytest.mark.parametrize("k,scale", [(1, 2.0), (3, 2.0), (3, 1.0 + 5e-6)])
 def test_generalized_observable_rejects_norm_above_one_at_any_k(k, scale):
-    # d = 4 takes an SVD only at k <= 2; B_3 is bounded through its pairing
-    # with B_1, also when it lies within np.allclose's rtol of B_1^dag.
+    # d = 4 takes a Cholesky factor only at k <= 2; B_3 is bounded by the
+    # entry guard and through its pairing with B_1.
     eye = np.eye(2, dtype=complex)
     ops = np.stack([eye, eye, 0.5 * eye, eye])
     ops[k] = scale * eye
@@ -209,99 +221,28 @@ def test_generalized_observable_is_not_changed_by_edits_to_the_callers_array():
         g.operators[1, 0, 0] = 5.0
 
 
-def _svd_only_accepts(ops) -> bool:
-    """The norm test by SVD alone: ||B_k||_op + ||B_{d-k} - B_k^dag||_F <= 1 + 1e-9."""
-    d = len(ops)
-    return all(np.linalg.svd(ops[k], compute_uv=False)[0]
-               + np.linalg.norm(ops[d - k] - ops[k].conj().T) <= 1.0 + 1e-9
-               for k in range(1, d // 2 + 1))
+TOL = sc.DEFAULT_TOL
+# The two sides of each tolerance: a test that decides within a relative
+# 1e-3 of its edge is wrong, since roundoff moves these residuals by far less.
+SIDES = (1 - 1e-3, 1 + 1e-3)
 
 
-def _accepts(ops) -> bool:
-    try:
-        sc.GeneralizedObservable(ops)
-    except sc.ContractError:
-        return False
-    return True
-
-
-@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, 1e-6])
-def test_norm_pretest_agrees_with_the_svd_on_scaled_unitaries(delta):
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 3, 8):
-        for _ in range(4):
-            b = (1.0 + delta) * sc.haar_unitary(n, rng)
-            for ops in (np.stack([np.eye(n), b, b.conj().T]),
-                        # d = 2: B_1 must be Hermitian, so a scaled reflection
-                        np.stack([np.eye(n), (b + b.conj().T) / np.linalg.norm(
-                            b + b.conj().T, 2) * (1.0 + delta)])):
-                assert _accepts(ops) == _svd_only_accepts(ops), (n, delta)
-
-
-def test_norm_pretest_agrees_with_the_svd_on_contractions():
-    rng = np.random.default_rng(32)
-    for n in (1, 2, 5):
-        for scale in (0.5, 0.999, 1.0, 1.0 + 1e-9, 1.001):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            b = scale * m / np.linalg.norm(m, 2)
-            ops = np.stack([np.eye(n), b, b @ b, b.conj().T])
-            ops[2] = (ops[2] + ops[2].conj().T) / 2  # d = 4 pairs B_2 with itself
-            assert _accepts(ops) == _svd_only_accepts(ops), (n, scale)
-
-
-def _exact_gram_residual_squared(b) -> Fraction:
-    """||B^dag B - 1||_F^2 in exact rational arithmetic on b's doubles."""
-    n = b.shape[0]
-    re = [[Fraction(x) for x in row] for row in b.real.tolist()]
-    im = [[Fraction(x) for x in row] for row in b.imag.tolist()]
-    total = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            g_re = sum(re[k][i] * re[k][j] + im[k][i] * im[k][j] for k in range(n))
-            g_im = sum(re[k][i] * im[k][j] - im[k][i] * re[k][j] for k in range(n))
-            total += (g_re - (i == j)) ** 2 + g_im ** 2
-    return total
-
-
-def test_gram_excess_bounds_the_exact_residual():
-    # On a near-unitary B the computed residual is all roundoff, and is
-    # below the exact one about half the time; the allowance covers it.
-    rng = np.random.default_rng(33)
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        b = sc.haar_unitary(n, rng)
-        assert Fraction(_gram_excess(b)) ** 2 >= _exact_gram_residual_squared(b)
-
-
-def test_unitary_observable_takes_no_svd(monkeypatch):
-    d, junk = 8, 16
-    rng = np.random.default_rng(34)
-    v = sc.haar_unitary(d * junk, rng)
-    u = v @ np.kron(sc.generalized_pauli(d, "X"), np.eye(junk)) @ v.conj().T
-    powers = sc.GeneralizedObservable.from_unitary(u, d).operators
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    sc.GeneralizedObservable(powers)
-    assert calls == []
-    # B_k / 2 for k >= 1 is decided by the SVD, once per conjugate pair
-    halved = powers / 2
-    halved[0] = powers[0]
-    sc.GeneralizedObservable(halved)
-    assert len(calls) == d // 2
-
-
-def _two_allclose(ops):
-    """The message of a loop that compares each conjugate pair from both
-    sides with np.allclose, then applies the same norm test, or None when
-    it accepts. It accepts what a loop of one side over k = 1..d-1 accepts."""
-    d = len(ops)
+def _reference_message(ops):
+    """The message GeneralizedObservable should raise, or None, with the
+    norm taken by SVD: entries above 1 + 2 tol anywhere first, then B_0,
+    then each conjugate pair in turn, the pairing before the norm."""
+    d, eye = len(ops), np.eye(ops.shape[1])
+    top = np.abs(ops).max(axis=(1, 2))
+    if not top[0] <= 1 + 2 * TOL or np.linalg.norm(ops[0] - eye) > TOL:
+        return "B_0 must be the identity"
+    for k in range(1, d):
+        if not top[k] <= 1 + 2 * TOL:
+            return f"B_{k} has an entry of modulus {top[k]:.3e}, so ||B_{k}||_op > 1"
     for k in range(1, d // 2 + 1):
-        if not (np.allclose(ops[d - k], ops[k].conj().T, atol=1e-9)
-                and np.allclose(ops[k], ops[d - k].conj().T, atol=1e-9)):
+        dev = np.linalg.norm(ops[d - k] - ops[k].conj().T)
+        if dev > TOL:
             return f"B_{d - k} != B_{k}^dag"
-        if (np.linalg.svd(ops[k], compute_uv=False)[0]
-                + np.linalg.norm(ops[d - k] - ops[k].conj().T) > 1.0 + 1e-9):
+        if np.linalg.svd(ops[k], compute_uv=False)[0] + dev > 1 + TOL:
             return f"||B_{k}||_op or ||B_{d - k}||_op > 1"
     return None
 
@@ -314,35 +255,136 @@ def _message(ops):
     return None
 
 
-def test_conjugate_pairing_matches_the_two_allclose_loop_at_its_edges():
-    # B_k = U^k / 2 keeps the norm test far from its edge. Entry (0, 1) of
-    # B_{d-k} is moved along its own phase by just under or just over one
-    # side's tolerance, 1e-9 + 1e-5 |B_k^dag|: moving it out raises the
-    # other side's tolerance, and moving it in lowers it, so the two calls
-    # disagree and each can fail alone. Pairs fail together or apart, to
-    # check that the message names the first failing pair.
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, -1e-9, 1e-9 * SIDES[0], 1e-9 * SIDES[1],
+                                   2e-9, 1e-6, -1e-3, 1e-3])
+def test_norm_pretest_agrees_with_the_svd_on_scaled_unitaries(delta):
+    # ||(1 + delta) U||_op = 1 + delta; the norm test passes it iff delta
+    # <= tol, and 1e-9 (1 +- 1e-3) are the two sides of that edge.
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8):
+        for _ in range(4):
+            b = (1.0 + delta) * sc.haar_unitary(n, rng)
+            for ops in (np.stack([np.eye(n), b, b.conj().T]),
+                        # d = 2: B_1 must be Hermitian, so a scaled reflection
+                        np.stack([np.eye(n), (b + b.conj().T) / np.linalg.norm(
+                            b + b.conj().T, 2) * (1.0 + delta)])):
+                want = _reference_message(ops)
+                assert _message(ops) == want and (want is None) == (delta <= TOL), (n, delta)
+
+
+def test_norm_pretest_agrees_with_the_svd_on_contractions():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 5):
+        for scale in (0.5, 0.999, 1.0, 1.0 + TOL * SIDES[0], 1.0 + TOL * SIDES[1], 1.001):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            b = scale * m / np.linalg.norm(m, 2)
+            ops = np.stack([np.eye(n), b, b @ b, b.conj().T])
+            ops[2] = (ops[2] + ops[2].conj().T) / 2  # d = 4 pairs B_2 with itself
+            want = _reference_message(ops)
+            assert _message(ops) == want and (want is None) == (scale <= 1 + TOL), (n, scale)
+
+
+def _direction(rng, n, anti_hermitian=False):
+    """A random complex n x n matrix of unit Frobenius norm."""
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if anti_hermitian:
+        e = e - e.conj().T
+    return e / np.linalg.norm(e)
+
+
+def test_identity_residual_decides_at_the_tolerance():
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 3, 8):
+        for side in SIDES:
+            ops = np.zeros((3, n, n), dtype=complex)
+            ops[0] = np.eye(n) + side * TOL * _direction(rng, n)
+            want = None if side < 1 else "B_0 must be the identity"
+            assert _message(ops) == _reference_message(ops) == want, (n, side)
+    # Bob's Z* with B_0 = (1 + 5e-6) 1: each entry is within np.allclose's
+    # 1e-9 + 1e-5 |x| of the identity, but the residual is 8.7e-6
+    ops = sc.GeneralizedObservable.from_unitary(sc.generalized_pauli(3, "Z").conj(), 3).operators
+    with pytest.raises(sc.ContractError, match="B_0 must be the identity"):
+        sc.GeneralizedObservable(np.stack([(1 + 5e-6) * ops[0], ops[1], ops[2]]))
+
+
+def _pair_move(ops, j, move, rng):
+    """Move the conjugate pair (B_j, B_{d-j}) of ops to one side of a test:
+    ("dev", f) puts dev = f tol, ("norm", f) puts ||B_j||_op = 1 + f tol,
+    and ("both", f) puts dev = tol / 2 and ||B_j||_op = 1 + f tol / 2."""
+    d, n = len(ops), ops.shape[1]
+    kind, f = move
+    if kind != "dev":
+        u = ops[j] / np.linalg.norm(ops[j], 2)  # a unitary, Hermitian when 2 j = d
+        ops[j] = u * (1 + f * TOL / (2 if kind == "both" else 1))
+        ops[d - j] = ops[j].conj().T
+    if kind != "norm":
+        size = f * TOL if kind == "dev" else TOL / 2
+        if 2 * j == d:  # dev = ||E - E^dag||_F = 2 ||E||_F
+            ops[j] = ops[j] + size / 2 * _direction(rng, n, anti_hermitian=True)
+        else:
+            ops[d - j] = ops[d - j] + size * _direction(rng, n)
+
+
+def test_pairing_and_norm_decide_at_their_tolerance_and_the_first_failing_pair_is_named():
+    # B_k = U^k / 2 with B_{d-k} = B_k^dag exactly keeps every test off its
+    # edge. One pair is moved to either side of the pairing test, the norm
+    # test, or both at once (c = 1 + tol - dev); a second pair fails, or
+    # not, to check that the message names the first failing pair.
     rng = np.random.default_rng(35)
+    moves = [None] + [(kind, f) for kind in ("dev", "norm", "both") for f in SIDES]
     outcomes = set()
     for d in (3, 4, 5, 6):
         v = sc.haar_unitary(3, rng)
         u = v @ np.diag(np.exp(2j * np.pi * rng.integers(0, d, 3) / d)) @ v.conj().T
         base = sc.GeneralizedObservable.from_unitary(u, d).operators / 2
         base[0] = np.eye(3)
-        moves = [None] + [(s, f) for s in (1, -1) for f in (1 - 1e-7, 1 + 1e-7, 2.0)]
+        for k in range(1, d // 2 + 1):
+            base[d - k] = base[k].conj().T
+            if 2 * k == d:
+                base[k] = (base[k] + base[k].conj().T) / 2
         for k in range(1, d // 2 + 1):
             for other in range(1, d // 2 + 1):
                 for move in moves:
-                    for other_move in (None, (1, 2.0), (-1, 1 - 1e-7)):
+                    for other_move in (None, ("dev", 2.0), ("norm", 1e3)):
                         ops = base.copy()
                         for j, m in ((k, move), (other, other_move)):
                             if m is not None:
-                                z = ops[d - j, 0, 1]
-                                tol = 1e-9 + 1e-5 * abs(ops[j, 1, 0])
-                                ops[d - j, 0, 1] = z + m[0] * m[1] * tol * z / abs(z)
-                        want = _two_allclose(ops)
+                                _pair_move(ops, j, m, rng)
+                        want = _reference_message(ops)
                         assert _message(ops) == want, (d, k, move, other, other_move)
-                        outcomes.add(want if want is None else want.split(" ")[0][2:])
-    assert {None, "2", "3", "4", "5"} <= outcomes
+                        outcomes.add(want and want.split(" ")[0])
+    assert outcomes == {None, "B_2", "B_3", "B_4", "B_5", "||B_1||_op", "||B_2||_op",
+                        "||B_3||_op"}
+
+
+def test_entry_guard_covers_the_whole_stack_before_any_product():
+    # 1e300 overflows any product or squared norm; the tier-1 warning
+    # filter makes such an overflow an error.
+    for d in (2, 3, 4, 5):
+        ops = sc.GeneralizedObservable.from_unitary(sc.generalized_pauli(d, "X"), d).operators
+        for k in range(d):
+            bad = ops.copy()
+            bad[k, 0, 1] = 1e300
+            want = ("B_0 must be the identity" if k == 0 else
+                    f"B_{k} has an entry of modulus 1.000e+300, so ||B_{k}||_op > 1")
+            assert _message(bad) == _reference_message(bad) == want, (d, k)
+
+
+def test_unitary_observable_takes_no_svd(monkeypatch):
+    d, junk = 8, 16
+    rng = np.random.default_rng(34)
+    v = sc.haar_unitary(d * junk, rng)
+    u = v @ np.kron(sc.generalized_pauli(d, "X"), np.eye(junk)) @ v.conj().T
+    powers = sc.GeneralizedObservable.from_unitary(u, d).operators
+    halved = powers / 2
+    halved[0] = powers[0]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for ops in (powers, halved):
+        sc.GeneralizedObservable(ops)
 
 
 def test_generalized_observable_refuses_non_finite_operators():
