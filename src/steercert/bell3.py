@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import ContractError, DomainError, SizeError
-from .linalg import DEFAULT_TOL, Ket, dagger
+from .linalg import DEFAULT_TOL, Ket, dagger, failed_checks
 from .measurements import GeneralizedObservable, _require_projective, generalized_pauli, omega
 from .states import Realization, SchmidtVector, schmidt_state
 from .steering import functional_coefficients, lhs_bound_exact, evaluate
@@ -415,19 +415,13 @@ def extended_certification_check(
     value = evaluate(f, r)
     residual = abs(value - 3.0)
     lhs = lhs_bound_exact(f, alice_observables=r.alice_observables).value
-    failures = []
-    if not residual <= 1e-9:
-        failures.append(f"functional value {value:.12f} differs from 3")
-    if not lhs < 3.0 - 1e-9:
-        failures.append(f"dressed LHS bound {lhs:.12f} does not stay below 3")
+    failures = failed_checks([
+        ("value", residual, 1e-9, lambda: f"functional value {value:.12f} differs from 3"),
+        ("lhs_bound", lhs, np.nextafter(3.0 - 1e-9, -np.inf),
+         lambda: f"dressed LHS bound {lhs:.12f} does not stay below 3"),
+    ])
     return ExtendedCheckReport(
-        aux_dim=da.aux_dim,
-        q_rank=da.q_rank,
-        branch_weight=w,
-        value=value,
-        value_residual=residual,
-        lhs_bound=lhs,
-        lhs_gap=3.0 - lhs,
-        passed=not failures,
-        failures=failures,
+        aux_dim=da.aux_dim, q_rank=da.q_rank, branch_weight=w, value=value,
+        value_residual=residual, lhs_bound=lhs, lhs_gap=3.0 - lhs,
+        passed=not failures, failures=failures,
     )

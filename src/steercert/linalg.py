@@ -19,6 +19,16 @@ from .errors import ContractError, DomainError, SizeError
 DEFAULT_TOL = 1e-9
 
 
+def failed_checks(rows) -> list:
+    """The messages of a check table's failed rows, in row order.
+
+    A row (name, residual, bound, message) passes exactly when residual <=
+    bound, so a NaN fails; x >= -tol is the row -x <= tol and x < c the row
+    x <= nextafter(c, -inf), both bit-exact. message() is called only when
+    its row fails."""
+    return [message() for _, residual, bound, message in rows if not residual <= bound]
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a square 2-D complex128 array."""
     a = np.asarray(m, dtype=np.complex128)

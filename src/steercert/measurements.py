@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, InvalidObservableError, SizeError
-from .linalg import DEFAULT_TOL, as_complex_matrix, dagger
+from .linalg import DEFAULT_TOL, as_complex_matrix, dagger, failed_checks
 
 
 def omega(d: int) -> complex:
@@ -257,7 +257,8 @@ def _chain_check(ops: np.ndarray, tol: float):
             res_pow = max(res_pow, float(np.linalg.norm(ops[k] - power)))
     residuals = {"unitarity": res_unit, "power_identity": float(np.linalg.norm(power - eye)),
                  "powers": res_pow}
-    return all(v <= tol for v in residuals.values()), residuals
+    rows = [(k, v, tol, lambda k=k: k) for k, v in residuals.items()]
+    return not failed_checks(rows), residuals
 
 
 def _require_projective(stacks, tol: float, side: str = "Bob") -> None:

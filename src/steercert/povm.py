@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotExtremalError, SizeError
-from .linalg import DEFAULT_TOL, Ket, dagger
+from .linalg import DEFAULT_TOL, Ket, dagger, failed_checks
 from .measurements import Povm, _weyl_operators
 from .states import SchmidtVector
 
@@ -139,15 +139,12 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> PovmValidationReport:
     # Per element: a norm over the whole stack differs in the last bit.
     herm = np.array([np.linalg.norm(e - dagger(e)) for e in p.elements])
     mins = p.hermitian_eigenvalues[:, 0]
-    failures = []
-    for b in range(p.n_outcomes):
-        if not herm[b] <= tol:
-            failures.append(f"element {b}: hermiticity residual {herm[b]:.3e}")
-        if not mins[b] >= -tol:
-            failures.append(f"element {b}: eigenvalue {mins[b]:.3e}")
     comp = float(np.linalg.norm(p.elements.sum(axis=0) - np.eye(p.dim)))
-    if not comp <= tol:
-        failures.append(f"completeness residual {comp:.3e}")
+    rows = [row for b, (h, m) in enumerate(zip(herm.tolist(), mins.tolist())) for row in (
+        ("hermiticity", h, tol, lambda b=b, h=h: f"element {b}: hermiticity residual {h:.3e}"),
+        ("positivity", -m, tol, lambda b=b, m=m: f"element {b}: eigenvalue {m:.3e}"))]
+    rows.append(("completeness", comp, tol, lambda: f"completeness residual {comp:.3e}"))
+    failures = failed_checks(rows)
     return PovmValidationReport(herm, mins, comp, failures, not failures)
 
 
@@ -167,7 +164,8 @@ def is_extremal_rank_one(p: Povm):
     second = vals[:, -2] if p.dim > 1 else np.zeros(n)
     ratios = np.full(n, np.inf)
     np.divide(second, top, out=ratios, where=top > 0)
-    rank_violations = [b for b in range(n) if not ratios[b] <= EXTREMAL_TOL]
+    rank_violations = failed_checks(
+        ("rank_one", r, EXTREMAL_TOL, lambda b=b: b) for b, r in enumerate(ratios.tolist()))
     sv = p.gram_singular_values
     rank = int(np.sum(sv > EXTREMAL_TOL * sv[0])) if sv[0] > 0 else 0
     diagnostics = {

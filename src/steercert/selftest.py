@@ -7,10 +7,12 @@ observables on the state support, and positivity of the diagonal
 operator whose spectrum gamma * sum_i alpha_i / alpha_l certifies the
 Schmidt coefficients. The value and the stabilizer relations come from
 the same local terms, so certify() applies each term to the state once
-(steering._walk_terms). It checks every identity at one tolerance and
+(steering._walk_terms). It checks the identities as one table at one
+tolerance, except the two that its tolerance guard implies (see certify):
+the value above beta_l_upper and a positive diagonal operator. It
 returns a verdict: failures are data. Only malformed input raises (a
 tolerance outside (0, 1) or too loose to exclude every LHS model, fewer
-than two observables on a side), and every check fails closed, so a NaN
+than two observables on a side), and every row fails closed, so a NaN
 residual is a failure.
 """
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .linalg import DEFAULT_TOL, dagger, range_basis
+from .linalg import DEFAULT_TOL, dagger, failed_checks, range_basis
 from .measurements import (
     _require_projective, generalized_pauli, is_projective, observable_to_povm, omega, root_powers,
 )
@@ -111,12 +113,19 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
 
     A tol at or above d - beta_l_upper raises DomainError: the value test
     value_gap <= tol would then pass a value that an LHS model reaches.
-    Below it, a value within tol of d is above beta_l_upper; that is also
-    checked, so roundoff cannot certify a value at the LHS bound. A value
-    above d + DEFAULT_TOL, beyond the trusted Alice's maximum d, fails.
-    The bound, the maximum and the self-test hold only for Alice's
-    trusted Z, X on C^d, so Alice observables farther than tol from
-    them in Frobenius norm, or of another shape, fail too.
+    A value above d + DEFAULT_TOL, beyond the trusted Alice's maximum d,
+    fails. The bound, the maximum and the self-test hold only for Alice's
+    trusted Z, X on C^d, so Alice observables farther than tol from them
+    in Frobenius norm, or of another shape, fail too. Each check is a row
+    of one table (linalg.failed_checks), so a NaN residual fails.
+
+    The guard implies two identities, which therefore have no row:
+    - a value that passes value_gap is above beta_l_upper: rounding is
+      monotone, so fl(d - value) <= tol < fl(d - beta_l_upper) implies it;
+    - Z~ is positive: its least eigenvalue is gamma S / alpha_max with
+      S = sum_i alpha_i, and Alice's hidden state e_a, a = argmax alpha, is
+      an LHS strategy of value d + gamma - gamma S / alpha_max, so in exact
+      arithmetic ztilde_min > d - beta_L >= d - beta_l_upper > tol.
 
     The commutation residual is only evaluated when both Bob observables
     pass projectivity (its precondition); the verdict is already failed
@@ -130,56 +139,43 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
             f"tolerance {tol} is at or above d - beta_l_upper = {f.d - beta_l:.6g}, where "
             "value_gap <= tolerance cannot tell a quantum device from an LHS model"
         )
-    failures: list[str] = []
     value, per_k, s_res = _walk_terms(f, r)
     gap = f.d - value
-    if not gap <= tol:
-        failures.append(f"value_gap {gap:.3e} > {tol:.1e}")
-    elif not value <= f.d + DEFAULT_TOL:
-        failures.append(f"value {value!r} is above the quantum maximum {f.d}")
-    elif not value > beta_l:  # a NaN value has already failed on its gap
-        failures.append(f"value {value!r} is not above beta_l_upper {beta_l!r}")
+    rows = [
+        ("value_gap", gap, tol, lambda: f"value_gap {gap:.3e} > {tol:.1e}"),
+        ("quantum_maximum", value, f.d + DEFAULT_TOL,
+         lambda: f"value {value!r} is above the quantum maximum {f.d}"),
+    ]
     alice = []
     for i, (a, kind) in enumerate(zip(r.alice_observables[:2], "ZX")):
         res = (float(np.linalg.norm(a - generalized_pauli(f.d, kind))) if a.shape == (f.d, f.d)
                else np.inf)
         alice.append(res if res < np.inf else None)  # strict JSON has no inf
-        if not res <= tol:
-            failures.append(f"Alice observable {i} is not the trusted {kind} (residual {res:.3e})")
+        rows.append(("alice", res, tol, lambda i=i, kind=kind, res=res:
+                     f"Alice observable {i} is not the trusted {kind} (residual {res:.3e})"))
     proj = []
     for i, g in enumerate(r.bob_observables[:2]):
         ok, res = is_projective(g, tol)
-        worst = max(res.values())
+        worst = float(np.max([*res.values()]))  # a NaN residual is the worst
         proj.append({"projective": ok, "residual": worst})
-        if not ok:
-            failures.append(f"Bob observable {i} projectivity residual {worst:.3e}")
-    if not np.max(per_k) <= tol:
-        failures.append(f"stabilizer residual {np.max(per_k):.3e} > {tol:.1e}")
-    if not s_res <= tol:
-        failures.append(f"s_residual {s_res:.3e} > {tol:.1e}")
+        rows.append(("projectivity", worst, tol, lambda i=i, worst=worst:
+                     f"Bob observable {i} projectivity residual {worst:.3e}"))
+    stab = np.max(per_k)
+    rows += [
+        ("stabilizer", stab, tol, lambda: f"stabilizer residual {stab:.3e} > {tol:.1e}"),
+        ("s_residual", s_res, tol, lambda: f"s_residual {s_res:.3e} > {tol:.1e}"),
+    ]
     comm = None
     if all(p["projective"] for p in proj):
         comm = _commutation_residual(r)
-        if not comm <= tol:
-            failures.append(f"commutation residual {comm:.3e} > {tol:.1e}")
-    ztilde_min = float(np.min(ztilde_spectrum(f)))
-    if not ztilde_min > tol:
-        failures.append(f"ztilde min eigenvalue {ztilde_min:.3e} not positive")
-    verdict = "certified" if not failures else "failed"
+        rows.append(("commutation", comm, tol, lambda: f"commutation residual {comm:.3e} > {tol:.1e}"))
+    failures = failed_checks(rows)
     return CertReport(
-        d=f.d,
-        tolerance=tol,
-        value=value,
-        value_gap=gap,
-        lhs_gap=value - beta_l,
-        alice_residual=alice,
-        stabilizer_residuals=per_k,
-        s_residual=s_res,
-        commutation_residual=comm,
-        projectivity=proj,
-        ztilde_min_eig=ztilde_min,
-        verdict=verdict,
-        failures=failures,
+        d=f.d, tolerance=tol, value=value, value_gap=gap, lhs_gap=value - beta_l,
+        alice_residual=alice, stabilizer_residuals=per_k, s_residual=s_res,
+        commutation_residual=comm, projectivity=proj,
+        ztilde_min_eig=float(np.min(ztilde_spectrum(f))),
+        verdict="failed" if failures else "certified", failures=failures,
     )
 
 

@@ -424,3 +424,14 @@ def test_extended_check_requires_qutrit():
         sc.extended_certification_check(
             sc.maximally_entangled(2), sc.dressed_alice(2, 1), seed=0
         )
+
+
+def test_extended_check_lhs_row_is_strict(monkeypatch):
+    # lhs < 3 - 1e-9 is the row lhs <= nextafter(3 - 1e-9, -inf)
+    sv, da = sc.maximally_entangled(3), sc.dressed_alice(2, 1)
+    edge = 3.0 - 1e-9
+    for lhs, passed in ((np.nextafter(edge, -np.inf), True), (edge, False), (np.nan, False)):
+        monkeypatch.setattr(b3, "lhs_bound_exact", lambda f, alice_observables: sc.LhsOptimum(lhs))
+        rep = b3.extended_certification_check(sv, da, seed=3)
+        assert rep.passed == passed and rep.lhs_bound is lhs, lhs
+        assert rep.failures == ([] if passed else [f"dressed LHS bound {lhs:.12f} does not stay below 3"])

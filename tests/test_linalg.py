@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import steercert as sc
+from steercert.linalg import failed_checks
 
 
 
@@ -81,3 +82,23 @@ def test_ket_amplitudes_are_read_only():
     with pytest.raises(ValueError):
         k.amplitudes[0] = 5.0  # would break the unit norm checked at construction
     assert abs(np.linalg.norm(k.amplitudes) - 1.0) < 1e-15
+
+
+def test_failed_checks_is_one_fail_closed_comparison():
+    called = []
+
+    def row(residual, bound):
+        return ("r", residual, bound, lambda: called.append(residual) or f"failed {residual}")
+
+    tol = 1e-7
+    assert failed_checks([row(tol, tol), row(0.0, tol), row(-np.inf, tol)]) == []
+    assert called == []  # a passing row formats nothing
+    up = np.nextafter(tol, np.inf)
+    assert failed_checks([row(up, tol), row(tol, tol), row(np.nan, tol), row(np.inf, tol)]) == [
+        f"failed {up}", "failed nan", "failed inf"]
+    # x < c is the row x <= nextafter(c, -inf), and x >= -tol the row -x <= tol
+    for c in (3.0 - 1e-9, 1e-300, 0.0, 1.0):
+        below = np.nextafter(c, -np.inf)
+        for x in (c, below, np.nextafter(below, -np.inf), np.nextafter(c, np.inf), np.nan):
+            assert (not failed_checks([row(x, below)])) == (x < c)
+            assert (not failed_checks([row(-x, c)])) == (x >= -c)

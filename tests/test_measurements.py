@@ -5,7 +5,7 @@ import pytest
 
 import steercert as sc
 from conftest import fourier_observable
-from steercert.measurements import _alice_chains, root_powers
+from steercert.measurements import _alice_chains, _chain_check, root_powers
 
 
 def comp_basis_povm(d):
@@ -145,6 +145,21 @@ def test_is_projective_examples():
     ok, info = sc.is_projective(shrunk)
     assert not ok
     assert abs(info["unitarity"] - (1 - 0.99**2) * np.sqrt(3)) < 1e-12
+
+
+def test_is_projective_decides_at_its_tolerance():
+    # each stack's worst residual r passes at tol = r and fails one ulp below
+    z = sc.generalized_pauli(3, "Z")
+    off = z @ z + np.diag([0.0, 0.0, 2.0**-31])  # B_2 off B_1^2: the "powers" row
+    stacks = [np.stack([np.eye(2), np.diag([1.0, 1.0 - 2.0**-20])]),
+              np.stack([np.eye(3), z, off])]
+    for ops, key in zip(stacks, ("unitarity", "powers")):
+        g = sc.GeneralizedObservable(ops)
+        _, res = sc.is_projective(g)
+        r = max(res.values())
+        assert res[key] == r > 0
+        assert sc.is_projective(g, r)[0] and not sc.is_projective(g, np.nextafter(r, -np.inf))[0]
+    assert not _chain_check(np.full((2, 2, 2), np.nan), 1.0)[0]
 
 
 def test_random_projective_observables_are_unit_norm():

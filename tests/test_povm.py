@@ -182,3 +182,40 @@ def test_theorem3_residuals_dimension_errors():
         )
     with pytest.raises(sc.SizeError):
         sc.theorem3_residuals(pl["ideal"], pl["ideal"], pl["psi4"], pl["sv"])
+
+
+def _validate_at_edges(els, residual):
+    """validate_povm at tol = residual (passes) and one ulp below it, where
+    the residual is nextafter(tol, inf) (fails); returns the failures."""
+    p = sc.Povm(els)
+    assert sc.validate_povm(p, residual).passed
+    rep = sc.validate_povm(p, np.nextafter(residual, -np.inf))
+    assert not rep.passed
+    return rep.failures
+
+
+def test_validate_povm_rows_decide_at_their_bound():
+    h = 2.0**-20
+    skew = np.array([[0.5, h], [0.0, 0.5]])
+    herm = np.linalg.norm(skew - skew.T)
+    assert _validate_at_edges([skew, np.eye(2) - skew], herm) == [
+        f"element {b}: hermiticity residual {herm:.3e}" for b in (0, 1)]
+    e = 2.0**-30
+    assert _validate_at_edges([np.diag([1.0 + e, 0.0]), np.diag([-e, 1.0])], e) == [
+        f"element 1: eigenvalue {-e:.3e}"]
+    assert _validate_at_edges([np.diag([0.5 + e, 0.5]), np.diag([0.5, 0.5])], e) == [
+        f"completeness residual {e:.3e}"]
+
+
+def test_validate_povm_rows_fail_on_nan():
+    # Povm refuses non-finite entries, so the NaNs are put in behind its back
+    p = sc.Povm(sc.partial_povm(sc.maximally_entangled(2)).elements)
+    mins = np.array(p.hermitian_eigenvalues)
+    mins[2, 0] = np.nan
+    p.__dict__["hermitian_eigenvalues"] = mins
+    els = np.array(p.elements)
+    els[1, 0, 0] = np.nan
+    object.__setattr__(p, "elements", els)
+    assert sc.validate_povm(p).failures == [
+        "element 1: hermiticity residual nan", "element 2: eigenvalue nan",
+        "completeness residual nan"]

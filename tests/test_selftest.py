@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import steercert as sc
 from conftest import fourier_observable
@@ -409,3 +411,150 @@ def test_extract_bob_unitary_rejects_indivisible_dimension():
     )
     with pytest.raises(sc.ContractError):
         sc.extract_bob_unitary(r)
+
+
+def test_bob_non_projective_off_the_state_support_fails():
+    # Bob holds Z (+) 0.5 and X (+) 0.5 on C^3 and the state lives on his
+    # first two levels, so every identity the state can see holds and the
+    # value reaches d. The device still fails: the self-test's isometry is
+    # built from Bob's projectors on his whole space, and these operators
+    # are not unitary, so they are no projective measurement and the
+    # theorem's premise does not hold. No claim is made off the support.
+    sv = sc.SchmidtVector(np.array([0.8, 0.6]))
+    z, x = sc.generalized_pauli(2, "Z"), sc.generalized_pauli(2, "X")
+    amps = np.zeros((2, 3), dtype=complex)
+    amps[:, :2] = sc.schmidt_state(sv).amplitudes.reshape(2, 2)
+    bob = []
+    for u in (z, x):
+        b1 = np.zeros((3, 3), dtype=complex)
+        b1[:2, :2], b1[2, 2] = u, 0.5
+        bob.append(sc.GeneralizedObservable(np.stack([np.eye(3), b1])))
+    r = sc.Realization(sc.Ket(amps.ravel(), (2, 3)), [z, x], bob)
+    rep = sc.certify(sc.functional_coefficients(sv), r)
+    assert rep.value == 2.0000000000000004
+    assert rep.verdict == "failed"
+    assert rep.failures == ["Bob observable 0 projectivity residual 7.500e-01",
+                            "Bob observable 1 projectivity residual 7.500e-01"]
+    assert rep.commutation_residual is None
+
+
+# A tolerance whose gap d - (d - TOL) is exact at d = 3, so the value_gap row
+# can be put exactly at its bound.
+TOL = 2.0**-24
+ABOVE = np.nextafter(TOL, np.inf)
+
+
+def _certify_with(monkeypatch, value=None, per_k=None, s_res=None, proj=None, comm=None):
+    """certify of the ideal d = 3 device at TOL, with the inputs of chosen
+    rows replaced: proj maps a Bob observable's index to its residual."""
+    import steercert.selftest as selftest
+    from steercert.steering import _walk_terms
+
+    f, r = ideal3()
+
+    def walk(f, r):
+        v, pk, s = _walk_terms(f, r)
+        return (v if value is None else value, pk if per_k is None else per_k,
+                s if s_res is None else s_res)
+
+    def projective(g, tol):
+        ok, res = sc.is_projective(g, tol)
+        i = [id(b) for b in r.bob_observables].index(id(g))
+        if proj is None or i not in proj:
+            return ok, res
+        # the replaced residual is the last one, where max() would miss a NaN
+        return bool(proj[i] <= tol), {"unitarity": 0.0, "power_identity": 0.0, "powers": proj[i]}
+
+    monkeypatch.setattr(selftest, "_walk_terms", walk)
+    monkeypatch.setattr(selftest, "is_projective", projective)
+    if comm is not None:
+        monkeypatch.setattr(selftest, "_commutation_residual", lambda r: comm)
+    return sc.certify(f, r, TOL)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("stabilizer", "stabilizer residual {:.3e} > 6.0e-08"),
+    ("s_residual", "s_residual {:.3e} > 6.0e-08"),
+    ("bob_0", "Bob observable 0 projectivity residual {:.3e}"),
+    ("bob_1", "Bob observable 1 projectivity residual {:.3e}"),
+    ("commutation", "commutation residual {:.3e} > 6.0e-08"),
+])
+def test_certify_rows_decide_at_their_bound(monkeypatch, row, message):
+    def run(x):
+        kw = {"stabilizer": {"per_k": np.array([0.0, x])}, "s_residual": {"s_res": x},
+              "bob_0": {"proj": {0: x}}, "bob_1": {"proj": {1: x}},
+              "commutation": {"comm": x}}[row]
+        return _certify_with(monkeypatch, **kw)
+
+    assert run(TOL).certified
+    for x in (ABOVE, np.nan):
+        rep = run(x)
+        assert rep.failures == [message.format(x)], (x, rep.failures)
+
+
+def test_certify_value_rows_decide_at_their_bound(monkeypatch):
+    # value_gap = d - value: its smallest step above TOL is one ulp of d
+    assert _certify_with(monkeypatch, value=3.0 - TOL).value_gap == TOL
+    assert _certify_with(monkeypatch, value=3.0 - TOL).certified
+    low = np.nextafter(3.0 - TOL, -np.inf)
+    rep = _certify_with(monkeypatch, value=low)
+    assert rep.value_gap > TOL and rep.failures == [f"value_gap {rep.value_gap:.3e} > 6.0e-08"]
+    top = 3.0 + sc.DEFAULT_TOL
+    assert _certify_with(monkeypatch, value=top).certified
+    rep = _certify_with(monkeypatch, value=np.nextafter(top, np.inf))
+    assert rep.failures == [f"value {np.nextafter(top, np.inf)!r} is above the quantum maximum 3"]
+    # a NaN value fails both value rows
+    rep = _certify_with(monkeypatch, value=np.nan)
+    assert rep.failures == ["value_gap nan > 6.0e-08", "value nan is above the quantum maximum 3"]
+
+
+def _alpha_draws():
+    """3,213 Schmidt vectors at d = 2..64, 17 of each kind per d: uniform
+    weights, geometric weights 2^-(i + u_i), u_i uniform in [0, 1), and
+    near-uniform weights 1 +- 1e-6."""
+    rng = np.random.default_rng(21)
+    for d in range(2, 65):
+        i = np.arange(d)
+        for _ in range(17):
+            for w in (rng.uniform(size=d), 2.0 ** -(i + rng.uniform(size=d)),
+                      1.0 + rng.uniform(-1e-6, 1e-6, size=d)):
+                yield sc.SchmidtVector(w / np.linalg.norm(w))
+
+
+def test_the_tolerance_guard_implies_a_positive_ztilde():
+    # certify has no Z~ row: tol < d - beta_l_upper < ztilde_min (see certify)
+    ratios, refused = [], {}
+    for sv in _alpha_draws():
+        f = sc.functional_coefficients(sv)
+        room = f.d - sc.lhs_bound_paper_upper(f).value
+        if room > 0:
+            ratios.append(np.min(sc.ztilde_spectrum(f)) / room)
+            continue
+        # the geometric vectors at large d: no tolerance is admissible, and
+        # the guard refuses before it reads the device
+        if f.d not in refused:
+            refused[f.d] = [sc.ideal_realization(sc.maximally_entangled(f.d)), 0]
+        with pytest.raises(sc.DomainError, match="at or above d - beta_l_upper"):
+            sc.certify(f, refused[f.d][0], 1e-300)
+        refused[f.d][1] += 1
+    n_refused = sum(n for _, n in refused.values())
+    assert len(ratios) + n_refused == 3213 and min(refused) > 32
+    assert min(ratios) > 1.016
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_value_within_the_tolerance_is_above_beta_l_upper(data):
+    # certify has no "not above beta_l_upper" row: rounding is monotone, so
+    # fl(d - value) <= tol < fl(d - beta) implies value > beta. The draws
+    # crowd the edges of both premises, where the rounding decides.
+    d = data.draw(st.integers(2, 64))
+    tol = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    edge = d - tol
+    value = data.draw(st.one_of(st.floats(edge, d + 1e-6), st.sampled_from(
+        [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)])))
+    beta = data.draw(st.one_of(st.floats(d - 1.0, edge), st.sampled_from(
+        [value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf),
+         edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)])))
+    assume(d - value <= tol < d - beta)
+    assert value > beta
