@@ -60,7 +60,6 @@ from .selftest import (
     CertReport,
     certify,
     commutation_residual,
-    extract_bob_unitary,
     stabilizer_residuals,
     ztilde_spectrum,
 )
@@ -106,7 +105,7 @@ __all__ = [
     "evaluate", "LhsOptimum", "lhs_bound_exact",
     "lhs_bound_paper_upper",
     "VERDICT_TOL", "CertReport", "certify", "stabilizer_residuals",
-    "commutation_residual", "ztilde_spectrum", "extract_bob_unitary",
+    "commutation_residual", "ztilde_spectrum",
     "DEFAULT_PHASE_TABLES", "default_phase_table", "sidon_check",
     "covariant_povm", "partial_povm", "PovmValidationReport", "validate_povm",
     "is_extremal_rank_one", "theorem3_residuals",

@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SizeError
+from .errors import DomainError, SizeError
 
 # Default tolerance for algebraic identities; verdicts use a looser 1e-7.
 DEFAULT_TOL = 1e-9
@@ -48,24 +48,6 @@ def _validate_factors(dim: int, factor_dims) -> tuple[int, ...]:
     if prod(dims) != dim:
         raise SizeError(f"factor dims {dims} do not multiply to {dim}")
     return dims
-
-
-def range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of a projector's range, Gram-Schmidt over its
-    columns in index order, so the basis depends only on the subspace."""
-    basis: list[np.ndarray] = []
-    for j in range(proj.shape[0]):
-        cand = proj[:, j].copy()
-        for b in basis:
-            cand -= b * (np.conj(b) @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            basis.append(cand / nrm)
-        if len(basis) == rank:
-            return np.column_stack(basis)
-    # Projector columns always span the range; reaching here means the
-    # projector has lower rank than expected to working precision.
-    raise ContractError("projector rank below expected multiplicity")
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

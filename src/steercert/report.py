@@ -70,6 +70,7 @@ SCHEMAS = {
                            "minItems": 2, "maxItems": 2},
         "stabilizer_residuals": _REAL_VEC, "s_residual": _NUM,
         "commutation_residual": {"type": ["number", "null"]},
+        "extracted_fidelity": {"type": ["number", "null"]},
         "projectivity": {"type": "array"}, "ztilde_min_eig": _NUM,
         "verdict": {"enum": ["certified", "failed"]},
         "failures": {"type": "array", "items": _STR}, **_META,

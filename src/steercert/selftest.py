@@ -9,7 +9,9 @@ Schmidt coefficients. The value and the stabilizer relations come from
 the same local terms, so certify() applies each term to the state once
 (steering._walk_terms). It checks the identities as one table at one
 tolerance, except the two that its tolerance guard implies (see certify):
-the value above beta_l_upper and a positive diagonal operator. It
+the value above beta_l_upper and a positive diagonal operator. Beside
+the residuals it reports how close the state is to |psi(alpha)> after
+Bob's swap isometry, the local isometry the self-test says exists. It
 returns a verdict: failures are data. Only malformed input raises (a
 tolerance outside (0, 1) or too loose to exclude every LHS model, fewer
 than two observables on a side), and every row fails closed, so a NaN
@@ -22,11 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError
-from .linalg import DEFAULT_TOL, dagger, failed_checks, range_basis
-from .measurements import (
-    _require_projective, generalized_pauli, is_projective, observable_to_povm, omega, root_powers,
-)
+from .errors import DomainError
+from .linalg import DEFAULT_TOL, failed_checks
+from .measurements import _require_projective, generalized_pauli, is_projective, omega, root_powers
 from .states import Realization
 from .steering import SteeringFunctional, _walk_terms, lhs_bound_paper_upper
 
@@ -68,6 +68,29 @@ def _commutation_residual(r: Realization) -> float:
     return float(np.linalg.norm(comm @ r.state.amplitudes.reshape(da, db, -1)))
 
 
+def _extracted_fidelity(r: Realization, alpha: np.ndarray) -> float | None:
+    """<psi(alpha)| Tr_junk,E[(1 (x) Phi)|psi><psi|(1 (x) Phi)^dagger] |psi(alpha)>.
+
+    Phi(phi) = sum_a |a> (x) B_1^-a P_a phi is Bob's swap isometry, with
+    P_a = (1/d) sum_k omega^(ak) B_{k|0} the eigenprojector of B_0 for
+    omega^-a, so the fidelity is ||sum_a alpha_a B_{d-a|1} P_a psi[a]||^2,
+    psi[a] being Alice's row a of the amplitudes. Phi is an isometry only
+    for a projective pair, which the caller has checked, and B_{d-a|1} is
+    then B_1^-a. None when Alice's space is not C^d.
+    """
+    d, (da, db) = r.d, r.state.factor_dims[:2]
+    if da != d:
+        return None
+    b0, b1 = (g.operators for g in r.bob_observables[:2])
+    psi = r.state.amplitudes.reshape(d, db, -1).transpose(1, 0, 2).reshape(db, -1)
+    # B_{k|0} psi[a] for every k and a in one product, as [k, i, a, e]
+    moved = (b0.reshape(d * db, db) @ psi).reshape(d, db, d, -1)
+    phases = root_powers(d, np.arange(d), np.arange(d)) * (alpha / d)[:, None]  # [a, k]
+    w = np.einsum("ak,kiae->aie", phases, moved)  # alpha_a P_a psi[a]
+    v = (b1 @ w[-np.arange(d) % d]).sum(axis=0)  # sum_k B_{k|1} w[-k]
+    return float(np.vdot(v, v).real)
+
+
 def ztilde_spectrum(f: SteeringFunctional) -> np.ndarray:
     """Eigenvalues of (1+gamma) 1 - sum_{k>=1} delta_k Z^k, in basis order.
 
@@ -87,7 +110,12 @@ class CertReport:
     lhs_gap is value - beta_l_upper. alice_residual holds the Frobenius
     distance of each of Alice's two observables from the trusted Z, X,
     None for one of another shape. projectivity holds
-    {"projective": bool, "residual": worst residual} per Bob observable."""
+    {"projective": bool, "residual": worst residual} per Bob observable.
+    extracted_fidelity is the fidelity with |psi(alpha)> after Bob's swap
+    isometry (_extracted_fidelity), a figure of this realization, not a
+    device-independent bound. With Alice on C^d it is None exactly when
+    commutation_residual is; with Alice on another space, always. It is no
+    check, so it has no part in the verdict."""
 
     d: int
     tolerance: float
@@ -98,6 +126,7 @@ class CertReport:
     stabilizer_residuals: np.ndarray
     s_residual: float
     commutation_residual: float | None
+    extracted_fidelity: float | None
     projectivity: list
     ztilde_min_eig: float
     verdict: str
@@ -127,9 +156,10 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
       an LHS strategy of value d + gamma - gamma S / alpha_max, so in exact
       arithmetic ztilde_min > d - beta_L >= d - beta_l_upper > tol.
 
-    The commutation residual is only evaluated when both Bob observables
-    pass projectivity (its precondition); the verdict is already failed
-    in that case and the field is reported as None.
+    The commutation residual and the extracted fidelity are only
+    evaluated when both Bob observables pass projectivity (their
+    precondition); the verdict is already failed otherwise and both fields
+    are reported as None.
     """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance {tol} is outside (0, 1)")
@@ -141,8 +171,12 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
         )
     value, per_k, s_res = _walk_terms(f, r)
     gap = f.d - value
+
+    def above(label, res):
+        return lambda: f"{label} {float(res)!r} > {float(tol)!r}"
+
     rows = [
-        ("value_gap", gap, tol, lambda: f"value_gap {gap:.3e} > {tol:.1e}"),
+        ("value_gap", gap, tol, above("value_gap", gap)),
         ("quantum_maximum", value, f.d + DEFAULT_TOL,
          lambda: f"value {value!r} is above the quantum maximum {f.d}"),
     ]
@@ -162,66 +196,20 @@ def certify(f: SteeringFunctional, r: Realization, tol: float = VERDICT_TOL) -> 
                      f"Bob observable {i} projectivity residual {worst:.3e}"))
     stab = np.max(per_k)
     rows += [
-        ("stabilizer", stab, tol, lambda: f"stabilizer residual {stab:.3e} > {tol:.1e}"),
-        ("s_residual", s_res, tol, lambda: f"s_residual {s_res:.3e} > {tol:.1e}"),
+        ("stabilizer", stab, tol, above("stabilizer residual", stab)),
+        ("s_residual", s_res, tol, above("s_residual", s_res)),
     ]
-    comm = None
+    comm = fidelity = None
     if all(p["projective"] for p in proj):
         comm = _commutation_residual(r)
-        rows.append(("commutation", comm, tol, lambda: f"commutation residual {comm:.3e} > {tol:.1e}"))
+        rows.append(("commutation", comm, tol, above("commutation residual", comm)))
+        fidelity = _extracted_fidelity(r, f.sv.alpha)
     failures = failed_checks(rows)
     return CertReport(
         d=f.d, tolerance=tol, value=value, value_gap=gap, lhs_gap=value - beta_l,
         alice_residual=alice, stabilizer_residuals=per_k, s_residual=s_res,
-        commutation_residual=comm, projectivity=proj,
+        commutation_residual=comm, extracted_fidelity=fidelity, projectivity=proj,
         ztilde_min_eig=float(np.min(ztilde_spectrum(f))),
         verdict="failed" if failures else "certified", failures=failures,
     )
 
-
-def extract_bob_unitary(r: Realization, tol: float = 1e-8) -> np.ndarray:
-    """Unitary taking Bob's observables to (Z* (x) 1, X (x) 1) exactly.
-
-    Only defined for realizations whose Bob pair is exactly block
-    diagonalizable: B_0's eigenspaces must all have the same dimension
-    and B_1 must cycle them. The basis of the first eigenspace is
-    canonical (Gram-Schmidt on projector columns) and transported by
-    powers of B_1, so the output is deterministic. Inputs that are
-    merely close to block-diagonal raise ContractError.
-    """
-    _require_projective([g.operators for g in r.bob_observables[:2]], tol)
-    d = r.d
-    db = r.bob_observables[0].dim
-    if db % d != 0:
-        raise ContractError(f"Bob dimension {db} is not a multiple of {d}")
-    mult = db // d
-    b0, b1 = (g.operators[1] for g in r.bob_observables[:2])
-    projs = observable_to_povm(r.bob_observables[0]).elements
-    # eigenvalue omega^-a of B_0 plays the role of Z* on sector a
-    sectors = [projs[(-a) % d] for a in range(d)]
-    for a, p in enumerate(sectors):
-        rk = float(np.trace(p).real)
-        if abs(rk - mult) > tol * db:
-            raise ContractError(
-                f"eigenspace {a} has dimension {rk:.6f}, expected {mult}"
-            )
-    q = range_basis(sectors[0], mult)
-    blocks = [q]
-    for a in range(1, d):
-        q = b1 @ q
-        # B_1 must map sector a-1 into sector a for the pattern to close.
-        if np.linalg.norm(sectors[a] @ q - q) > tol * np.sqrt(db):
-            raise ContractError("Bob pair is not exactly block-diagonalizable")
-        blocks.append(q)
-    u = np.zeros((db, db), dtype=np.complex128)
-    for a in range(d):
-        for j in range(mult):
-            u[a * mult + j, :] = np.conj(blocks[a][:, j])
-    z = generalized_pauli(d, "Z")
-    x = generalized_pauli(d, "X")
-    eye_m = np.eye(mult)
-    if np.linalg.norm(u @ b0 @ dagger(u) - np.kron(np.conj(z), eye_m)) > tol * db:
-        raise ContractError("extracted unitary does not canonicalize B_0")
-    if np.linalg.norm(u @ b1 @ dagger(u) - np.kron(x, eye_m)) > tol * db:
-        raise ContractError("extracted unitary does not canonicalize B_1")
-    return u

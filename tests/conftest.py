@@ -61,6 +61,23 @@ def steering_operator(f, r):
     return op
 
 
+def tampered_dressed(d, rng, eps=1e-3):
+    """Honest dressed device and a copy whose B_1 is rotated by ~eps: the
+    rotation is exp(i eps H), H a Gaussian Hermitian matrix drawn from rng."""
+    sv = sc.random_schmidt_vector(d, rng)
+    r = sc.dress_realization(sc.ideal_realization(sv), 2, 2, seed=d)
+    m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    w, v = np.linalg.eigh((m + sc.dagger(m)) / 2)
+    rot = (v * np.exp(1j * eps * w)) @ sc.dagger(v)
+    b1 = rot @ r.bob_observables[1].operators[1] @ sc.dagger(rot)
+    bad = sc.Realization(
+        r.state,
+        r.alice_observables,
+        [r.bob_observables[0], sc.GeneralizedObservable.from_unitary(b1, d)],
+    )
+    return sc.functional_coefficients(sv), r, bad
+
+
 def bell_operator_reference(alice, bob_pairs, lam1):
     """The qutrit Bell operator as a sum of np.kron terms.
 

@@ -98,3 +98,6 @@ def test_no_adversary_is_certified(data):
     if kind.startswith("lhs") or kind == "relabelled":
         assert rep.lhs_gap <= 1e-12, rep
     assert not rep.certified, (kind, rep)
+    assert (rep.extracted_fidelity is None) == (rep.commutation_residual is None), (kind, rep)
+    if rep.extracted_fidelity is not None:
+        assert 0.0 <= rep.extracted_fidelity <= 1 + 1e-12, (kind, rep)

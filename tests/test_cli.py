@@ -141,17 +141,18 @@ def test_certify_roundtrip(tmp_path):
 # swapped, sha256 of the certify report with tool_version blanked)
 _DRESSED_CERTIFY_REPORTS = [
     ((4, 3, 2, 1), 2, 3, 11, False,
-     "989ea75c4711b7a2674c8d251dd4a7f3c705e2ad7d789087d623ce603218f157"),
+     "f6958bb1cc8d4e93fcd786256593ad0e9f2c1e20d4b934468610c0f669239092"),
     ((6, 5, 4, 3, 2, 1), 1, 4, 5, False,
-     "e52d7ee8543134c659c79be827233c3724dc3dda867aa75b7424e60db1c59bfd"),
+     "cee327d3cd9e68d65e0d0aac83e477c2f264862ad75cec61d680f5fb38ea379f"),
     ((5, 1, 3, 2, 4), 3, 2, 8, True,
-     "c065828afb95f7b20bbaf3cf4c1274bb5333042a8d55b2fc114579b8df2e7bc0"),
+     "94810de91b5b6bd14154c0a4154445e3aa969482de83c605d200609288a8ea14"),
     ((8, 7, 6, 5, 4, 3, 2, 1), 2, 2, 3, True,
-     "02f99f3bc2b2afb9a04fe1b4e610f589da0422d67f6313cf2c0629fa88a6a69a"),
+     "affdf51e8550f7f354836adb4541780a4e01db8524e2f7d356e70a7e579a3959"),
 ]
 
 
-@pytest.mark.parametrize("weights, junk, eve, seed, swapped, digest", _DRESSED_CERTIFY_REPORTS)
+@pytest.mark.parametrize("weights, junk, eve, seed, swapped, digest", _DRESSED_CERTIFY_REPORTS,
+                         ids=["d4", "d6", "d5-swapped", "d8-swapped"])
 def test_certify_reports_of_dressed_devices_with_eve_are_pinned(
         tmp_path, capsys, weights, junk, eve, seed, swapped, digest):
     # d >= 4 with an Eve register and non-zero delta_k: every residual and

@@ -1,4 +1,4 @@
-"""Certification conditions: stabilizers, commutation, verdicts, extraction."""
+"""Certification conditions: stabilizers, commutation, verdicts, extracted fidelity."""
 
 import json
 import tracemalloc
@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steercert as sc
-from conftest import fourier_observable
+from conftest import fourier_observable, tampered_dressed
 from steercert.report import render
 
 
@@ -278,6 +278,8 @@ def test_certify_fails_unless_alice_is_the_trusted_pair():
     assert rep.failures == [
         f"Alice observable {i} is not the trusted {k} (residual inf)" for i, k in enumerate("ZX")]
     assert rep.alice_residual == [None, None]  # strict JSON has no inf
+    # Bob's pair is projective, but the swap isometry needs Alice on C^d
+    assert rep.commutation_residual is not None and rep.extracted_fidelity is None
 
 
 def test_certify_rejects_tolerance_out_of_range():
@@ -352,43 +354,22 @@ def test_cert_report_serializes():
     assert back["alice_residual"] == [0.0, 0.0]
 
 
-def test_extract_bob_unitary_ideal_and_dressed():
-    d = 3
-    mes = sc.maximally_entangled(d)
-    rd = sc.dress_realization(sc.ideal_realization(mes), 2, 2, seed=31)
-    u = sc.extract_bob_unitary(rd)
-    db = rd.state.factor_dims[1]
-    m = db // d
-    z = sc.generalized_pauli(d, "Z")
-    x = sc.generalized_pauli(d, "X")
-    b0 = rd.bob_observables[0].operators[1]
-    b1 = rd.bob_observables[1].operators[1]
-    assert np.max(np.abs(u @ b0 @ sc.dagger(u) - np.kron(z.conj(), np.eye(m)))) < 1e-12
-    assert np.max(np.abs(u @ b1 @ sc.dagger(u) - np.kron(x, np.eye(m)))) < 1e-12
-
-    # the rotated state factors as |psi(alpha)> (x) |junk>
-    amps = rd.state.amplitudes.reshape(d, db, -1)
-    rot = np.einsum("ij,ajc->aic", u, amps).reshape(d, d, m, -1)
-    alpha = mes.alpha
-    w = np.einsum("a,aamc->mc", alpha, rot)
-    recon = np.einsum("a,ab,mc->abmc", alpha, np.eye(d), w)
-    assert np.linalg.norm(rot - recon) < 1e-9
+def test_extracted_fidelity_of_ideal_and_dressed_devices_is_one():
+    mes = sc.maximally_entangled(3)
+    f, ideal = sc.functional_coefficients(mes), sc.ideal_realization(mes)
+    for r in (ideal, sc.dress_realization(ideal, 2, 2, seed=31)):
+        assert 1 - 1e-12 <= sc.certify(f, r).extracted_fidelity <= 1 + 1e-12
 
 
-def test_extract_bob_unitary_skewed_alpha():
+def test_extracted_fidelity_skewed_alpha():
     rng = np.random.default_rng(17)
     sv = sc.random_schmidt_vector(3, rng)
     rd = sc.dress_realization(sc.ideal_realization(sv), 3, 1, seed=8)
-    u = sc.extract_bob_unitary(rd)
-    db = rd.state.factor_dims[1]
-    amps = rd.state.amplitudes.reshape(3, db)
-    rot = np.einsum("ij,aj->ai", u, amps).reshape(3, 3, db // 3)
-    w = np.einsum("a,aam->m", sv.alpha, rot)
-    recon = np.einsum("a,ab,m->abm", sv.alpha, np.eye(3), w)
-    assert np.linalg.norm(rot - recon) < 1e-9
+    rep = sc.certify(sc.functional_coefficients(sv), rd)
+    assert 1 - 1e-12 <= rep.extracted_fidelity <= 1 + 1e-12
 
 
-def test_extract_bob_unitary_rejects_nonprojective():
+def test_extracted_fidelity_is_none_for_a_nonprojective_bob():
     mes = sc.maximally_entangled(3)
     noisy = fourier_observable([np.eye(3, dtype=complex) / 3] * 3)
     r = sc.Realization(
@@ -396,11 +377,14 @@ def test_extract_bob_unitary_rejects_nonprojective():
         [sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")],
         [noisy, noisy],
     )
-    with pytest.raises(sc.ContractError, match=NOT_PROJECTIVE):
-        sc.extract_bob_unitary(r)
+    rep = sc.certify(sc.functional_coefficients(mes), r)
+    assert rep.commutation_residual is None and rep.extracted_fidelity is None
 
 
-def test_extract_bob_unitary_rejects_indivisible_dimension():
+def test_extracted_fidelity_needs_no_block_structure():
+    # Bob's dimension 4 is no multiple of d = 3, so B_0's eigenspaces differ
+    # in size; the swap isometry is defined all the same. Only Alice's row 0
+    # is occupied, so F = alpha_0^2 ||B_{0|1} P_0 |0>||^2 = 1/3.
     w = sc.omega(3)
     amps = np.zeros(12)
     amps[0] = 1.0
@@ -409,8 +393,20 @@ def test_extract_bob_unitary_rejects_indivisible_dimension():
     r = sc.Realization(
         psi, [sc.generalized_pauli(3, "Z"), sc.generalized_pauli(3, "X")], [g, g]
     )
-    with pytest.raises(sc.ContractError):
-        sc.extract_bob_unitary(r)
+    rep = sc.certify(sc.functional_coefficients(sc.maximally_entangled(3)), r)
+    assert abs(rep.extracted_fidelity - 1 / 3) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_extracted_fidelity_falls_as_bobs_x_is_rotated(d):
+    for seed in (0, 1, 2):
+        losses = []
+        for eps in (1e-4, 1e-3, 1e-2, 0.1):
+            f, _, r = tampered_dressed(d, np.random.default_rng(seed), eps)
+            fidelity = sc.certify(f, r).extracted_fidelity
+            assert fidelity < 1 - 1e-12, (seed, eps)
+            losses.append(1 - fidelity)
+        assert losses == sorted(set(losses)), (seed, losses)
 
 
 def test_bob_non_projective_off_the_state_support_fails():
@@ -436,6 +432,7 @@ def test_bob_non_projective_off_the_state_support_fails():
     assert rep.failures == ["Bob observable 0 projectivity residual 7.500e-01",
                             "Bob observable 1 projectivity residual 7.500e-01"]
     assert rep.commutation_residual is None
+    assert rep.extracted_fidelity is None
 
 
 # A tolerance whose gap d - (d - TOL) is exact at d = 3, so the value_gap row
@@ -473,11 +470,11 @@ def _certify_with(monkeypatch, value=None, per_k=None, s_res=None, proj=None, co
 
 
 @pytest.mark.parametrize("row, message", [
-    ("stabilizer", "stabilizer residual {:.3e} > 6.0e-08"),
-    ("s_residual", "s_residual {:.3e} > 6.0e-08"),
+    ("stabilizer", "stabilizer residual {!r} > 5.960464477539063e-08"),
+    ("s_residual", "s_residual {!r} > 5.960464477539063e-08"),
     ("bob_0", "Bob observable 0 projectivity residual {:.3e}"),
     ("bob_1", "Bob observable 1 projectivity residual {:.3e}"),
-    ("commutation", "commutation residual {:.3e} > 6.0e-08"),
+    ("commutation", "commutation residual {!r} > 5.960464477539063e-08"),
 ])
 def test_certify_rows_decide_at_their_bound(monkeypatch, row, message):
     def run(x):
@@ -489,7 +486,7 @@ def test_certify_rows_decide_at_their_bound(monkeypatch, row, message):
     assert run(TOL).certified
     for x in (ABOVE, np.nan):
         rep = run(x)
-        assert rep.failures == [message.format(x)], (x, rep.failures)
+        assert rep.failures == [message.format(float(x))], (x, rep.failures)
 
 
 def test_certify_value_rows_decide_at_their_bound(monkeypatch):
@@ -498,14 +495,15 @@ def test_certify_value_rows_decide_at_their_bound(monkeypatch):
     assert _certify_with(monkeypatch, value=3.0 - TOL).certified
     low = np.nextafter(3.0 - TOL, -np.inf)
     rep = _certify_with(monkeypatch, value=low)
-    assert rep.value_gap > TOL and rep.failures == [f"value_gap {rep.value_gap:.3e} > 6.0e-08"]
+    assert rep.value_gap > TOL and rep.failures == [f"value_gap {float(rep.value_gap)!r} > {TOL!r}"]
     top = 3.0 + sc.DEFAULT_TOL
     assert _certify_with(monkeypatch, value=top).certified
     rep = _certify_with(monkeypatch, value=np.nextafter(top, np.inf))
     assert rep.failures == [f"value {np.nextafter(top, np.inf)!r} is above the quantum maximum 3"]
     # a NaN value fails both value rows
     rep = _certify_with(monkeypatch, value=np.nan)
-    assert rep.failures == ["value_gap nan > 6.0e-08", "value nan is above the quantum maximum 3"]
+    assert rep.failures == ["value_gap nan > 5.960464477539063e-08",
+                            "value nan is above the quantum maximum 3"]
 
 
 def _alpha_draws():

@@ -5,7 +5,7 @@ import pytest
 
 import steercert as sc
 
-from conftest import steering_operator
+from conftest import steering_operator, tampered_dressed
 
 
 def four_strategy_oracle(alpha):
@@ -97,22 +97,6 @@ def test_steering_operator_size_mismatch():
     for fn in (sc.evaluate, sc.stabilizer_residuals):
         with pytest.raises(sc.SizeError):
             fn(f, r)
-
-
-def tampered_dressed(d, rng):
-    """Honest dressed device and a copy whose B_1 is rotated by ~1e-3."""
-    sv = sc.random_schmidt_vector(d, rng)
-    r = sc.dress_realization(sc.ideal_realization(sv), 2, 2, seed=d)
-    m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
-    w, v = np.linalg.eigh((m + sc.dagger(m)) / 2)
-    rot = (v * np.exp(1e-3j * w)) @ sc.dagger(v)
-    b1 = rot @ r.bob_observables[1].operators[1] @ sc.dagger(rot)
-    bad = sc.Realization(
-        r.state,
-        r.alice_observables,
-        [r.bob_observables[0], sc.GeneralizedObservable.from_unitary(b1, d)],
-    )
-    return sc.functional_coefficients(sv), r, bad
 
 
 def test_evaluate_and_residuals_match_dense_operators():
